@@ -11,6 +11,11 @@ Subcommands:
   validate <config>
   schema <experiment>
 
+``--threads N`` evaluates the heterodyne sweep points on N threads.  The
+output bytes do not depend on N; peak memory grows with it, since each
+thread holds its own detected records (on 2 cores, a 0.5 s heterodyne
+record ran 3.3 s -> 2.5 s with two threads, peak RSS 255 -> 390-455 MB).
+
 Output directory precedence: --output-dir flag, then the
 RYDSAG_OUTPUT_DIR environment variable, then the config's output_dir,
 then the working directory.
@@ -51,8 +56,8 @@ from .errors import (
 )
 from .heterodyne import (
     HeterodyneConfig,
-    comparison_from_points,
     min_detectable_field,
+    scheme_comparison,
     sensitivity_sweep,
 )
 from .heterodyne import calibration_curve as _calibration_curve
@@ -192,28 +197,40 @@ def _merge(schema, supplied, path=""):
         full = f"{path}.{key}" if path else key
         if key not in schema:
             raise ConfigError(f"unknown config key: {full}")
-        default = schema[key]
-        if isinstance(default, dict):
-            merged[key] = _merge(default, value, full)
-        elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{full} must be a boolean")
-            merged[key] = value
-        elif isinstance(default, (int, float)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{full} must be a number")
-            merged[key] = value
-        elif isinstance(default, str):
-            if not isinstance(value, str):
-                raise ConfigError(f"{full} must be a string")
-            merged[key] = value
-        elif isinstance(default, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"{full} must be a list")
-            merged[key] = copy.deepcopy(value)
-        else:
-            raise ConfigError(f"{full} has an unsupported schema type")
+        merged[key] = _checked(schema[key], value, full)
     return merged
+
+
+def _checked(default, value, path, nested=False):
+    """Return a user value after checking it against its default's type.
+
+    List elements follow the default's first element; a list inside a list
+    (a frequency/amplitude pair) must also keep the default's length.
+    """
+    if isinstance(default, dict):
+        return _merge(default, value, path)
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list")
+        if nested and len(value) != len(default):
+            raise ConfigError(f"{path} must have {len(default)} entries")
+        return [
+            _checked(default[0], item, f"{path}[{index}]", nested=True)
+            for index, item in enumerate(value)
+        ]
+    if isinstance(default, bool):
+        valid, kind = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        valid, kind = type(value) is int, "an integer"
+    elif isinstance(default, float):
+        valid, kind = type(value) in (int, float), "a number"
+    elif isinstance(default, str):
+        valid, kind = isinstance(value, str), "a string"
+    else:
+        raise ConfigError(f"{path} has an unsupported schema type")
+    if not valid:
+        raise ConfigError(f"{path} must be {kind}")
+    return value
 
 
 def load_config(path):
@@ -232,11 +249,7 @@ def load_config(path):
     experiment = raw.get("experiment")
     if not isinstance(experiment, str):
         raise ConfigError("config needs an 'experiment' string key")
-    schema = _schema_for(experiment)
-    merged = _merge(schema, raw)
-    if not isinstance(merged["seed"], int):
-        raise ConfigError("seed must be an integer")
-    return merged
+    return _merge(_schema_for(experiment), raw)
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +270,19 @@ def _run_spectrum(config, out_dir, seed):
         medium, config["grid"]["span_linewidths"], config["grid"]["points"]
     )
     spectrum = susceptibility_spectrum(medium, grid)
-    rows = []
-    for point in spectrum:
-        pair = phase_and_absorption(point.chi, medium)
-        rows.append(
-            (
-                point.delta_p / (2.0 * math.pi),
-                point.chi.real,
-                point.chi.imag,
-                pair.delta_phi,
-                pair.delta_beta,
-            )
-        )
+    pair = phase_and_absorption(spectrum.chi, medium)
+    columns = (
+        spectrum.delta_p / (2.0 * math.pi),
+        spectrum.chi.real,
+        spectrum.chi.imag,
+        pair.delta_phi,
+        pair.delta_beta,
+    )
     csv_path = os.path.join(out_dir, "spectrum.csv")
     write_csv(
         csv_path,
         ("delta_p_hz", "re_chi", "im_chi", "delta_phi_rad", "delta_beta"),
-        rows,
+        zip(*(column.tolist() for column in columns)),
     )
     notes = []
     try:
@@ -305,7 +314,7 @@ def _run_pointer(config, out_dir, seed):
     pre = PreSelection(block["delta_phi"], block["delta_beta"])
     post = PostSelection(block["angle"])
     coupling = WeakCoupling(block["k"])
-    beam = BeamPointer.centered(block["w"], block["span_w"], int(block["points"]))
+    beam = BeamPointer.centered(block["w"], block["span_w"], block["points"])
     readout = quadrature_oracle(pre, post, coupling, beam)
     csv_path = os.path.join(out_dir, "profile.csv")
     write_csv(
@@ -432,67 +441,40 @@ def _run_heterodyne(config, out_dir, seed, threads):
     pointer = PointerSetup(
         post=PostSelection(math.pi / 4),
         coupling=WeakCoupling(pblock["k"]),
-        beam=BeamPointer.centered(pblock["w"], pblock["span_w"], int(pblock["points"])),
+        beam=BeamPointer.centered(pblock["w"], pblock["span_w"], pblock["points"]),
     )
 
-    def run_sweeps(map_fn):
-        if compare:
-            from dataclasses import replace
-
-            points_d = sensitivity_sweep(
-                replace(hetero, readout="dispersion"),
-                medium,
-                pointer,
-                detector,
-                seed,
-                map_fn=map_fn,
-            )
-            points_a = sensitivity_sweep(
-                replace(hetero, readout="amplitude"),
-                medium,
-                pointer,
-                detector,
-                seed,
-                map_fn=map_fn,
-            )
-            return points_d, points_a
-        points = sensitivity_sweep(
-            hetero, medium, pointer, detector, seed, map_fn=map_fn
-        )
-        return (points, None) if hetero.readout == "dispersion" else (None, points)
-
+    sweep = scheme_comparison if compare else sensitivity_sweep
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            points_d, points_a = run_sweeps(pool.map)
+            result = sweep(hetero, medium, pointer, detector, seed, map_fn=pool.map)
     else:
-        points_d, points_a = run_sweeps(map)
+        result = sweep(hetero, medium, pointer, detector, seed)
 
-    written = []
-    if points_d is not None:
-        written.extend(
-            _scheme_files(out_dir, "dispersion", points_d, min_detectable_field(points_d))
+    if not compare:
+        return _scheme_files(
+            out_dir, hetero.readout, result, min_detectable_field(result)
         )
-    if points_a is not None:
-        written.extend(
-            _scheme_files(out_dir, "amplitude", points_a, min_detectable_field(points_a))
-        )
-    if compare:
-        result = comparison_from_points(points_d, points_a)
-        comparison_path = os.path.join(out_dir, "comparison.json")
-        write_json(
-            comparison_path,
-            {
-                "delta_sensitivity_db": result.delta_sensitivity_db,
-                "delta_min_field_db": result.delta_min_field_db,
-                "delta_min_field_db_power": result.delta_min_field_db_power,
-                "e_min_vpercm_dispersion": result.dispersion.e_min
-                / _V_PER_M_PER_V_PER_CM,
-                "e_min_vpercm_amplitude": result.amplitude.e_min
-                / _V_PER_M_PER_V_PER_CM,
-            },
-        )
-        written.append(comparison_path)
-    return written
+    written = _scheme_files(
+        out_dir, "dispersion", result.points_dispersion, result.dispersion
+    )
+    written += _scheme_files(
+        out_dir, "amplitude", result.points_amplitude, result.amplitude
+    )
+    comparison_path = os.path.join(out_dir, "comparison.json")
+    write_json(
+        comparison_path,
+        {
+            "delta_sensitivity_db": result.delta_sensitivity_db,
+            "delta_min_field_db": result.delta_min_field_db,
+            "delta_min_field_db_power": result.delta_min_field_db_power,
+            "e_min_vpercm_dispersion": result.dispersion.e_min
+            / _V_PER_M_PER_V_PER_CM,
+            "e_min_vpercm_amplitude": result.amplitude.e_min
+            / _V_PER_M_PER_V_PER_CM,
+        },
+    )
+    return written + [comparison_path]
 
 
 def _run_calibrate(config, out_dir, seed):
@@ -503,7 +485,7 @@ def _run_calibrate(config, out_dir, seed):
         block["horn_factor"],
         medium,
         dipole_mw=block["dipole_mw"],
-        points=int(block["points"]),
+        points=block["points"],
     )
     csv_path = os.path.join(out_dir, "calibration.csv")
     write_csv(

@@ -150,9 +150,32 @@ class SusceptibilityPoint:
     chi: complex
 
 
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Susceptibility sampled on a detuning grid, as two aligned arrays.
+
+    Integer indexing and iteration yield ``SusceptibilityPoint`` records.
+    """
+
+    delta_p: np.ndarray
+    chi: np.ndarray
+
+    def __len__(self):
+        return self.delta_p.size
+
+    def __getitem__(self, index):
+        return SusceptibilityPoint(float(self.delta_p[index]), complex(self.chi[index]))
+
+    def __iter__(self):
+        return map(SusceptibilityPoint, self.delta_p.tolist(), self.chi.tolist())
+
+
 @dataclass(frozen=True)
 class PhaseAbsorptionPair:
-    """Single-pass probe phase shift and log-amplitude change (radians)."""
+    """Single-pass probe phase shift and log-amplitude change (radians).
+
+    Scalars for a scalar susceptibility, arrays of its shape otherwise.
+    """
 
     delta_phi: float
     delta_beta: float
@@ -228,7 +251,11 @@ def susceptibility(params, delta_p):
 
 
 def susceptibility_spectrum(params, grid):
-    """Susceptibility sampled on a strictly increasing detuning grid."""
+    """Susceptibility sampled on a strictly increasing detuning grid.
+
+    Returns a ``Spectrum`` holding a copy of the grid and the matching
+    complex susceptibility array.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("detuning grid is empty")
@@ -238,7 +265,7 @@ def susceptibility_spectrum(params, grid):
         chi = np.array([doppler_average(params, dp) for dp in grid])
     else:
         chi = _chi_values(params, grid)
-    return [SusceptibilityPoint(float(dp), complex(c)) for dp, c in zip(grid, chi)]
+    return Spectrum(delta_p=grid.copy(), chi=chi)
 
 
 def doppler_average(params, delta_p, rtol=GH_RTOL):
@@ -271,19 +298,24 @@ def doppler_average(params, delta_p, rtol=GH_RTOL):
 
 
 def phase_and_absorption(chi, params):
-    """Map one susceptibility value onto the interferometer pair."""
-    chi = complex(chi)
-    if abs(chi) > 0.1:
+    """Map susceptibility values onto the interferometer pair.
+
+    Vectorized; warns once per call if any |chi| leaves the thin-medium
+    regime.
+    """
+    chi = np.asarray(chi)
+    if np.any(np.abs(chi) > 0.1):
         warnings.warn(
             "|chi| is not small; the thin-medium phase/absorption mapping degrades",
             RegimeWarning,
             stacklevel=2,
         )
     factor = math.pi * params.cell_length / params.lambda_p
-    return PhaseAbsorptionPair(
-        delta_phi=factor * chi.real,
-        delta_beta=-factor * chi.imag,
-    )
+    delta_phi = factor * np.real(chi)
+    delta_beta = -factor * np.imag(chi)
+    if chi.ndim == 0:
+        return PhaseAbsorptionPair(float(delta_phi), float(delta_beta))
+    return PhaseAbsorptionPair(delta_phi, delta_beta)
 
 
 def rabi_from_field(e_field, dipole):
@@ -308,14 +340,11 @@ def detuning_grid(params, span_linewidths=40.0, points=4096):
 
 
 def _spectrum_arrays(spectrum):
-    points = list(spectrum)
-    if len(points) < 3:
+    if len(spectrum) < 3:
         raise InvalidParameterError("spectrum needs at least 3 points")
-    detunings = np.array([p.delta_p for p in points], dtype=float)
-    chi = np.array([p.chi for p in points], dtype=complex)
-    if not np.all(np.diff(detunings) > 0.0):
+    if not np.all(np.diff(spectrum.delta_p) > 0.0):
         raise InvalidParameterError("spectrum detunings must be strictly increasing")
-    return detunings, chi
+    return spectrum.delta_p, spectrum.chi
 
 
 def kk_residual(spectrum):

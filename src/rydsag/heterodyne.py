@@ -34,6 +34,7 @@ from .eit_medium import (
     at_splitting,
     detuning_grid,
     field_from_at_splitting,
+    phase_and_absorption,
     rabi_from_field,
     susceptibility_spectrum,
 )
@@ -252,12 +253,6 @@ def beat_amplitude_linear(omega_local, omega_signal):
 # operating point
 
 
-def _phase_absorption_arrays(medium, chi):
-    """Vectorized probe phase and log-amplitude change from susceptibility."""
-    factor = math.pi * medium.cell_length / medium.lambda_p
-    return factor * np.real(chi), -factor * np.imag(chi)
-
-
 def _require_stationary(medium):
     if medium.doppler_enabled:
         raise InvalidParameterError(
@@ -281,10 +276,12 @@ def _check_pointer(config, pointer):
 def _observable(config, medium, pointer, delta_p, omega_mw):
     """Readout observable: pointer contrast or power transmission."""
     chi = _chi_values(medium, delta_p, omega_mw=omega_mw)
-    phi, beta = _phase_absorption_arrays(medium, chi)
+    pair = phase_and_absorption(chi, medium)
     if config.readout == "dispersion":
-        return closed_icr(phi, beta, pointer.coupling.k, pointer.beam.w)
-    return np.exp(2.0 * beta)
+        return closed_icr(
+            pair.delta_phi, pair.delta_beta, pointer.coupling.k, pointer.beam.w
+        )
+    return np.exp(2.0 * pair.delta_beta)
 
 
 def operating_point(config, medium, pointer=None, span_linewidths=6.0, points=1501):
@@ -311,14 +308,14 @@ def operating_point(config, medium, pointer=None, span_linewidths=6.0, points=15
         float(_observable(config, medium, pointer, best, config.omega_local + h))
         - float(_observable(config, medium, pointer, best, config.omega_local - h))
     ) / (2.0 * h)
-    chi = complex(_chi_values(medium, best, omega_mw=config.omega_local))
-    phi, beta = _phase_absorption_arrays(medium, chi)
+    chi = _chi_values(medium, best, omega_mw=config.omega_local)
+    pair = phase_and_absorption(chi, medium)
     return OperatingPoint(
         delta_p=best,
         slope=slope,
         bias=float(_observable(config, medium, pointer, best, config.omega_local)),
-        delta_phi=float(phi),
-        delta_beta=float(beta),
+        delta_phi=pair.delta_phi,
+        delta_beta=pair.delta_beta,
     )
 
 
@@ -369,7 +366,8 @@ def _beat_record(config, medium, pointer, detector, seed, e_signal, operating):
     def channel_powers(t):
         drive = instantaneous_rabi(config, t, e_signal)
         chi = _chi_values(medium, operating.delta_p, omega_mw=drive)
-        phi, beta = _phase_absorption_arrays(medium, chi)
+        pair = phase_and_absorption(chi, medium)
+        phi, beta = pair.delta_phi, pair.delta_beta
         transmitted = config.probe_power * np.exp(2.0 * beta)
         if config.readout == "amplitude":
             return transmitted
@@ -620,22 +618,16 @@ def scheme_comparison(
     reports the SNR advantage (mean over amplitudes detected by both) and
     the minimum-field advantage in the two dB conventions.
     """
-    points_dispersion = sensitivity_sweep(
-        replace(config, readout="dispersion"),
-        medium,
-        pointer,
-        detector,
-        seed,
-        segment_length,
-        map_fn,
-    )
-    points_amplitude = sensitivity_sweep(
-        replace(config, readout="amplitude"),
-        medium,
-        pointer,
-        detector,
-        seed,
-        segment_length,
-        map_fn,
+    points_dispersion, points_amplitude = (
+        sensitivity_sweep(
+            replace(config, readout=scheme),
+            medium,
+            pointer,
+            detector,
+            seed,
+            segment_length,
+            map_fn,
+        )
+        for scheme in READOUT_SCHEMES
     )
     return comparison_from_points(points_dispersion, points_amplitude)

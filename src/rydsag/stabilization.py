@@ -56,6 +56,8 @@ class PidParams:
                 raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         if self.sample_rate <= 0.0:
             raise InvalidParameterError("sample_rate must be > 0")
+        if len(self.output_limits) != 2:
+            raise InvalidParameterError("output_limits must be an ordered finite pair")
         lo, hi = self.output_limits
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise InvalidParameterError("output_limits must be an ordered finite pair")

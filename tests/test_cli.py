@@ -87,6 +87,21 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
     assert code == 1
     assert "seed" in json.loads(out)["error"]["message"]
 
+    # each of these used to pass validate and crash simulate, or be truncated
+    for experiment, section, key, value in (
+        ("spectrum", "grid", "points", 100.7),
+        ("calibrate", "calibrate", "powers_w", ["a", 1.0e-4]),
+        ("heterodyne", "heterodyne", "e_signal", ["x"]),
+        ("stabilize", "drift", "sinusoids", [[50.0]]),
+    ):
+        path = write_config(
+            tmp_path, {"experiment": experiment, section: {key: value}}, "c.json")
+        code, out = run_cli(capsys, "validate", path)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["category"] == "config"
+        assert f"{section}.{key}" in error["message"]
+
 
 def test_simulate_pointer_writes_manifest_and_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, {"experiment": "pointer", "seed": 0})

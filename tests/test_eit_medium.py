@@ -1,6 +1,7 @@
 """Ladder-medium susceptibility against an explicit steady-state solve."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from rydsag.errors import (
     AccuracyError,
     GridPolicyError,
     InvalidParameterError,
+    RegimeWarning,
     UnresolvedSplittingError,
 )
 
@@ -229,6 +231,18 @@ def test_phase_and_absorption_mapping():
     # absorbing medium attenuates: exp(2 delta_beta) < 1
     assert pair.delta_beta < 0.0
 
+    # arrays map element-wise and warn once per call, not once per value
+    values = np.array([2.0e-6 + 1.0e-6j, 0.3 + 0.05j, -0.2j, 0.15, 1.0e-3j])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pairs = phase_and_absorption(values, medium)
+    assert [w.category for w in caught] == [RegimeWarning]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        scalar = [phase_and_absorption(complex(c), medium) for c in values]
+    assert pairs.delta_phi.tolist() == [p.delta_phi for p in scalar]
+    assert pairs.delta_beta.tolist() == [p.delta_beta for p in scalar]
+
 
 def test_thermal_speed_value():
     medium = params()
@@ -283,3 +297,5 @@ def test_spectrum_points_carry_grid():
     assert len(spectrum) == 128
     assert spectrum[0].delta_p == pytest.approx(grid[0])
     assert all(p.chi.imag >= 0.0 for p in spectrum)
+    np.testing.assert_array_equal(spectrum.delta_p, grid)
+    np.testing.assert_array_equal(spectrum.chi, susceptibility(medium, grid))

@@ -201,6 +201,9 @@ def test_pid_params_validation():
         PidParams(sample_rate=0.0)
     with pytest.raises(InvalidParameterError):
         PidParams(output_limits=(1.0, -1.0))
+    for limits in ((), (-1.0, 0.0, 1.0)):
+        with pytest.raises(InvalidParameterError):
+            PidParams(output_limits=limits)
     with pytest.raises(InvalidParameterError):
         PidParams(kp=math.nan)
 
