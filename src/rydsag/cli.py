@@ -91,6 +91,17 @@ EXPERIMENTS = (
 
 _V_PER_M_PER_V_PER_CM = 100.0
 
+# Largest grid or record a config may ask for: 2**21 float64 samples are
+# 16 MiB per array, twice the largest record in use (a 2**20-point
+# spectrum; a 60 s loop is 600 000 samples) and far below what exhausts
+# memory.
+MAX_GRID_POINTS = 2**21
+_GRID_POINT_FIELDS = (
+    ("grid", "points"),
+    ("pointer", "points"),
+    ("calibrate", "points"),
+)
+
 
 def _dataclass_defaults(cls):
     return {f.name: f.default for f in fields(cls)}
@@ -249,7 +260,29 @@ def load_config(path):
     experiment = raw.get("experiment")
     if not isinstance(experiment, str):
         raise ConfigError("config needs an 'experiment' string key")
-    return _merge(_schema_for(experiment), raw)
+    config = _merge(_schema_for(experiment), raw)
+    _check_seed(config["seed"])
+    _check_sizes(config)
+    return config
+
+
+def _check_seed(seed):
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _check_sizes(config):
+    """Reject grids and records longer than MAX_GRID_POINTS."""
+    for section, key in _GRID_POINT_FIELDS:
+        if section in config and config[section][key] > MAX_GRID_POINTS:
+            raise ConfigError(f"{section}.{key} must be at most {MAX_GRID_POINTS}")
+    if config["experiment"] == "stabilize":
+        samples = config["loop"]["duration"] * config["pid"]["sample_rate"]
+        if not (math.isfinite(samples) and round(samples) <= MAX_GRID_POINTS):
+            raise ConfigError(
+                "loop.duration x pid.sample_rate must be a finite count of at "
+                f"most {MAX_GRID_POINTS} samples, got {samples}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +315,7 @@ def _run_spectrum(config, out_dir, seed):
     write_csv(
         csv_path,
         ("delta_p_hz", "re_chi", "im_chi", "delta_phi_rad", "delta_beta"),
-        zip(*(column.tolist() for column in columns)),
+        columns,
     )
     notes = []
     try:
@@ -317,11 +350,7 @@ def _run_pointer(config, out_dir, seed):
     beam = BeamPointer.centered(block["w"], block["span_w"], block["points"])
     readout = quadrature_oracle(pre, post, coupling, beam)
     csv_path = os.path.join(out_dir, "profile.csv")
-    write_csv(
-        csv_path,
-        ("x_m", "intensity"),
-        zip(beam.grid.tolist(), readout.profile.tolist()),
-    )
+    write_csv(csv_path, ("x_m", "intensity"), (beam.grid, readout.profile))
     json_path = os.path.join(out_dir, "readout.json")
     write_json(
         json_path,
@@ -358,11 +387,10 @@ def _run_stabilize(config, out_dir, seed):
     )
     std_open, std_closed, ratio = suppression_report(trace.ts, loop["loop_on_at"])
     csv_path = os.path.join(out_dir, "timeseries.csv")
-    times = trace.ts.times()
     write_csv(
         csv_path,
         ("t_s", "eta_con", "pid_output"),
-        zip(times.tolist(), trace.ts.samples.tolist(), trace.pid_output.tolist()),
+        (trace.ts.times(), trace.ts.samples, trace.pid_output),
     )
     report_path = os.path.join(out_dir, "report.json")
     phase_dev_rad = equivalent_phase_deviation(
@@ -423,8 +451,9 @@ def _scheme_files(out_dir, scheme, points, fit):
         csv_path,
         ("e_vpercm", "beat_db", "snr_db"),
         (
-            (p.e_signal / _V_PER_M_PER_V_PER_CM, p.beat_db, p.snr_db)
-            for p in points
+            [p.e_signal / _V_PER_M_PER_V_PER_CM for p in points],
+            [p.beat_db for p in points],
+            [p.snr_db for p in points],
         ),
     )
     return [json_path, csv_path]
@@ -491,10 +520,10 @@ def _run_calibrate(config, out_dir, seed):
     write_csv(
         csv_path,
         ("power_w", "e_applied_vperm", "f_at_hz", "e_recovered_vperm", "resolved"),
-        (
-            (e.power_w, e.e_applied, e.f_at_hz, e.e_recovered, e.resolved)
-            for e in result.entries
-        ),
+        [
+            [getattr(e, name) for e in result.entries]
+            for name in ("power_w", "e_applied", "f_at_hz", "e_recovered", "resolved")
+        ],
     )
     json_path = os.path.join(out_dir, "calibration.json")
     write_json(
@@ -542,7 +571,10 @@ def _resolve_output_dir(config, cli_dir):
 
 def run(config, out_dir, seed, threads=1):
     """Dispatch one validated config; returns the manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     experiment = config["experiment"]
     started = time.perf_counter()
     if experiment == "spectrum":
@@ -616,6 +648,7 @@ def main(argv=None):
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
         seed = config["seed"] if args.seed is None else args.seed
+        _check_seed(seed)
         out_dir = _resolve_output_dir(config, args.output_dir)
         manifest = run(config, out_dir, seed, args.threads)
         print(manifest)

@@ -8,7 +8,6 @@ every emitted file is strict JSON and byte-stable for a given payload.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 
@@ -18,9 +17,16 @@ from .errors import InvalidParameterError
 
 UNDEFINED = "undefined"
 
+# CSV cells are written unquoted, so a string may hold none of these.
+_UNQUOTED_FORBIDDEN = frozenset(',"\r\n')
+
 
 def format_cell(value):
-    """One CSV cell: 9-significant-digit floats, plain ints and strings."""
+    """One CSV cell: 9-significant-digit floats, plain ints and strings.
+
+    Cells are never quoted, so a string holding a comma, a double quote
+    or a line break is rejected.
+    """
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -28,23 +34,44 @@ def format_cell(value):
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".9g")
     if isinstance(value, str):
+        if not _UNQUOTED_FORBIDDEN.isdisjoint(value):
+            raise InvalidParameterError(
+                f"CSV cell {value!r} holds a comma, quote or line break"
+            )
         return value
     raise InvalidParameterError(f"cannot format a {type(value).__name__} CSV cell")
 
 
-def write_csv(path, header, rows):
-    """Write a header and iterable of rows; returns the path."""
-    header = list(header)
+def write_csv(path, header, columns):
+    """Write a header and equal-length 1-D columns; returns the path.
+
+    A column's type is its array dtype: a float column is written with
+    ``'%.9g'`` (the same bytes as ``format_cell``), and any other column
+    (bool, int, str) is formatted once, cell by cell, by ``format_cell``.
+    """
+    names = [format_cell(name) for name in header]
+    arrays = [np.asarray(column) for column in columns]
+    if len(arrays) != len(names):
+        raise InvalidParameterError(
+            f"{len(arrays)} columns do not match header width {len(names)}"
+        )
+    if any(array.ndim != 1 for array in arrays):
+        raise InvalidParameterError("CSV columns must be 1-D")
+    lengths = {array.shape[0] for array in arrays}
+    if len(lengths) > 1:
+        raise InvalidParameterError(f"CSV columns differ in length: {sorted(lengths)}")
+    specs, values = [], []
+    for array in arrays:
+        if array.dtype.kind == "f":
+            specs.append("%.9g")
+            values.append(array.tolist())
+        else:
+            specs.append("%s")
+            values.append([format_cell(value) for value in array.tolist()])
+    template = ",".join(specs) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            cells = [format_cell(value) for value in row]
-            if len(cells) != len(header):
-                raise InvalidParameterError(
-                    f"row width {len(cells)} does not match header width {len(header)}"
-                )
-            writer.writerow(cells)
+        handle.write(",".join(names) + "\n")
+        handle.writelines(map(template.__mod__, zip(*values)))
     return path
 
 

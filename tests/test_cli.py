@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rydsag.cli import EXPERIMENTS, load_config, main
+from rydsag.cli import EXPERIMENTS, MAX_GRID_POINTS, load_config, main
 from rydsag.errors import ConfigError
 
 FAST_HETERODYNE = {
@@ -93,6 +93,12 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
         ("calibrate", "calibrate", "powers_w", ["a", 1.0e-4]),
         ("heterodyne", "heterodyne", "e_signal", ["x"]),
         ("stabilize", "drift", "sinusoids", [[50.0]]),
+        # grids and records above MAX_GRID_POINTS
+        ("spectrum", "grid", "points", MAX_GRID_POINTS + 1),
+        ("pointer", "pointer", "points", MAX_GRID_POINTS + 1),
+        ("heterodyne", "pointer", "points", MAX_GRID_POINTS + 1),
+        ("calibrate", "calibrate", "points", MAX_GRID_POINTS + 1),
+        ("stabilize", "loop", "duration", 1.0e3),
     ):
         path = write_config(
             tmp_path, {"experiment": experiment, section: {key: value}}, "c.json")
@@ -101,6 +107,15 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
         error = json.loads(out)["error"]
         assert error["category"] == "config"
         assert f"{section}.{key}" in error["message"]
+
+    # the cap admits a 2**20-point spectrum and a 60 s loop at 10 kHz
+    for experiment, section, key, value in (
+        ("spectrum", "grid", "points", 2**20),
+        ("stabilize", "loop", "duration", 60.0),
+    ):
+        path = write_config(
+            tmp_path, {"experiment": experiment, section: {key: value}}, "d.json")
+        assert run_cli(capsys, "validate", path)[0] == 0
 
 
 def test_simulate_pointer_writes_manifest_and_outputs(tmp_path, capsys):
@@ -124,6 +139,33 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
         capsys, "simulate", cfg, "--output-dir", str(out_dir), "--seed", "7")
     assert code == 0
     assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 7
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "limits", "seed": -3})
+    code, out = run_cli(capsys, "simulate", cfg, "--output-dir", str(tmp_path / "a"))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "config"
+    assert "seed must be a non-negative integer" in error["message"]
+
+    cfg = write_config(tmp_path, {"experiment": "limits", "seed": 1}, "b.json")
+    code, out = run_cli(
+        capsys, "simulate", cfg, "--output-dir", str(tmp_path / "b"), "--seed", "-1")
+    assert code == 1
+    assert "seed must be a non-negative integer" in json.loads(out)["error"]["message"]
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_uncreatable_output_dir_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "limits", "seed": 0})
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory", encoding="utf-8")
+    code, out = run_cli(capsys, "simulate", cfg, "--output-dir", str(blocker))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "config"
+    assert str(blocker) in error["message"]
 
 
 def test_output_dir_precedence(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rydsag.emit import UNDEFINED, format_cell, sanitize, write_csv, write_json
 from rydsag.errors import InvalidParameterError
@@ -24,6 +26,10 @@ def test_format_cell_types():
         format_cell([1, 2])
     with pytest.raises(InvalidParameterError):
         format_cell(None)
+    # cells are written unquoted
+    for text in ("a,b", 'say "x"', "line\nbreak", "cr\r"):
+        with pytest.raises(InvalidParameterError):
+            format_cell(text)
 
 
 def test_format_cell_nine_significant_digits():
@@ -31,17 +37,52 @@ def test_format_cell_nine_significant_digits():
     assert format_cell(123456789012.345) == "1.23456789e+11"
 
 
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(-5e-324)
+@example(1.7976931348623157e308)
+def test_float_template_matches_format_cell(x):
+    # write_csv's float columns use the template; format_cell is the reference
+    assert "%.9g" % x == format_cell(x)
+
+
 def test_write_csv_bytes(tmp_path):
     path = tmp_path / "table.csv"
-    write_csv(path, ["a", "b"], [[1, 2.5], [True, "x"]])
+    write_csv(
+        path,
+        ["f", "i", "b", "s"],
+        [
+            np.array([2.5, math.pi, -0.0]),
+            np.array([1, -3, 12345678901], dtype=np.int64),
+            [True, False, np.bool_(True)],
+            ["x", "y", "z"],
+        ],
+    )
     raw = path.read_bytes()
-    assert raw == b"a,b\n1,2.5\ntrue,x\n"
+    assert raw == (
+        b"f,i,b,s\n"
+        b"2.5,1,true,x\n"
+        b"3.14159265,-3,false,y\n"
+        b"-0,12345678901,true,z\n"
+    )
     assert b"\r" not in raw
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "bad.csv"
     with pytest.raises(InvalidParameterError):
-        write_csv(tmp_path / "bad.csv", ["a", "b"], [[1]])
+        write_csv(path, ["a", "b"], [[1.0, 2.0], [1.0]])
+    with pytest.raises(InvalidParameterError):
+        write_csv(path, ["a", "b"], [[1.0, 2.0]])
+    with pytest.raises(InvalidParameterError):
+        write_csv(path, ["a"], [np.zeros((2, 2))])
+    with pytest.raises(InvalidParameterError):
+        write_csv(path, ["a,b"], [[1.0]])
 
 
 def test_sanitize_nested_payload():
