@@ -193,80 +193,61 @@ def _common_mode_factors(rng, det, fs, t):
     return factor, line
 
 
-def _warn_bandwidth(det, fs):
+def channel_readout(channels):
+    """Readout of one or two channel power records.
+
+    One channel reads out as its power; two read out as the contrast
+    eta = (P_left - P_right) / (P_left + P_right), zero where no power
+    arrives.
+    """
+    if len(channels) == 1:
+        return channels[0]
+    left, right = channels
+    total = left + right
+    return np.divide(left - right, total, out=np.zeros_like(total), where=total > 0.0)
+
+
+def sample_timeseries(signal_fn, det, fs, duration, seed):
+    """Noisy readout record of a one- or two-channel optical signal.
+
+    ``signal_fn(t)`` maps an array of sample times to a tuple of clean
+    channel powers in watts: ``(P,)`` for a transmitted-power record, or
+    ``(P_left, P_right)`` for a split-detector eta record.  Per sample and
+    channel the chain draws shot noise (variance 2 h nu P fs/2), NEP noise
+    (variance nep^2 fs/2) and dark-current noise, applies any common-mode
+    intensity noise and line (split evenly across the channels), low-passes
+    each channel at the detector bandwidth, clamps negative powers, and
+    reads out through channel_readout.  Reproducible from the seed.
+    """
+    n = _sample_count(fs, duration)
     if fs > 2.0 * det.bandwidth:
         warnings.warn(
             "sample rate exceeds twice the detector bandwidth; the sampled "
             "record is bandwidth-limited",
             RegimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-
-
-def sample_timeseries(signal_fn, det, fs, duration, seed):
-    """Noisy eta record of a two-channel optical signal.
-
-    ``signal_fn(t)`` maps an array of sample times to the pair of clean
-    channel powers (P_left, P_right) in watts.  Per sample and channel the
-    chain draws shot noise (variance 2 h nu P fs/2), NEP noise (variance
-    nep^2 fs/2) and dark-current noise, applies any common-mode intensity
-    noise, low-passes each channel at the detector bandwidth, clamps
-    negative powers, and divides into eta.  Reproducible from the seed.
-    """
-    n = _sample_count(fs, duration)
-    _warn_bandwidth(det, fs)
     t = np.arange(n) / fs
-    p_left, p_right = signal_fn(t)
-    p_left = np.broadcast_to(np.asarray(p_left, dtype=float), t.shape).copy()
-    p_right = np.broadcast_to(np.asarray(p_right, dtype=float), t.shape).copy()
+    clean = signal_fn(t)
+    if not isinstance(clean, tuple) or len(clean) not in (1, 2):
+        raise InvalidParameterError(
+            "signal_fn must return a tuple of 1 or 2 channel powers"
+        )
+    powers = [np.broadcast_to(np.asarray(p, dtype=float), t.shape).copy() for p in clean]
+    del clean  # keep one full-length array per channel alive, not two
 
     rng = np.random.default_rng(seed)
     factor, line = _common_mode_factors(rng, det, fs, t)
-    noise_left = _additive_noise(rng, p_left, det, fs)
-    noise_right = _additive_noise(rng, p_right, det, fs)
+    noises = [_additive_noise(rng, power, det, fs) for power in powers]
 
-    if factor is not None:
-        p_left *= factor
-        p_right *= factor
-    if line is not None:
-        p_left += 0.5 * line
-        p_right += 0.5 * line
-    left = _bandwidth_filter(p_left + noise_left, det, fs)
-    right = _bandwidth_filter(p_right + noise_right, det, fs)
-
-    left = np.clip(left, 0.0, None)
-    right = np.clip(right, 0.0, None)
-    total = left + right
-    eta = np.divide(
-        left - right,
-        total,
-        out=np.zeros_like(total),
-        where=total > 0.0,
-    )
-    return TimeSeries(fs=fs, samples=eta)
-
-
-def sample_power_timeseries(power_fn, det, fs, duration, seed):
-    """Noisy single-channel power record (watts) of ``power_fn(t)``.
-
-    Same noise chain as sample_timeseries without the division; used by
-    transmission-based readout.
-    """
-    n = _sample_count(fs, duration)
-    _warn_bandwidth(det, fs)
-    t = np.arange(n) / fs
-    power = np.broadcast_to(np.asarray(power_fn(t), dtype=float), t.shape).copy()
-
-    rng = np.random.default_rng(seed)
-    factor, line = _common_mode_factors(rng, det, fs, t)
-    noise = _additive_noise(rng, power, det, fs)
-
-    if factor is not None:
-        power *= factor
-    if line is not None:
-        power += line
-    out = _bandwidth_filter(power + noise, det, fs)
-    return TimeSeries(fs=fs, samples=np.clip(out, 0.0, None))
+    channels = []
+    for power, noise in zip(powers, noises):
+        if factor is not None:
+            power *= factor
+        if line is not None:
+            power += line / len(powers)
+        channels.append(np.clip(_bandwidth_filter(power + noise, det, fs), 0.0, None))
+    return TimeSeries(fs=fs, samples=channel_readout(channels))
 
 
 # ---------------------------------------------------------------------------

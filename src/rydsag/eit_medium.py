@@ -213,18 +213,6 @@ def _resolvent_ratio(params, delta_p, velocity=0.0, omega_mw=None):
     return nested / (outer * nested + c2 * inner)
 
 
-def steady_state_coherence(params, delta_p):
-    """Weak-probe coherence between ground and first excited state.
-
-    Linear in the probe Rabi frequency; scalar in, scalar out, with array
-    detunings supported for sweeps.
-    """
-    ratio = (0.5j * params.omega_p) * _resolvent_ratio(params, delta_p)
-    if np.ndim(delta_p) == 0:
-        return complex(ratio)
-    return ratio
-
-
 def _chi_prefactor(params):
     return params.density * params.dipole_probe**2 / (constants.epsilon_0 * constants.hbar)
 

@@ -22,12 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector_chain import (
-    TimeSeries,
-    psd,
-    sample_power_timeseries,
-    sample_timeseries,
-)
+from .detector_chain import TimeSeries, channel_readout, psd, sample_timeseries
 from .eit_medium import (
     _chi_values,
     _refine_extremum,
@@ -323,27 +318,19 @@ def operating_point(config, medium, pointer=None, span_linewidths=6.0, points=15
 # detected records
 
 
-def run_beat_experiment(config, medium, pointer, detector, seed, operating=None):
+def run_beat_experiment(
+    config, medium, pointer, detector, seed, e_signal=None, operating=None
+):
     """Detected record of the superheterodyne beat for one signal amplitude.
 
-    Uses the first entry of ``config.e_signal``; pass ``e_signal`` to
-    override.  Dispersion readout returns the pointer-contrast record,
-    amplitude readout the transmitted-power record in watts.  A detector
-    of None gives the clean (noise-free) record.  The operating point is
+    ``e_signal`` (V/m) defaults to the first entry of ``config.e_signal``.
+    Dispersion readout returns the pointer-contrast record, amplitude
+    readout the transmitted-power record in watts.  A detector of None
+    gives the clean (noise-free) record.  The operating point is
     recomputed unless one is supplied.
     """
-    return _beat_record(
-        config, medium, pointer, detector, seed, config.e_signal[0], operating
-    )
-
-
-def beat_record_for_field(config, medium, pointer, detector, seed, e_signal,
-                          operating=None):
-    """run_beat_experiment at an explicit signal amplitude (V/m)."""
-    return _beat_record(config, medium, pointer, detector, seed, e_signal, operating)
-
-
-def _beat_record(config, medium, pointer, detector, seed, e_signal, operating):
+    if e_signal is None:
+        e_signal = config.e_signal[0]
     _require_stationary(medium)
     _check_pointer(config, pointer)
     if e_signal < 0.0 or not math.isfinite(e_signal):
@@ -358,7 +345,7 @@ def _beat_record(config, medium, pointer, detector, seed, e_signal, operating):
             "signal tone is not small against the local tone; the beat "
             "stops being a linear amplitude modulation",
             RegimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     if operating is None:
         operating = operating_point(config, medium, pointer)
@@ -370,7 +357,7 @@ def _beat_record(config, medium, pointer, detector, seed, e_signal, operating):
         phi, beta = pair.delta_phi, pair.delta_beta
         transmitted = config.probe_power * np.exp(2.0 * beta)
         if config.readout == "amplitude":
-            return transmitted
+            return (transmitted,)
         k = pointer.coupling.k
         w = pointer.beam.w
         detected = transmitted * closed_p_post(phi, beta, k, w)
@@ -379,19 +366,8 @@ def _beat_record(config, medium, pointer, detector, seed, e_signal, operating):
 
     if detector is None:
         t = np.arange(int(round(config.fs * config.integration_time))) / config.fs
-        if config.readout == "amplitude":
-            clean = channel_powers(t)
-        else:
-            left, right = channel_powers(t)
-            total = left + right
-            clean = np.divide(
-                left - right, total, out=np.zeros_like(total), where=total > 0.0
-            )
+        clean = channel_readout(channel_powers(t))
         return TimeSeries(fs=config.fs, samples=np.broadcast_to(clean, t.shape))
-    if config.readout == "amplitude":
-        return sample_power_timeseries(
-            channel_powers, detector, config.fs, config.integration_time, seed
-        )
     return sample_timeseries(
         channel_powers, detector, config.fs, config.integration_time, seed
     )
@@ -446,7 +422,7 @@ def sensitivity_sweep(
 
     def one_point(job):
         e_signal, child = job
-        ts = _beat_record(
+        ts = run_beat_experiment(
             config, medium, pointer, detector, child, e_signal, operating
         )
         metrics = beat_metrics(ts, config.delta_f, segment_length)

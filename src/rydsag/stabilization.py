@@ -78,14 +78,15 @@ class DriftModel:
     corner_hz: float = 100.0
 
     def __post_init__(self):
-        if self.one_over_f_amplitude < 0.0 or self.white_amplitude < 0.0:
-            raise InvalidParameterError("drift amplitudes must be >= 0")
-        if self.corner_hz <= 0.0:
-            raise InvalidParameterError("corner_hz must be > 0")
+        for amplitude in (self.one_over_f_amplitude, self.white_amplitude):
+            if not 0.0 <= amplitude < math.inf:
+                raise InvalidParameterError("drift amplitudes must be finite and >= 0")
+        if not 0.0 < self.corner_hz < math.inf:
+            raise InvalidParameterError("corner_hz must be finite and > 0")
         for freq, amp in self.sinusoids:
-            if freq <= 0.0 or amp < 0.0:
+            if not (0.0 < freq < math.inf and 0.0 <= amp < math.inf):
                 raise InvalidParameterError(
-                    "sinusoid lines need positive frequency and amplitude >= 0"
+                    "sinusoid lines need finite frequency > 0 and amplitude >= 0"
                 )
 
 
@@ -193,7 +194,7 @@ def simulate_closed_loop_detailed(
     when the actuator stays pinned at its limits (or the contrast leaves
     its physical range) for 100 consecutive samples.
     """
-    if duration <= loop_on_at or loop_on_at < 0.0:
+    if not 0.0 <= loop_on_at < duration:
         raise InvalidParameterError("need duration > loop_on_at >= 0")
     if beam is None:
         beam = BeamPointer.centered(DEFAULT_BEAM_W)

@@ -126,6 +126,8 @@ class BeamPointer:
     @classmethod
     def centered(cls, w, span_w=10.0, points=1001):
         """Symmetric grid covering span_w beam widths about x = 0."""
+        if int(points) < 3:
+            raise InvalidParameterError("beam grid must be 1-D with >= 3 samples")
         half = 0.5 * span_w * w
         return cls(w=w, grid=np.linspace(-half, half, int(points)))
 

@@ -12,7 +12,6 @@ from rydsag.detector_chain import (
     TimeSeries,
     icr_from_powers,
     psd,
-    sample_power_timeseries,
     sample_timeseries,
     split_powers,
 )
@@ -75,7 +74,7 @@ def test_shot_noise_variance_scaling():
     power = 175e-6
     fs = 1e6
     det = quiet_detector()
-    ts = sample_power_timeseries(lambda t: power, det, fs, 0.5, seed=5)
+    ts = sample_timeseries(lambda t: (power,), det, fs, 0.5, seed=5)
     nu = sc.c / det.wavelength
     expected = 2.0 * sc.h * nu * power * (fs / 2.0)
     measured = float(np.var(ts.samples))
@@ -87,7 +86,7 @@ def test_nep_noise_adds_in_quadrature():
     fs = 1e6
     nep = 7.2e-12  # exaggerated so it dominates shot noise
     det = quiet_detector(nep=nep)
-    ts = sample_power_timeseries(lambda t: power, det, fs, 0.5, seed=6)
+    ts = sample_timeseries(lambda t: (power,), det, fs, 0.5, seed=6)
     nu = sc.c / det.wavelength
     expected = (2.0 * sc.h * nu * power + nep**2) * (fs / 2.0)
     assert float(np.var(ts.samples)) == pytest.approx(expected, rel=0.05)
@@ -104,9 +103,9 @@ def test_rin_cancels_in_contrast_but_not_in_power():
     assert float(np.std(eta_rin.samples)) == pytest.approx(
         float(np.std(eta_plain.samples)), rel=0.02)
 
-    p_plain = sample_power_timeseries(lambda t: power, quiet_detector(), fs, 0.2, seed=8)
-    p_rin = sample_power_timeseries(
-        lambda t: power, quiet_detector(rin=rin), fs, 0.2, seed=8)
+    p_plain = sample_timeseries(lambda t: (power,), quiet_detector(), fs, 0.2, seed=8)
+    p_rin = sample_timeseries(
+        lambda t: (power,), quiet_detector(rin=rin), fs, 0.2, seed=8)
     var_gain = np.var(p_rin.samples) / np.var(p_plain.samples)
     assert var_gain > 5.0  # RIN at 1e-6/sqrt(Hz) dwarfs shot noise here
 
@@ -115,7 +114,7 @@ def test_line_injection_shows_up_in_psd():
     power = 175e-6
     fs = 1e6
     det = quiet_detector(line_freq_hz=50e3, line_amp_w=1e-8)
-    ts = sample_power_timeseries(lambda t: power, det, fs, 0.2, seed=9)
+    ts = sample_timeseries(lambda t: (power,), det, fs, 0.2, seed=9)
     freqs, density = psd(ts, 4096)
     peak = freqs[np.argmax(density[1:]) + 1]
     assert abs(peak - 50e3) <= freqs[1] - freqs[0]
@@ -147,10 +146,11 @@ def test_low_bandwidth_filter_attenuates_high_frequency():
     f_sig = 2e5
     power = 100e-6
     fn = lambda t: power * (1.0 + 0.01 * np.sin(2 * math.pi * f_sig * t))
-    wide = sample_power_timeseries(fn, quiet_detector(bandwidth=25e6), fs, 0.05, seed=3)
+    wide = sample_timeseries(
+        lambda t: (fn(t),), quiet_detector(bandwidth=25e6), fs, 0.05, seed=3)
     with pytest.warns(Warning, match="bandwidth"):
-        narrow = sample_power_timeseries(
-            fn, quiet_detector(bandwidth=2e4), fs, 0.05, seed=3)
+        narrow = sample_timeseries(
+            lambda t: (fn(t),), quiet_detector(bandwidth=2e4), fs, 0.05, seed=3)
 
     def tone_power(ts):
         freqs, density = psd(ts, 4096)
@@ -163,9 +163,13 @@ def test_low_bandwidth_filter_attenuates_high_frequency():
 def test_sample_count_guard():
     det = DetectorParams()
     with pytest.raises(InvalidParameterError):
-        sample_power_timeseries(lambda t: 1e-6, det, 1e9, MAX_SAMPLES, seed=0)
+        sample_timeseries(lambda t: (1e-6,), det, 1e9, MAX_SAMPLES, seed=0)
     with pytest.raises(InvalidParameterError):
-        sample_power_timeseries(lambda t: 1e-6, det, -1.0, 1.0, seed=0)
+        sample_timeseries(lambda t: (1e-6,), det, -1.0, 1.0, seed=0)
+    # a bare array or a third channel is not a channel tuple
+    for fn in (lambda t: np.full_like(t, 1e-6), lambda t: (t, t, t)):
+        with pytest.raises(InvalidParameterError):
+            sample_timeseries(fn, det, 1e6, 0.01, seed=0)
 
 
 def test_detector_params_validation():

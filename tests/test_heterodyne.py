@@ -152,13 +152,11 @@ def test_signal_stronger_than_local_oscillator_rejected():
 
     cfg = config()
     op = operating_point(cfg, MEDIUM, POINTER)
-    from rydsag.heterodyne import beat_record_for_field
-
     e_too_big = 1.000001 * cfg.omega_local * hbar / cfg.dipole_mw
     with pytest.raises(InvalidParameterError):
-        beat_record_for_field(cfg, MEDIUM, POINTER, None, 0, e_too_big, operating=op)
+        run_beat_experiment(cfg, MEDIUM, POINTER, None, 0, e_too_big, operating=op)
     with pytest.warns(RegimeWarning):
-        beat_record_for_field(
+        run_beat_experiment(
             cfg, MEDIUM, POINTER, None, 0, 0.6 * e_too_big, operating=op)
 
 

@@ -194,6 +194,8 @@ def test_loop_timing_validation():
         simulate_closed_loop(PidParams(), DriftModel(), 1.0, 1.0, seed=0)
     with pytest.raises(InvalidParameterError):
         simulate_closed_loop(PidParams(), DriftModel(), 1.0, -0.1, seed=0)
+    with pytest.raises(InvalidParameterError):
+        simulate_closed_loop(PidParams(), DriftModel(), 1.0, math.nan, seed=0)
 
 
 def test_pid_params_validation():
@@ -213,6 +215,15 @@ def test_drift_model_validation():
         DriftModel(one_over_f_amplitude=-0.1)
     with pytest.raises(InvalidParameterError):
         DriftModel(sinusoids=((50.0, -0.1),))
+    for bad in (
+        dict(corner_hz=math.nan),
+        dict(one_over_f_amplitude=math.nan),
+        dict(white_amplitude=math.inf),
+        dict(sinusoids=((50.0, math.inf),)),
+        dict(sinusoids=((math.nan, 0.05),)),
+    ):
+        with pytest.raises(InvalidParameterError):
+            DriftModel(**bad)
 
 
 def test_equivalent_phase_deviation_linearization():

@@ -150,6 +150,8 @@ def test_beam_pointer_validation():
         BeamPointer(1.0e-3, np.linspace(-2e-3, 2e-3, 11))  # span < 8w
     with pytest.raises(InvalidParameterError):
         BeamPointer(1.0e-3, np.array([-1.0e-2, 1.0e-2]))  # too few points
+    with pytest.raises(InvalidParameterError):
+        BeamPointer.centered(1.0e-3, points=-5)
 
 
 def test_post_selection_angle_bounds():
