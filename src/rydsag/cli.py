@@ -278,10 +278,10 @@ def _check_sizes(config):
             raise ConfigError(f"{section}.{key} must be at most {MAX_GRID_POINTS}")
     if config["experiment"] == "stabilize":
         samples = config["loop"]["duration"] * config["pid"]["sample_rate"]
-        if not (math.isfinite(samples) and round(samples) <= MAX_GRID_POINTS):
+        if not (math.isfinite(samples) and 1 <= round(samples) <= MAX_GRID_POINTS):
             raise ConfigError(
-                "loop.duration x pid.sample_rate must be a finite count of at "
-                f"most {MAX_GRID_POINTS} samples, got {samples}"
+                "loop.duration x pid.sample_rate must be a finite count of 1 to "
+                f"{MAX_GRID_POINTS} samples, got {samples}"
             )
 
 

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import constants, signal
+from scipy import constants, fft
 from scipy.special import roots_hermite
 
 from .errors import (
@@ -361,8 +361,12 @@ def kk_residual(spectrum):
             f"(edge/peak = {edge / peak:.3g} > {KK_EDGE_FRACTION}); widen the span"
         )
     n = absorption.size
-    analytic = signal.hilbert(absorption, N=_KK_PAD_FACTOR * n)
-    reconstructed = -np.imag(analytic[:n])
+    padded = _KK_PAD_FACTOR * n
+    transform = fft.fft(absorption, padded)
+    # analytic signal: keep DC and Nyquist, double positive, zero negative
+    transform[1 : (padded + 1) // 2] *= 2.0
+    transform[padded // 2 + 1 :] = 0.0
+    reconstructed = -np.imag(fft.ifft(transform)[:n])
     lo, hi = n // 4, n - n // 4
     scale = float(np.max(np.abs(dispersion[lo:hi])))
     worst = float(np.max(np.abs(dispersion[lo:hi] - reconstructed[lo:hi])))

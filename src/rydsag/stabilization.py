@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
 
-from .detector_chain import TimeSeries
+from .detector_chain import TimeSeries, one_pole
 from .errors import (
     InstabilityError,
     InvalidParameterError,
@@ -150,10 +150,9 @@ def _one_over_f(rng, n, fs, corner_hz, duration):
     for pole in poles:
         a = math.exp(-2.0 * math.pi * pole / fs)
         white = rng.standard_normal(n + burn)
-        filtered = signal.lfilter([1.0 - a], [1.0, -a], white)[burn:]
-        # analytic unit-variance normalization of the one-pole output
-        filtered /= math.sqrt((1.0 - a) / (1.0 + a))
-        total += filtered
+        # input gain for unit output variance: var(y) = gain^2 / (1 - a^2)
+        white *= math.sqrt((1.0 - a) * (1.0 + a))
+        total += one_pole(white, a)[burn:]
     return total / math.sqrt(octaves)
 
 
@@ -203,6 +202,8 @@ def simulate_closed_loop_detailed(
 
     fs = pid.sample_rate
     n = int(round(duration * fs))
+    if n < 1:
+        raise InvalidParameterError("duration x sample_rate rounds to no samples")
     disturbance = synthesize_drift(drift, n, fs, seed)
     on_index = int(round(loop_on_at * fs))
     lo, hi = pid.output_limits

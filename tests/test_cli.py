@@ -1,9 +1,13 @@
 """Config handling, experiment dispatch and reproducibility of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rydsag
 from rydsag.cli import EXPERIMENTS, MAX_GRID_POINTS, load_config, main
 from rydsag.errors import ConfigError
 
@@ -99,6 +103,8 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
         ("heterodyne", "pointer", "points", MAX_GRID_POINTS + 1),
         ("calibrate", "calibrate", "points", MAX_GRID_POINTS + 1),
         ("stabilize", "loop", "duration", 1.0e3),
+        # a record that rounds to no samples (10 s x 1e-3 Hz)
+        ("stabilize", "pid", "sample_rate", 1.0e-3),
     ):
         path = write_config(
             tmp_path, {"experiment": experiment, section: {key: value}}, "c.json")
@@ -107,6 +113,12 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
         error = json.loads(out)["error"]
         assert error["category"] == "config"
         assert f"{section}.{key}" in error["message"]
+
+    # simulate refuses the last of them, the empty record, the same way
+    code, out = run_cli(
+        capsys, "simulate", path, "--output-dir", str(tmp_path / "empty_record"))
+    assert code == 1
+    assert "loop.duration x pid.sample_rate" in json.loads(out)["error"]["message"]
 
     # the cap admits a 2**20-point spectrum and a 60 s loop at 10 kHz
     for experiment, section, key, value in (
@@ -242,3 +254,23 @@ def test_runtime_failure_reports_error_json(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert error["category"] == "domain"
     assert set(error) == {"category", "message"}
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # a fresh interpreter: the oracle tests import scipy.signal into this one
+    src = os.path.dirname(os.path.dirname(rydsag.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, rydsag.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.signal')])",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -5,17 +5,30 @@ import math
 import numpy as np
 import pytest
 import scipy.constants as sc
+from scipy import signal
 
 from rydsag.detector_chain import (
     MAX_SAMPLES,
     DetectorParams,
     TimeSeries,
     icr_from_powers,
+    one_pole,
     psd,
     sample_timeseries,
     split_powers,
 )
 from rydsag.errors import InvalidParameterError
+
+
+def assert_matches_oracle(actual, reference):
+    """Agreement to 1e-12 of the reference's largest magnitude.
+
+    The comparisons below are exact at numpy 2.4 / scipy 1.17; the margin
+    leaves room for older scipy releases, which order the Welch scaling
+    differently.
+    """
+    assert actual.shape == reference.shape
+    assert np.max(np.abs(actual - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def quiet_detector(**overrides):
@@ -131,6 +144,45 @@ def test_psd_parseval_on_known_sinusoid():
     assert total == pytest.approx(amp**2 / 2.0, rel=0.05)
     peak = freqs[np.argmax(density)]
     assert abs(peak - 12e3) <= freqs[1] - freqs[0]
+
+
+@pytest.mark.parametrize(
+    "n, segment_length, overlap",
+    [
+        (1_500_000, 2048, None),
+        (75_000, 2048, None),
+        (5000, 4096, None),
+        (4096, 4096, None),  # a single segment
+        (5000, 1001, 0),  # odd length: no unpaired Nyquist bin
+        (10_007, 257, 100),
+        (12_345, 512, 0),
+        (3000, 8, 7),
+    ],
+)
+def test_psd_matches_scipy_welch(n, segment_length, overlap):
+    rng = np.random.default_rng(n)
+    series = TimeSeries(fs=3.3e6, samples=1.0 + 3.0 * rng.standard_normal(n))
+    freqs, density = psd(series, segment_length, overlap)
+    ref_freqs, ref_density = signal.welch(
+        series.samples,
+        fs=series.fs,
+        window="hann",
+        nperseg=segment_length,
+        noverlap=segment_length // 2 if overlap is None else overlap,
+        detrend="constant",
+        scaling="density",
+    )
+    assert_matches_oracle(freqs, ref_freqs)
+    assert_matches_oracle(density, ref_density)
+
+
+@pytest.mark.parametrize("n", [1, 1009, 1_500_000])
+@pytest.mark.parametrize("a", [0.0, 1.8e-23, 0.5, 0.939, 0.999, 0.99997])
+@pytest.mark.parametrize("y0", [0.0, 2.5])
+def test_one_pole_matches_lfilter(n, a, y0):
+    x = np.random.default_rng(n).standard_normal(n)
+    reference, _ = signal.lfilter([1.0 - a], [1.0, -a], x, zi=[a * y0])
+    assert_matches_oracle(one_pole((1.0 - a) * x, a, y0), reference)
 
 
 def test_psd_validation():

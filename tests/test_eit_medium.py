@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.constants as sc
 from hypothesis import given, settings, strategies as st
+from scipy import signal
 
 from rydsag.eit_medium import (
     CS_MASS_KG,
@@ -139,6 +140,22 @@ def test_kk_residual_eit_and_at():
         medium = params(omega_mw=omw)
         spectrum = susceptibility_spectrum(medium, detuning_grid(medium, 40.0, 4096))
         assert kk_residual(spectrum) < 2e-2
+
+
+def test_kk_residual_matches_scipy_hilbert():
+    for omw in (0.0, 2.0 * math.pi * 8e6):
+        medium = params(omega_mw=omw)
+        spectrum = susceptibility_spectrum(medium, detuning_grid(medium, 40.0, 4096))
+        n = len(spectrum)
+        absorption = np.imag(spectrum.chi)
+        dispersion = np.real(spectrum.chi)
+        reconstructed = -np.imag(signal.hilbert(absorption, N=4 * n)[:n])
+        lo, hi = n // 4, n - n // 4
+        residual = np.max(np.abs(dispersion[lo:hi] - reconstructed[lo:hi])) / np.max(
+            np.abs(dispersion[lo:hi])
+        )
+        # the residual is normalized by max|Re(chi)|, so this is 1e-12 of max|y|
+        assert abs(kk_residual(spectrum) - residual) <= 1e-12
 
 
 def test_kk_grid_policy_requires_decayed_edges():

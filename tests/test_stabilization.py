@@ -196,6 +196,9 @@ def test_loop_timing_validation():
         simulate_closed_loop(PidParams(), DriftModel(), 1.0, -0.1, seed=0)
     with pytest.raises(InvalidParameterError):
         simulate_closed_loop(PidParams(), DriftModel(), 1.0, math.nan, seed=0)
+    # 1 s at 0.1 Hz rounds to no samples
+    with pytest.raises(InvalidParameterError):
+        simulate_closed_loop(PidParams(sample_rate=0.1), DriftModel(), 1.0, 0.0, seed=0)
 
 
 def test_pid_params_validation():
