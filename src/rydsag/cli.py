@@ -63,6 +63,7 @@ from .heterodyne import (
 from .heterodyne import calibration_curve as _calibration_curve
 from .noise_limits import CellGeometry, LimitInputs, limits_report
 from .stabilization import (
+    MIN_SEGMENT_SAMPLES,
     DriftModel,
     PidParams,
     equivalent_phase_deviation,
@@ -272,7 +273,8 @@ def _check_seed(seed):
 
 
 def _check_sizes(config):
-    """Reject grids and records longer than MAX_GRID_POINTS."""
+    """Reject grids and records longer than MAX_GRID_POINTS, and loop
+    records too short to compare the open and closed halves."""
     for section, key in _GRID_POINT_FIELDS:
         if section in config and config[section][key] > MAX_GRID_POINTS:
             raise ConfigError(f"{section}.{key} must be at most {MAX_GRID_POINTS}")
@@ -282,6 +284,13 @@ def _check_sizes(config):
             raise ConfigError(
                 "loop.duration x pid.sample_rate must be a finite count of 1 to "
                 f"{MAX_GRID_POINTS} samples, got {samples}"
+            )
+        split = config["loop"]["loop_on_at"] * config["pid"]["sample_rate"]
+        least = MIN_SEGMENT_SAMPLES
+        if not (math.isfinite(split) and least <= round(split) <= round(samples) - least):
+            raise ConfigError(
+                f"loop.loop_on_at x pid.sample_rate must leave at least {least} of "
+                f"the {round(samples)} samples on each side, got {split}"
             )
 
 

@@ -209,7 +209,13 @@ def one_pole(c, a, y0=0.0):
 def _bandwidth_filter(x, det, fs):
     """Single-pole low-pass at the detector bandwidth, settled at x[0]."""
     a = math.exp(-2.0 * math.pi * det.bandwidth / fs)
-    if a == 0.0:
+    # far above the sample rate the pole rounds away: skip the filter only
+    # when every step of the recursion provably returns its input
+    if a == 0.0 or (
+        1.0 - a == 1.0
+        and x[0] + a * x[0] == x[0]
+        and np.array_equal(x[1:] + a * x[:-1], x[1:])
+    ):
         return x
     return one_pole((1.0 - a) * x, a, y0=x[0])
 

@@ -21,6 +21,7 @@ Sign conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -256,6 +257,15 @@ def susceptibility_spectrum(params, grid):
     return Spectrum(delta_p=grid.copy(), chi=chi)
 
 
+@functools.cache
+def _gauss_hermite(n):
+    """Read-only Gauss-Hermite nodes and weights, computed once per ``n``."""
+    nodes, weights = roots_hermite(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def doppler_average(params, delta_p, rtol=GH_RTOL):
     """Thermal-ensemble susceptibility via adaptive Gauss-Hermite quadrature.
 
@@ -272,7 +282,7 @@ def doppler_average(params, delta_p, rtol=GH_RTOL):
     previous = None
     n = GH_NODES_START
     while n <= GH_NODES_MAX:
-        nodes, weights = roots_hermite(n)
+        nodes, weights = _gauss_hermite(n)
         values = _chi_values(params, float(delta_p), velocity=u * nodes)
         current = complex(np.dot(weights, values) / math.sqrt(math.pi))
         if previous is not None and abs(current - previous) <= rtol * abs(current):

@@ -18,6 +18,7 @@ from scipy import special
 
 from .detector_chain import TimeSeries, one_pole
 from .errors import (
+    DomainError,
     InstabilityError,
     InvalidParameterError,
     OrthogonalPostselectionError,
@@ -29,6 +30,9 @@ _SQRT2 = math.sqrt(2.0)
 
 # consecutive saturated samples that mark a diverged loop
 _INSTABILITY_RUN = 100
+
+# samples suppression_report needs on each side of loop_on_at
+MIN_SEGMENT_SAMPLES = 1000
 
 DEFAULT_PHI_F = 0.2
 DEFAULT_BEAM_W = 1.0e-3
@@ -191,7 +195,8 @@ def simulate_closed_loop_detailed(
     The controller is enabled once t reaches ``loop_on_at``; before that
     the record shows the open-loop drift.  The loop marks itself unstable
     when the actuator stays pinned at its limits (or the contrast leaves
-    its physical range) for 100 consecutive samples.
+    its physical range) for 100 consecutive samples.  A drift so large
+    that (k w)^2 of the plant overflows raises ``DomainError``.
     """
     if not 0.0 <= loop_on_at < duration:
         raise InvalidParameterError("need duration > loop_on_at >= 0")
@@ -211,6 +216,13 @@ def simulate_closed_loop_detailed(
     sin_f = math.sin(phi_f)
     cos_f = math.cos(phi_f)
     w = beam.w
+    # the plant sees |k| <= max|disturbance| + max|u|; bound its 2 (k w)^2 once
+    reach = (float(np.max(np.abs(disturbance))) + max(abs(lo), abs(hi))) * w
+    if not math.isfinite(2.0 * reach * reach):
+        raise DomainError(
+            f"drift reaches a momentum offset of {reach / w:.3g} rad/m, where "
+            "the plant's (k w)^2 overflows; reduce the drift amplitudes"
+        )
 
     eta = np.empty(n)
     control = np.zeros(n)
@@ -262,9 +274,9 @@ def suppression_report(ts, loop_on_at):
     split = int(round(loop_on_at * ts.fs))
     open_segment = ts.samples[:split]
     closed_segment = ts.samples[split:]
-    if open_segment.size < 1000 or closed_segment.size < 1000:
+    if min(open_segment.size, closed_segment.size) < MIN_SEGMENT_SAMPLES:
         raise InvalidParameterError(
-            "need at least 1000 samples on each side of loop_on_at"
+            f"need at least {MIN_SEGMENT_SAMPLES} samples on each side of loop_on_at"
         )
     std_open = float(np.std(open_segment))
     std_closed = float(np.std(closed_segment))

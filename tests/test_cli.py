@@ -103,6 +103,8 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
         ("heterodyne", "pointer", "points", MAX_GRID_POINTS + 1),
         ("calibrate", "calibrate", "points", MAX_GRID_POINTS + 1),
         ("stabilize", "loop", "duration", 1.0e3),
+        # 10 samples, not the 1000 on each side of loop_on_at the report needs
+        ("stabilize", "pid", "sample_rate", 1.0),
         # a record that rounds to no samples (10 s x 1e-3 Hz)
         ("stabilize", "pid", "sample_rate", 1.0e-3),
     ):
@@ -119,6 +121,16 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
         capsys, "simulate", path, "--output-dir", str(tmp_path / "empty_record"))
     assert code == 1
     assert "loop.duration x pid.sample_rate" in json.loads(out)["error"]["message"]
+
+    # and the short record, which it used to run before failing unattributed
+    path = write_config(
+        tmp_path, {"experiment": "stabilize", "pid": {"sample_rate": 1.0}}, "e.json")
+    code, out = run_cli(
+        capsys, "simulate", path, "--output-dir", str(tmp_path / "short_record"))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "config"
+    assert "loop.loop_on_at x pid.sample_rate" in error["message"]
 
     # the cap admits a 2**20-point spectrum and a 60 s loop at 10 kHz
     for experiment, section, key, value in (
@@ -254,6 +266,24 @@ def test_runtime_failure_reports_error_json(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert error["category"] == "domain"
     assert set(error) == {"category", "message"}
+
+    # a drift whose (k w)^2 overflows the plant used to exit 0 with an
+    # undefined suppression ratio
+    cfg = write_config(
+        tmp_path,
+        {
+            "experiment": "stabilize",
+            "drift": {"white_amplitude": 1.0e300},
+            "loop": {"duration": 1.0, "loop_on_at": 0.5},
+        },
+        "huge_drift.json",
+    )
+    code, out = run_cli(capsys, "simulate", cfg, "--output-dir", str(tmp_path / "d"))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "domain"
+    assert "drift" in error["message"]
+    assert not (tmp_path / "d" / "report.json").exists()
 
 
 def test_cli_import_does_not_load_scipy_signal():

@@ -11,6 +11,8 @@ from rydsag.detector_chain import (
     MAX_SAMPLES,
     DetectorParams,
     TimeSeries,
+    _additive_noise,
+    _bandwidth_filter,
     icr_from_powers,
     one_pole,
     psd,
@@ -210,6 +212,35 @@ def test_low_bandwidth_filter_attenuates_high_frequency():
         return float(density[idx])
 
     assert tone_power(narrow) < 0.2 * tone_power(wide)
+
+
+def test_bandwidth_filter_skips_only_an_exact_identity():
+    # the shipped detector at the shipped heterodyne rate (20 samples per
+    # 150 kHz beat) has a pole of about 1.8e-23, which rounds away
+    det = DetectorParams()
+    fs = 3.0e6
+    t = np.arange(150_000) / fs
+    power = 175e-6 * (1.0 + 0.01 * np.sin(2 * math.pi * 150e3 * t))
+    x = power + _additive_noise(np.random.default_rng(4), power, det, fs)
+    a = math.exp(-2.0 * math.pi * det.bandwidth / fs)
+    assert 0.0 < a < 1e-22
+    skipped = _bandwidth_filter(x, det, fs)
+    assert skipped is x
+    assert np.array_equal(skipped, one_pole((1.0 - a) * x, a, y0=x[0]))
+
+    # a zero sample after a nonzero one keeps a * x[n-1]: no skip
+    holed = x.copy()
+    holed[10] = 0.0
+    filtered = _bandwidth_filter(holed, det, fs)
+    assert filtered[10] == a * holed[9] > 0.0
+    assert np.array_equal(filtered, one_pole((1.0 - a) * holed, a, y0=holed[0]))
+
+    # a bandwidth of fs/10 is a real low-pass
+    slow = DetectorParams(bandwidth=fs / 10)
+    b = math.exp(-2.0 * math.pi * slow.bandwidth / fs)
+    filtered = _bandwidth_filter(x, slow, fs)
+    assert not np.array_equal(filtered, x)
+    assert np.array_equal(filtered, one_pole((1.0 - b) * x, b, y0=x[0]))
 
 
 def test_sample_count_guard():

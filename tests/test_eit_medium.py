@@ -9,7 +9,9 @@ import pytest
 import scipy.constants as sc
 from hypothesis import given, settings, strategies as st
 from scipy import signal
+from scipy.special import roots_hermite
 
+from rydsag import eit_medium
 from rydsag.eit_medium import (
     CS_MASS_KG,
     LadderSystemParams,
@@ -273,6 +275,26 @@ def test_doppler_average_matches_quad_oracle(dp, re, im):
     chi = doppler_average(medium, dp)
     assert chi.real == pytest.approx(re, abs=1e-16, rel=1e-6)
     assert chi.imag == pytest.approx(im, rel=1e-6)
+
+
+def test_cached_rules_give_the_uncached_ladder_bit_for_bit(monkeypatch):
+    medium = params(**DOPPLER_BROAD)
+    grid = detuning_grid(medium, 40.0, 128)[::16]
+    cached = [doppler_average(medium, dp) for dp in grid]
+    monkeypatch.setattr(eit_medium, "_gauss_hermite", roots_hermite)
+    fresh = [doppler_average(medium, dp) for dp in grid]
+    assert len(grid) == 8
+    assert cached == fresh
+
+
+def test_cached_rules_are_shared_and_read_only():
+    nodes, weights = eit_medium._gauss_hermite(128)
+    again = eit_medium._gauss_hermite(128)
+    assert again[0] is nodes and again[1] is weights
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
 
 
 def test_doppler_average_requires_flag():

@@ -1,11 +1,13 @@
 """Feedback loop: plant linearity, drift synthesis, suppression statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rydsag.errors import (
+    DomainError,
     InstabilityError,
     InvalidParameterError,
     OrthogonalPostselectionError,
@@ -227,6 +229,16 @@ def test_drift_model_validation():
     ):
         with pytest.raises(InvalidParameterError):
             DriftModel(**bad)
+
+
+def test_overflowing_drift_is_a_domain_error():
+    # (k w)^2 of the plant overflows for a 1e300 rad/m drift; the loop used
+    # to run on with eta = 0 and report an undefined ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            simulate_closed_loop(
+                PidParams(), DriftModel(white_amplitude=1e300), 1.0, 0.5, seed=0)
 
 
 def test_equivalent_phase_deviation_linearization():
