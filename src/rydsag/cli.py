@@ -264,6 +264,7 @@ def load_config(path):
     config = _merge(_schema_for(experiment), raw)
     _check_seed(config["seed"])
     _check_sizes(config)
+    _check_output_limits(config)
     return config
 
 
@@ -292,6 +293,20 @@ def _check_sizes(config):
                 f"loop.loop_on_at x pid.sample_rate must leave at least {least} of "
                 f"the {round(samples)} samples on each side, got {split}"
             )
+
+
+def _check_output_limits(config):
+    """The open-loop actuator rests at u = 0, so the limits must admit it;
+    otherwise every open-loop sample counts as saturated and the loop is
+    reported unstable whatever its gains."""
+    if config["experiment"] != "stabilize":
+        return
+    limits = config["pid"]["output_limits"]
+    if not (len(limits) == 2 and all(map(math.isfinite, limits))
+            and limits[0] < 0.0 < limits[1]):
+        raise ConfigError(
+            f"pid.output_limits must be a finite pair [lo, hi] with lo < 0 < hi, got {limits}"
+        )
 
 
 # ---------------------------------------------------------------------------

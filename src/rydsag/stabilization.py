@@ -118,14 +118,6 @@ def plant_response(k_offset, phi_f, beam):
     return float(closed_icr(phi_f, 0.0, k_offset, beam.w))
 
 
-def _plant_eta(phi_f_sin, phi_f_cos, k, w):
-    """Scalar fast path of plant_response for the simulation loop."""
-    kw = k * w
-    z = _SQRT2 * kw
-    den = 1.0 - math.exp(-2.0 * kw * kw) * phi_f_cos
-    return 2.0 / _SQRTPI * float(special.dawsn(z)) * phi_f_sin / den
-
-
 def plant_gain(phi_f, beam):
     """Small-offset slope d(eta)/d(k_offset) of the which-path pointer."""
     if math.sin(phi_f) == 0.0:
@@ -161,24 +153,41 @@ def _one_over_f(rng, n, fs, corner_hz, duration):
 
 
 def synthesize_drift(drift, n, fs, seed):
-    """Deterministic disturbance record of the drift model, in rad/m."""
+    """Deterministic disturbance record of the drift model, in rad/m.
+
+    Amplitudes near the float limit can sum past it; such a record is a
+    ``DomainError``, not a warning and a non-finite disturbance.
+    """
     rng = np.random.default_rng(seed)
     t = np.arange(n) / fs
     out = np.zeros(n)
-    if drift.one_over_f_amplitude > 0.0:
-        out += drift.one_over_f_amplitude * _one_over_f(
-            rng, n, fs, drift.corner_hz, n / fs
+    with np.errstate(over="ignore", invalid="ignore"):
+        if drift.one_over_f_amplitude > 0.0:
+            out += drift.one_over_f_amplitude * _one_over_f(
+                rng, n, fs, drift.corner_hz, n / fs
+            )
+        if drift.white_amplitude > 0.0:
+            out += drift.white_amplitude * rng.standard_normal(n)
+        for freq, amp in drift.sinusoids:
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            out += amp * np.sin(2.0 * math.pi * freq * t + phase)
+    if not np.isfinite(out).all():
+        raise DomainError(
+            "drift amplitudes sum past the float range; reduce the drift amplitudes"
         )
-    if drift.white_amplitude > 0.0:
-        out += drift.white_amplitude * rng.standard_normal(n)
-    for freq, amp in drift.sinusoids:
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        out += amp * np.sin(2.0 * math.pi * freq * t + phase)
     return out
 
 
 # ---------------------------------------------------------------------------
 # closed loop
+
+
+def _diverged(pid):
+    return InstabilityError(
+        "feedback loop diverged (actuator saturated for "
+        f"{_INSTABILITY_RUN} samples) with gains kp={pid.kp}, "
+        f"ki={pid.ki}, kd={pid.kd}"
+    )
 
 
 def simulate_closed_loop_detailed(
@@ -224,36 +233,53 @@ def simulate_closed_loop_detailed(
             "the plant's (k w)^2 overflows; reduce the drift amplitudes"
         )
 
-    eta = np.empty(n)
-    control = np.zeros(n)
+    # open half: u stays 0, so the plant runs on whole arrays (+ 0.0 turns
+    # -0.0 into 0.0, as disturbance + u does); math.exp, not np.exp, keeps
+    # the damping term bit-equal to the closed half's scalar steps
+    split = min(on_index, n)
+    kw = (disturbance[:split] + 0.0) * w
+    damping = np.array(list(map(math.exp, (-2.0 * kw * kw).tolist())))
+    open_eta = 2.0 / _SQRTPI * special.dawsn(_SQRT2 * kw) * sin_f / (1.0 - damping * cos_f)
+    # every open sample is saturated when the limits exclude u = 0
+    saturated = (np.abs(open_eta) > 1.0) | (lo >= 0.0 or hi <= 0.0)
+    runs = np.diff(np.concatenate(([-1], np.flatnonzero(~saturated), [split]))) - 1
+    if runs.max() >= _INSTABILITY_RUN:
+        raise _diverged(pid)
+    saturated_run = int(runs[-1])
+
+    # closed half: scalar steps over lists, with the plant inlined
+    kp, ki, kd, setpoint = pid.kp, pid.ki, pid.kd, pid.setpoint
+    exp, dawsn = math.exp, special.dawsn
+    gain = 2.0 / _SQRTPI
+    closed_eta, closed_u = [], []
+    push_eta, push_u = closed_eta.append, closed_u.append
     integrator = 0.0
     previous_error = 0.0
     u = 0.0
-    saturated_run = 0
-    for i in range(n):
-        value = _plant_eta(sin_f, cos_f, disturbance[i] + u, w)
-        eta[i] = value
+    for offset in disturbance[split:].tolist():
+        kw = (offset + u) * w
+        value = gain * float(dawsn(_SQRT2 * kw)) * sin_f / (1.0 - exp(-2.0 * kw * kw) * cos_f)
+        push_eta(value)
         if abs(value) > 1.0 or u <= lo or u >= hi:
             saturated_run += 1
             if saturated_run >= _INSTABILITY_RUN:
-                raise InstabilityError(
-                    "feedback loop diverged (actuator saturated for "
-                    f"{_INSTABILITY_RUN} samples) with gains kp={pid.kp}, "
-                    f"ki={pid.ki}, kd={pid.kd}"
-                )
+                raise _diverged(pid)
         else:
             saturated_run = 0
-        if i >= on_index:
-            error = pid.setpoint - value
-            candidate = integrator + pid.ki * error * dt
-            proportional = pid.kp * error
-            derivative = pid.kd * (error - previous_error) / dt
-            raw = proportional + candidate + derivative
-            if lo <= raw <= hi:
-                integrator = candidate  # integrate only while unclamped
-            u = min(hi, max(lo, proportional + integrator + derivative))
-            previous_error = error
-        control[i] = u
+        error = setpoint - value
+        candidate = integrator + ki * error * dt
+        proportional = kp * error
+        derivative = kd * (error - previous_error) / dt
+        raw = proportional + candidate + derivative
+        if lo <= raw <= hi:
+            integrator = candidate  # integrate only while unclamped
+        u = proportional + integrator + derivative
+        u = u if u > lo else lo
+        u = u if u < hi else hi
+        previous_error = error
+        push_u(u)
+    eta = np.concatenate((open_eta, closed_eta))
+    control = np.concatenate((np.zeros(split), closed_u))
     ts = TimeSeries(fs=fs, samples=eta)
     return LoopTrace(ts=ts, pid_output=control, disturbance=disturbance, loop_on_at=loop_on_at)
 

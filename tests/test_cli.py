@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -103,6 +104,8 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
         ("heterodyne", "pointer", "points", MAX_GRID_POINTS + 1),
         ("calibrate", "calibrate", "points", MAX_GRID_POINTS + 1),
         ("stabilize", "loop", "duration", 1.0e3),
+        # the open-loop actuator rests at u = 0, outside these limits
+        ("stabilize", "pid", "output_limits", [1.0, 10.0]),
         # 10 samples, not the 1000 on each side of loop_on_at the report needs
         ("stabilize", "pid", "sample_rate", 1.0),
         # a record that rounds to no samples (10 s x 1e-3 Hz)
@@ -131,6 +134,18 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert error["category"] == "config"
     assert "loop.loop_on_at x pid.sample_rate" in error["message"]
+
+    # and limits that exclude u = 0, which it used to blame on the gains
+    path = write_config(
+        tmp_path, {"experiment": "stabilize", "pid": {"output_limits": [1.0, 10.0]}},
+        "g.json")
+    code, out = run_cli(
+        capsys, "simulate", path, "--output-dir", str(tmp_path / "pinned_actuator"))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "config"
+    assert "pid.output_limits" in error["message"]
+    assert "kp=" not in error["message"]
 
     # the cap admits a 2**20-point spectrum and a 60 s loop at 10 kHz
     for experiment, section, key, value in (
@@ -284,6 +299,27 @@ def test_runtime_failure_reports_error_json(tmp_path, capsys):
     assert error["category"] == "domain"
     assert "drift" in error["message"]
     assert not (tmp_path / "d" / "report.json").exists()
+
+    # components near the float limit overflow inside the drift synthesis;
+    # that used to print numpy warnings and report an offset of nan rad/m
+    cfg = write_config(
+        tmp_path,
+        {
+            "experiment": "stabilize",
+            "drift": {"white_amplitude": 1.0e308, "one_over_f_amplitude": 1.0e308},
+            "loop": {"duration": 1.0, "loop_on_at": 0.5},
+        },
+        "overflowing_drift.json",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", cfg, "--output-dir", str(tmp_path / "f")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["category"] == "domain"
+    assert "drift" in error["message"] and "nan" not in error["message"]
 
 
 def test_cli_import_does_not_load_scipy_signal():

@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
+from rydsag import stabilization
 from rydsag.errors import (
     DomainError,
     InstabilityError,
@@ -239,6 +241,14 @@ def test_overflowing_drift_is_a_domain_error():
         with pytest.raises(DomainError, match="overflows"):
             simulate_closed_loop(
                 PidParams(), DriftModel(white_amplitude=1e300), 1.0, 0.5, seed=0)
+        # 1e308 components sum past the float range inside the synthesis,
+        # which used to warn and report an offset of nan rad/m
+        huge = DriftModel(white_amplitude=1e308, one_over_f_amplitude=1e308)
+        with pytest.raises(DomainError, match="float range") as caught:
+            synthesize_drift(huge, 10000, 1e4, seed=0)
+        assert "nan" not in str(caught.value)
+        with pytest.raises(DomainError, match="float range"):
+            simulate_closed_loop(PidParams(), huge, 1.0, 0.5, seed=0)
 
 
 def test_equivalent_phase_deviation_linearization():
@@ -257,3 +267,118 @@ def test_trace_exposes_disturbance_and_actuation():
     on_index = int(0.5 * PidParams().sample_rate)
     assert np.all(trace.pid_output[:on_index] == 0.0)
     assert np.any(trace.pid_output[on_index + 1:] != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness of the loop against the plain scalar loop it replaced
+
+_SQRTPI = math.sqrt(math.pi)
+_SQRT2 = math.sqrt(2.0)
+_INSTABILITY_RUN = stabilization._INSTABILITY_RUN
+
+
+def _plant_eta(phi_f_sin, phi_f_cos, k, w):
+    """Scalar fast path of plant_response for the simulation loop."""
+    kw = k * w
+    z = _SQRT2 * kw
+    den = 1.0 - math.exp(-2.0 * kw * kw) * phi_f_cos
+    return 2.0 / _SQRTPI * float(special.dawsn(z)) * phi_f_sin / den
+
+
+def _scalar_loop(pid, drift, duration, loop_on_at, seed, phi_f=0.2, beam=None):
+    """The one-sample-at-a-time loop, kept as the oracle of the fast one."""
+    if beam is None:
+        beam = BeamPointer.centered(1.0e-3)
+    fs = pid.sample_rate
+    n = int(round(duration * fs))
+    disturbance = stabilization.synthesize_drift(drift, n, fs, seed)
+    on_index = int(round(loop_on_at * fs))
+    lo, hi = pid.output_limits
+    dt = 1.0 / fs
+    sin_f = math.sin(phi_f)
+    cos_f = math.cos(phi_f)
+    w = beam.w
+
+    eta = np.empty(n)
+    control = np.zeros(n)
+    integrator = 0.0
+    previous_error = 0.0
+    u = 0.0
+    saturated_run = 0
+    for i in range(n):
+        value = _plant_eta(sin_f, cos_f, disturbance[i] + u, w)
+        eta[i] = value
+        if abs(value) > 1.0 or u <= lo or u >= hi:
+            saturated_run += 1
+            if saturated_run >= _INSTABILITY_RUN:
+                raise InstabilityError(
+                    "feedback loop diverged (actuator saturated for "
+                    f"{_INSTABILITY_RUN} samples) with gains kp={pid.kp}, "
+                    f"ki={pid.ki}, kd={pid.kd}"
+                )
+        else:
+            saturated_run = 0
+        if i >= on_index:
+            error = pid.setpoint - value
+            candidate = integrator + pid.ki * error * dt
+            proportional = pid.kp * error
+            derivative = pid.kd * (error - previous_error) / dt
+            raw = proportional + candidate + derivative
+            if lo <= raw <= hi:
+                integrator = candidate  # integrate only while unclamped
+            u = min(hi, max(lo, proportional + integrator + derivative))
+            previous_error = error
+        control[i] = u
+    return eta, control, disturbance
+
+
+def _assert_matches_scalar_loop(pid, drift, duration, loop_on_at, seed=0):
+    try:
+        expected = _scalar_loop(pid, drift, duration, loop_on_at, seed)
+    except InstabilityError as exc:
+        with pytest.raises(InstabilityError) as caught:
+            simulate_closed_loop_detailed(pid, drift, duration, loop_on_at, seed)
+        assert str(caught.value) == str(exc)
+        return "raised"
+    trace = simulate_closed_loop_detailed(pid, drift, duration, loop_on_at, seed)
+    for got, want in zip(
+            (trace.ts.samples, trace.pid_output, trace.disturbance), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # equal as bit patterns, so -0.0 against 0.0 counts too
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    return "ran"
+
+
+@pytest.mark.parametrize("pid, duration, loop_on_at, outcome", [
+    # the shipped loop
+    (PidParams(), 2.0, 1.0, "ran"),
+    # a derivative term and limits of unequal reach; u sits on -0.3 for
+    # about 4% of the closed half
+    (PidParams(kp=3.0, ki=2.0e5, kd=1.0e-4, output_limits=(-0.3, 7.0)), 2.0, 1.0, "ran"),
+    # no open half
+    (PidParams(), 2.0, 0.0, "ran"),
+    # diverges in the closed half
+    (PidParams(kp=500.0), 2.0, 1.0, "raised"),
+    # limits that exclude u = 0: 1000 saturated open samples raise there
+    (PidParams(output_limits=(0.5, 10.0)), 2.0, 0.1, "raised"),
+    # zero gains hold u = 0 on the lower limit: 50 open and 60 closed
+    # saturated samples make one run of 110, which raises only if the open
+    # run carries across loop_on_at; 50 and 49 make a run of 99
+    (PidParams(output_limits=(0.0, 10.0), kp=0.0, ki=0.0), 0.011, 0.005, "raised"),
+    (PidParams(output_limits=(0.0, 10.0), kp=0.0, ki=0.0), 0.0099, 0.005, "ran"),
+])
+def test_loop_is_bit_equal_to_scalar_loop(pid, duration, loop_on_at, outcome):
+    assert _assert_matches_scalar_loop(pid, DriftModel(), duration, loop_on_at) == outcome
+
+
+def test_loop_keeps_signed_zero_of_scalar_loop(monkeypatch):
+    record = np.zeros(4000)
+    record[::3] = -0.0
+    record[1::7] = 1.0e-3
+    monkeypatch.setattr(
+        stabilization, "synthesize_drift", lambda drift, n, fs, seed: record[:n].copy())
+    assert np.signbit(record).any()
+    for loop_on_at in (0.0, 0.2):
+        assert _assert_matches_scalar_loop(
+            PidParams(), DriftModel(), 0.4, loop_on_at) == "ran"
+
