@@ -55,6 +55,7 @@ from .errors import (
     UnresolvedSplittingError,
 )
 from .heterodyne import (
+    SEGMENT_LENGTH,
     HeterodyneConfig,
     min_detectable_field,
     scheme_comparison,
@@ -274,8 +275,9 @@ def _check_seed(seed):
 
 
 def _check_sizes(config):
-    """Reject grids and records longer than MAX_GRID_POINTS, and loop
-    records too short to compare the open and closed halves."""
+    """Reject grids and records longer than MAX_GRID_POINTS, loop records
+    too short to compare the open and closed halves, and beat records
+    shorter than one Welch segment."""
     for section, key in _GRID_POINT_FIELDS:
         if section in config and config[section][key] > MAX_GRID_POINTS:
             raise ConfigError(f"{section}.{key} must be at most {MAX_GRID_POINTS}")
@@ -292,6 +294,15 @@ def _check_sizes(config):
             raise ConfigError(
                 f"loop.loop_on_at x pid.sample_rate must leave at least {least} of "
                 f"the {round(samples)} samples on each side, got {split}"
+            )
+    if config["experiment"] == "heterodyne":
+        hetero = _heterodyne_from(config["heterodyne"])
+        samples = hetero.fs * hetero.integration_time
+        if not (math.isfinite(samples)
+                and SEGMENT_LENGTH <= round(samples) <= MAX_GRID_POINTS):
+            raise ConfigError(
+                f"heterodyne.integration_time x the {hetero.fs} Hz sample rate must "
+                f"give {SEGMENT_LENGTH} to {MAX_GRID_POINTS} samples, got {samples}"
             )
 
 
@@ -315,6 +326,12 @@ def _check_output_limits(config):
 
 def _medium_from(block):
     return LadderSystemParams(**block)
+
+
+def _heterodyne_from(block):
+    block = {key: value for key, value in block.items() if key != "compare"}
+    block["e_signal"] = tuple(block["e_signal"])
+    return HeterodyneConfig(**block)
 
 
 def _detector_from(block):
@@ -486,10 +503,8 @@ def _scheme_files(out_dir, scheme, points, fit):
 def _run_heterodyne(config, out_dir, seed, threads):
     medium = _medium_from(config["medium"])
     detector = _detector_from(config["detector"])
-    block = dict(config["heterodyne"])
-    compare = block.pop("compare")
-    block["e_signal"] = tuple(block["e_signal"])
-    hetero = HeterodyneConfig(**block)
+    compare = config["heterodyne"]["compare"]
+    hetero = _heterodyne_from(config["heterodyne"])
     pblock = config["pointer"]
     pointer = PointerSetup(
         post=PostSelection(math.pi / 4),

@@ -11,7 +11,9 @@ floor as the signal field grows.
 
 The 150 kHz beat is far below every linewidth of the medium, so the
 drive amplitude is mapped through the steady-state susceptibility sample
-by sample (adiabatic following).
+by sample (adiabatic following).  The sampled drive repeats exactly after
+``HeterodyneConfig.beat_period`` samples, so the clean channel model is
+evaluated over one beat period and tiled across the record.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +54,10 @@ _BEAT_RATIO_WARN = 0.5
 
 # samples per beat period of the default record
 _MIN_SAMPLES_PER_BEAT = 20.0
+
+# Welch segment of the beat spectrum; a record needs at least this many
+# samples
+SEGMENT_LENGTH = 2048
 
 DEFAULT_DIPOLE_MW = 1.27e-26
 
@@ -125,6 +132,16 @@ class HeterodyneConfig:
         if self.sample_rate > 0.0:
             return self.sample_rate
         return _MIN_SAMPLES_PER_BEAT * self.delta_f
+
+    @property
+    def beat_period(self):
+        """Samples after which the sampled beat repeats exactly.
+
+        With fs / delta_f = p / q in lowest terms, sample k + p sits q
+        whole beat cycles after sample k, so the period is p: 20 at the
+        automatic sample rate, 62 at 3.1 MHz.
+        """
+        return (Fraction(self.fs) / Fraction(self.delta_f)).numerator
 
 
 @dataclass(frozen=True)
@@ -351,18 +368,22 @@ def run_beat_experiment(
         operating = operating_point(config, medium, pointer)
 
     def channel_powers(t):
-        drive = instantaneous_rabi(config, t, e_signal)
+        period = min(config.beat_period, t.size)
+        drive = instantaneous_rabi(config, t[:period], e_signal)
         chi = _chi_values(medium, operating.delta_p, omega_mw=drive)
         pair = phase_and_absorption(chi, medium)
         phi, beta = pair.delta_phi, pair.delta_beta
         transmitted = config.probe_power * np.exp(2.0 * beta)
         if config.readout == "amplitude":
-            return (transmitted,)
-        k = pointer.coupling.k
-        w = pointer.beam.w
-        detected = transmitted * closed_p_post(phi, beta, k, w)
-        eta = closed_icr(phi, beta, k, w)
-        return 0.5 * detected * (1.0 + eta), 0.5 * detected * (1.0 - eta)
+            channels = (transmitted,)
+        else:
+            k = pointer.coupling.k
+            w = pointer.beam.w
+            detected = transmitted * closed_p_post(phi, beta, k, w)
+            eta = closed_icr(phi, beta, k, w)
+            channels = (0.5 * detected * (1.0 + eta), 0.5 * detected * (1.0 - eta))
+        reps = -(-t.size // period)
+        return tuple(np.tile(channel, reps)[: t.size] for channel in channels)
 
     if detector is None:
         t = np.arange(int(round(config.fs * config.integration_time))) / config.fs
@@ -373,7 +394,7 @@ def run_beat_experiment(
     )
 
 
-def beat_metrics(ts, delta_f, segment_length=2048):
+def beat_metrics(ts, delta_f, segment_length=SEGMENT_LENGTH):
     """Locate the beat line in a detected record and rate it against the floor.
 
     The line power integrates the density over the peak bin and its two
@@ -409,7 +430,7 @@ def beat_metrics(ts, delta_f, segment_length=2048):
 
 
 def sensitivity_sweep(
-    config, medium, pointer, detector, seed, segment_length=2048, map_fn=map
+    config, medium, pointer, detector, seed, segment_length=SEGMENT_LENGTH, map_fn=map
 ):
     """Beat detection swept over the configured signal amplitudes.
 
@@ -586,7 +607,7 @@ def comparison_from_points(points_dispersion, points_amplitude):
 
 
 def scheme_comparison(
-    config, medium, pointer, detector, seed, segment_length=2048, map_fn=map
+    config, medium, pointer, detector, seed, segment_length=SEGMENT_LENGTH, map_fn=map
 ):
     """Dispersion against amplitude readout under matched seed and medium.
 

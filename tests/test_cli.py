@@ -92,6 +92,14 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
     assert code == 1
     assert "seed" in json.loads(out)["error"]["message"]
 
+    # the 0.5 s beat record of the benchmark stays within the bounds
+    path = write_config(
+        tmp_path, {"experiment": "heterodyne", "heterodyne": {"integration_time": 0.5}},
+        "d.json")
+    code, out = run_cli(capsys, "validate", path)
+    assert code == 0
+    assert json.loads(out)["heterodyne"]["integration_time"] == 0.5
+
     # each of these used to pass validate and crash simulate, or be truncated
     for experiment, section, key, value in (
         ("spectrum", "grid", "points", 100.7),
@@ -104,6 +112,12 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
         ("heterodyne", "pointer", "points", MAX_GRID_POINTS + 1),
         ("calibrate", "calibrate", "points", MAX_GRID_POINTS + 1),
         ("stabilize", "loop", "duration", 1.0e3),
+        # beat records shorter than one Welch segment (300 samples) or
+        # longer than MAX_GRID_POINTS (90 M and 3 G samples); validate only,
+        # the long records would need gigabytes to simulate
+        ("heterodyne", "heterodyne", "integration_time", 1.0e-4),
+        ("heterodyne", "heterodyne", "integration_time", 30.0),
+        ("heterodyne", "heterodyne", "integration_time", 1.0e3),
         # the open-loop actuator rests at u = 0, outside these limits
         ("stabilize", "pid", "output_limits", [1.0, 10.0]),
         # 10 samples, not the 1000 on each side of loop_on_at the report needs

@@ -6,14 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rydsag.detector_chain import DetectorParams, TimeSeries
-from rydsag.eit_medium import LadderSystemParams
+from rydsag.detector_chain import DetectorParams, TimeSeries, channel_readout
+from rydsag.eit_medium import LadderSystemParams, _chi_values, phase_and_absorption
 from rydsag.errors import (
     FitFailureError,
     InvalidParameterError,
     RegimeWarning,
 )
 from rydsag.heterodyne import (
+    READOUT_SCHEMES,
     HeterodyneConfig,
     SweepPoint,
     beat_amplitude_linear,
@@ -33,6 +34,8 @@ from rydsag.weak_pointer import (
     PointerSetup,
     PostSelection,
     WeakCoupling,
+    closed_icr,
+    closed_p_post,
 )
 
 # thin-vapor medium: keeps the absorption small enough that the
@@ -145,6 +148,58 @@ def test_clean_record_beats_at_150khz():
     metrics = beat_metrics(ts, cfg.delta_f)
     assert abs(metrics.peak_freq_hz - cfg.delta_f) <= metrics.bin_width_hz
     assert metrics.snr_db > 100.0
+
+
+def _direct_record(cfg, e_signal, operating):
+    """Clean record with the channel model evaluated at every sample."""
+    t = np.arange(int(round(cfg.fs * cfg.integration_time))) / cfg.fs
+    drive = instantaneous_rabi(cfg, t, e_signal)
+    pair = phase_and_absorption(
+        _chi_values(MEDIUM, operating.delta_p, omega_mw=drive), MEDIUM)
+    transmitted = cfg.probe_power * np.exp(2.0 * pair.delta_beta)
+    if cfg.readout == "amplitude":
+        return transmitted
+    k, w = POINTER.coupling.k, POINTER.beam.w
+    detected = transmitted * closed_p_post(pair.delta_phi, pair.delta_beta, k, w)
+    eta = closed_icr(pair.delta_phi, pair.delta_beta, k, w)
+    return channel_readout((0.5 * detected * (1.0 + eta), 0.5 * detected * (1.0 - eta)))
+
+
+def _clean_and_direct(cfg):
+    e_signal = cfg.e_signal[-1]
+    operating = operating_point(cfg, MEDIUM, POINTER)
+    ts = run_beat_experiment(cfg, MEDIUM, POINTER, None, 0, e_signal, operating)
+    return ts.samples, _direct_record(cfg, e_signal, operating)
+
+
+@pytest.mark.parametrize("readout", READOUT_SCHEMES)
+def test_clean_record_tiles_one_beat_period(readout):
+    cfg = config(integration_time=0.5, readout=readout)
+    samples, direct = _clean_and_direct(cfg)
+    p = cfg.beat_period
+    assert p == 20
+    assert samples.shape == direct.shape
+    assert np.array_equal(samples[:p], direct[:p])
+    assert np.array_equal(samples[p : 2 * p], samples[:p])
+    # the direct record drifts from exact periodicity only through the
+    # rounding of 2 pi delta_f t at large t
+    swing = direct.max() - direct.min()
+    assert np.max(np.abs(samples - direct)) <= 1e-9 * swing
+
+
+@pytest.mark.parametrize("readout", READOUT_SCHEMES)
+def test_beat_period_follows_the_exact_sample_ratio(readout):
+    # 3.1 MHz / 150 kHz = 62/3: the beat repeats after 62 samples
+    cfg = config(integration_time=0.5, readout=readout, sample_rate=3.1e6)
+    assert cfg.beat_period == 62
+    samples, direct = _clean_and_direct(cfg)
+    assert np.array_equal(samples[:62], direct[:62])
+    assert np.array_equal(samples[62:124], samples[:62])
+    # 3000001/150000: no repeat within the record, every sample is evaluated
+    cfg = replace(cfg, sample_rate=3.0e6 + 1.0)
+    assert cfg.beat_period >= round(cfg.fs * cfg.integration_time)
+    samples, direct = _clean_and_direct(cfg)
+    assert np.array_equal(samples, direct)
 
 
 def test_signal_stronger_than_local_oscillator_rejected():
