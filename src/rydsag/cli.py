@@ -13,8 +13,8 @@ Subcommands:
 
 ``--threads N`` evaluates the heterodyne sweep points on N threads.  The
 output bytes do not depend on N; peak memory grows with it, since each
-thread holds its own detected records (on 2 cores, a 0.5 s heterodyne
-record ran 3.3 s -> 2.5 s with two threads, peak RSS 255 -> 390-455 MB).
+thread holds its own detected records (README.md gives measured times
+and memory).
 
 Output directory precedence: --output-dir flag, then the
 RYDSAG_OUTPUT_DIR environment variable, then the config's output_dir,

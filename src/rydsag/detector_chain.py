@@ -161,15 +161,20 @@ def _sample_count(fs, duration):
     return n
 
 
-def _additive_noise(rng, power, det, fs):
-    """One channel's additive noise draw in optical power units."""
+def _noise_sigma(power, det, fs):
+    """Standard deviation of the additive noise at clean power ``power``.
+
+    Shot, NEP and dark-current variances in optical power units add per
+    sample; ``power`` may be one period of the channel, since the
+    deviation depends on the clean power only.
+    """
     nyquist = 0.5 * fs
     shot_var = 2.0 * det.photon_energy * np.clip(power, 0.0, None) * nyquist
     nep_var = det.nep**2 * nyquist
     dark_var = (
         2.0 * constants.e * det.dark_current * nyquist / det.responsivity**2
     )
-    return rng.standard_normal(power.size) * np.sqrt(shot_var + nep_var + dark_var)
+    return np.sqrt(shot_var + nep_var + dark_var)
 
 
 def one_pole(c, a, y0=0.0):
@@ -220,15 +225,26 @@ def _bandwidth_filter(x, det, fs):
     return one_pole((1.0 - a) * x, a, y0=x[0])
 
 
-def _common_mode_factors(rng, det, fs, t):
-    """Multiplicative RIN factor and additive line waveform (may be None)."""
+def _common_mode_factors(rng, det, fs, t, size, channels):
+    """RIN factor and each channel's share of the line (either may be None).
+
+    The factor spans ``size`` samples; past the record's ``t.size`` it
+    holds ones.
+    """
     factor = None
     if det.rin > 0.0:
-        factor = 1.0 + det.rin * math.sqrt(0.5 * fs) * rng.standard_normal(t.size)
+        factor = np.zeros(size)
+        rng.standard_normal(out=factor[: t.size])
+        factor *= det.rin * math.sqrt(0.5 * fs)
+        factor += 1.0
     line = None
     if det.line_amp_w > 0.0 and det.line_freq_hz > 0.0:
         phase = rng.uniform(0.0, 2.0 * math.pi)
-        line = det.line_amp_w * np.sin(2.0 * math.pi * det.line_freq_hz * t + phase)
+        line = np.multiply(t, 2.0 * math.pi * det.line_freq_hz)
+        line += phase
+        np.sin(line, out=line)
+        line *= det.line_amp_w
+        line /= channels
     return factor, line
 
 
@@ -249,14 +265,18 @@ def channel_readout(channels):
 def sample_timeseries(signal_fn, det, fs, duration, seed):
     """Noisy readout record of a one- or two-channel optical signal.
 
-    ``signal_fn(t)`` maps an array of sample times to a tuple of clean
+    ``signal_fn(t)`` maps the array of n sample times to a tuple of clean
     channel powers in watts: ``(P,)`` for a transmitted-power record, or
-    ``(P_left, P_right)`` for a split-detector eta record.  Per sample and
-    channel the chain draws shot noise (variance 2 h nu P fs/2), NEP noise
-    (variance nep^2 fs/2) and dark-current noise, applies any common-mode
-    intensity noise and line (split evenly across the channels), low-passes
-    each channel at the detector bandwidth, clamps negative powers, and
-    reads out through channel_readout.  Reproducible from the seed.
+    ``(P_left, P_right)`` for a split-detector eta record.  The channels
+    share one length p <= n and repeat with period p across the record: a
+    scalar is a constant power, a full-length array is period n, and a
+    periodic model may return just one period; the record is the same
+    whichever of these describes the signal.  Per sample and channel the
+    chain draws shot noise (variance 2 h nu P fs/2), NEP noise (variance
+    nep^2 fs/2) and dark-current noise, applies any common-mode intensity
+    noise and line (split evenly across the channels), low-passes each
+    channel at the detector bandwidth, clamps negative powers, and reads
+    out through channel_readout.  Reproducible from the seed.
     """
     n = _sample_count(fs, duration)
     if fs > 2.0 * det.bandwidth:
@@ -266,26 +286,58 @@ def sample_timeseries(signal_fn, det, fs, duration, seed):
             RegimeWarning,
             stacklevel=2,
         )
-    t = np.arange(n) / fs
+    t = np.arange(n, dtype=float)
+    t /= fs
     clean = signal_fn(t)
     if not isinstance(clean, tuple) or len(clean) not in (1, 2):
         raise InvalidParameterError(
             "signal_fn must return a tuple of 1 or 2 channel powers"
         )
-    powers = [np.broadcast_to(np.asarray(p, dtype=float), t.shape).copy() for p in clean]
-    del clean  # keep one full-length array per channel alive, not two
+    try:
+        powers = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(p, dtype=float)) for p in clean)
+        )
+    except ValueError as exc:
+        raise InvalidParameterError("channel powers must share one length") from exc
+    period = powers[0].size
+    if powers[0].ndim != 1 or not 1 <= period <= n:
+        raise InvalidParameterError(
+            f"channel powers must be 1-D with 1 to {n} samples, "
+            f"got shape {powers[0].shape}"
+        )
 
+    # each channel's record is one buffer of rows x period samples, zero
+    # past n, so one period of the clean power and of the noise deviation
+    # broadcasts over its (rows, period) view
+    shape = (-(-n // period), period)
+    size = shape[0] * period
     rng = np.random.default_rng(seed)
-    factor, line = _common_mode_factors(rng, det, fs, t)
-    noises = [_additive_noise(rng, power, det, fs) for power in powers]
-
+    factor, line = _common_mode_factors(rng, det, fs, t, size, len(powers))
+    del t
+    scratch = None if factor is None and line is None else np.empty(size)
     channels = []
-    for power, noise in zip(powers, noises):
-        if factor is not None:
-            power *= factor
-        if line is not None:
-            power += line / len(powers)
-        channels.append(np.clip(_bandwidth_filter(power + noise, det, fs), 0.0, None))
+    for power in powers:
+        record = np.zeros(size)
+        rng.standard_normal(out=record[:n])
+        grid = record.reshape(shape)
+        grid *= _noise_sigma(power, det, fs)
+        if scratch is None:
+            grid += power
+        else:
+            if factor is None:
+                scratch.reshape(shape)[:] = power
+            else:
+                np.multiply(factor.reshape(shape), power, out=scratch.reshape(shape))
+            if line is not None:
+                scratch[:n] += line
+            record += scratch
+        channels.append(record[:n])
+    # free the common-mode buffers before the filter's exactness check
+    # allocates its record-sized temporaries
+    del factor, line, scratch
+    for i, record in enumerate(channels):
+        filtered = _bandwidth_filter(record, det, fs)
+        channels[i] = np.clip(filtered, 0.0, None, out=filtered)
     return TimeSeries(fs=fs, samples=channel_readout(channels))
 
 

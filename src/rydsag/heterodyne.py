@@ -13,7 +13,9 @@ The 150 kHz beat is far below every linewidth of the medium, so the
 drive amplitude is mapped through the steady-state susceptibility sample
 by sample (adiabatic following).  The sampled drive repeats exactly after
 ``HeterodyneConfig.beat_period`` samples, so the clean channel model is
-evaluated over one beat period and tiled across the record.
+evaluated over one beat period only: the detector chain repeats those
+channels across the record, and the noiseless record repeats their
+readout.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ READOUT_SCHEMES = ("dispersion", "amplitude")
 _BEAT_RATIO_WARN = 0.5
 
 # samples per beat period of the default record
-_MIN_SAMPLES_PER_BEAT = 20.0
+_MIN_SAMPLES_PER_BEAT = 20
 
 # Welch segment of the beat spectrum; a record needs at least this many
 # samples
@@ -137,10 +139,14 @@ class HeterodyneConfig:
     def beat_period(self):
         """Samples after which the sampled beat repeats exactly.
 
-        With fs / delta_f = p / q in lowest terms, sample k + p sits q
-        whole beat cycles after sample k, so the period is p: 20 at the
-        automatic sample rate, 62 at 3.1 MHz.
+        The automatic sample rate is defined as 20 samples per beat, so
+        its period is 20, even where 20 * delta_f rounds in floating
+        point.  At an explicit rate, with fs / delta_f = p / q in lowest
+        terms, sample k + p sits q whole beat cycles after sample k, so the
+        period is p: 62 at 3.1 MHz.
         """
+        if self.sample_rate == 0.0:
+            return _MIN_SAMPLES_PER_BEAT
         return (Fraction(self.fs) / Fraction(self.delta_f)).numerator
 
 
@@ -382,13 +388,12 @@ def run_beat_experiment(
             detected = transmitted * closed_p_post(phi, beta, k, w)
             eta = closed_icr(phi, beta, k, w)
             channels = (0.5 * detected * (1.0 + eta), 0.5 * detected * (1.0 - eta))
-        reps = -(-t.size // period)
-        return tuple(np.tile(channel, reps)[: t.size] for channel in channels)
+        return channels
 
     if detector is None:
         t = np.arange(int(round(config.fs * config.integration_time))) / config.fs
         clean = channel_readout(channel_powers(t))
-        return TimeSeries(fs=config.fs, samples=np.broadcast_to(clean, t.shape))
+        return TimeSeries(fs=config.fs, samples=np.resize(clean, t.size))
     return sample_timeseries(
         channel_powers, detector, config.fs, config.integration_time, seed
     )

@@ -1,25 +1,34 @@
 """Balanced-detection chain: noise statistics, sampling, PSD estimation."""
 
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.constants as sc
-from scipy import signal
+from scipy import constants, signal
 
+from rydsag import heterodyne
 from rydsag.detector_chain import (
     MAX_SAMPLES,
     DetectorParams,
     TimeSeries,
-    _additive_noise,
     _bandwidth_filter,
+    _noise_sigma,
+    _sample_count,
+    channel_readout,
     icr_from_powers,
     one_pole,
     psd,
     sample_timeseries,
     split_powers,
 )
-from rydsag.errors import InvalidParameterError
+from rydsag.eit_medium import LadderSystemParams
+from rydsag.errors import InvalidParameterError, RegimeWarning
+from rydsag.heterodyne import HeterodyneConfig, run_beat_experiment
+from rydsag.weak_pointer import BeamPointer, PointerSetup, PostSelection, WeakCoupling
 
 
 def assert_matches_oracle(actual, reference):
@@ -221,7 +230,8 @@ def test_bandwidth_filter_skips_only_an_exact_identity():
     fs = 3.0e6
     t = np.arange(150_000) / fs
     power = 175e-6 * (1.0 + 0.01 * np.sin(2 * math.pi * 150e3 * t))
-    x = power + _additive_noise(np.random.default_rng(4), power, det, fs)
+    noise = np.random.default_rng(4).standard_normal(power.size)
+    x = power + noise * _noise_sigma(power, det, fs)
     a = math.exp(-2.0 * math.pi * det.bandwidth / fs)
     assert 0.0 < a < 1e-22
     skipped = _bandwidth_filter(x, det, fs)
@@ -269,3 +279,191 @@ def test_detector_params_validation():
 def test_timeseries_times():
     ts = TimeSeries(fs=10.0, samples=np.zeros(5), t0=1.0)
     assert np.allclose(ts.times(), 1.0 + np.arange(5) / 10.0)
+
+
+# ---------------------------------------------------------------------------
+# the full-length chain as it stood before channels could repeat by period,
+# kept verbatim as the oracle of the period-wise chain
+
+
+def _reference_additive_noise(rng, power, det, fs):
+    """One channel's additive noise draw in optical power units."""
+    nyquist = 0.5 * fs
+    shot_var = 2.0 * det.photon_energy * np.clip(power, 0.0, None) * nyquist
+    nep_var = det.nep**2 * nyquist
+    dark_var = (
+        2.0 * constants.e * det.dark_current * nyquist / det.responsivity**2
+    )
+    return rng.standard_normal(power.size) * np.sqrt(shot_var + nep_var + dark_var)
+
+
+def _reference_common_mode_factors(rng, det, fs, t):
+    """Multiplicative RIN factor and additive line waveform (may be None)."""
+    factor = None
+    if det.rin > 0.0:
+        factor = 1.0 + det.rin * math.sqrt(0.5 * fs) * rng.standard_normal(t.size)
+    line = None
+    if det.line_amp_w > 0.0 and det.line_freq_hz > 0.0:
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        line = det.line_amp_w * np.sin(2.0 * math.pi * det.line_freq_hz * t + phase)
+    return factor, line
+
+
+def _reference_sample_timeseries(signal_fn, det, fs, duration, seed):
+    """Noisy readout record of a one- or two-channel optical signal.
+
+    ``signal_fn(t)`` maps an array of sample times to a tuple of clean
+    channel powers in watts: ``(P,)`` for a transmitted-power record, or
+    ``(P_left, P_right)`` for a split-detector eta record.  Per sample and
+    channel the chain draws shot noise (variance 2 h nu P fs/2), NEP noise
+    (variance nep^2 fs/2) and dark-current noise, applies any common-mode
+    intensity noise and line (split evenly across the channels), low-passes
+    each channel at the detector bandwidth, clamps negative powers, and
+    reads out through channel_readout.  Reproducible from the seed.
+    """
+    n = _sample_count(fs, duration)
+    if fs > 2.0 * det.bandwidth:
+        warnings.warn(
+            "sample rate exceeds twice the detector bandwidth; the sampled "
+            "record is bandwidth-limited",
+            RegimeWarning,
+            stacklevel=2,
+        )
+    t = np.arange(n) / fs
+    clean = signal_fn(t)
+    if not isinstance(clean, tuple) or len(clean) not in (1, 2):
+        raise InvalidParameterError(
+            "signal_fn must return a tuple of 1 or 2 channel powers"
+        )
+    powers = [np.broadcast_to(np.asarray(p, dtype=float), t.shape).copy() for p in clean]
+    del clean  # keep one full-length array per channel alive, not two
+
+    rng = np.random.default_rng(seed)
+    factor, line = _reference_common_mode_factors(rng, det, fs, t)
+    noises = [_reference_additive_noise(rng, power, det, fs) for power in powers]
+
+    channels = []
+    for power, noise in zip(powers, noises):
+        if factor is not None:
+            power *= factor
+        if line is not None:
+            power += line / len(powers)
+        channels.append(np.clip(_bandwidth_filter(power + noise, det, fs), 0.0, None))
+    return TimeSeries(fs=fs, samples=channel_readout(channels))
+
+
+def _full_length(signal_fn):
+    """The same signal with every channel repeated out to the record length."""
+    return lambda t: tuple(
+        np.resize(np.asarray(p, dtype=float), t.size) for p in signal_fn(t)
+    )
+
+
+def assert_same_bits(actual, reference):
+    assert actual.shape == reference.shape
+    assert np.array_equal(actual.view(np.int64), reference.view(np.int64))
+
+
+ORACLE_FS = 1.0e6
+ORACLE_DURATION = 0.006  # 6000 samples
+
+
+def _periodic_channels(channels, period):
+    """Channel powers over one period (None: constant powers).
+
+    One channel is the right one, whose clean power dips below zero, so
+    the noise deviation and the record both clamp.
+    """
+    def signal_fn(t):
+        if period is None:
+            return (80e-6, 60e-6)[2 - channels :]
+        phase = 2.0 * math.pi * np.arange(period) / period
+        left = 80e-6 * (1.0 + 0.3 * np.sin(phase))
+        right = 3e-11 * (0.2 + np.cos(phase))
+        return (left, right)[2 - channels :]
+    return signal_fn
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("period", [None, 20, 7, 6000], ids=["scalar", "20", "7", "n"])
+def test_periodic_chain_is_bit_equal_to_full_length_chain(channels, period):
+    fn = _periodic_channels(channels, period)
+    base = DetectorParams()
+    detectors = [
+        replace(base, rin=rin, line_freq_hz=line, line_amp_w=1e-9 if line else 0.0)
+        for rin in (0.0, 1e-6)
+        for line in (0.0, 50e3)
+    ]
+    detectors += [replace(det, bandwidth=ORACLE_FS / 10) for det in detectors]
+    for seed, det in enumerate(detectors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            reference = _reference_sample_timeseries(
+                _full_length(fn), det, ORACLE_FS, ORACLE_DURATION, seed)
+            periodic = sample_timeseries(fn, det, ORACLE_FS, ORACLE_DURATION, seed)
+            full = sample_timeseries(
+                _full_length(fn), det, ORACLE_FS, ORACLE_DURATION, seed)
+        assert_same_bits(periodic.samples, reference.samples)
+        assert_same_bits(full.samples, reference.samples)
+
+
+# thin-vapor medium and balanced pointer of tests/test_heterodyne.py
+MEDIUM = LadderSystemParams(density=1.0e15, omega_c=2.0 * math.pi * 2.0e6)
+POINTER = PointerSetup(
+    post=PostSelection(math.pi / 4),
+    coupling=WeakCoupling(10.0),
+    beam=BeamPointer.centered(1.0e-3),
+)
+
+
+@pytest.mark.parametrize("readout", heterodyne.READOUT_SCHEMES)
+@pytest.mark.parametrize("sample_rate", [0.0, 3.1e6, 3.0e6 + 1.0])
+def test_heterodyne_records_equal_the_full_length_path(
+    monkeypatch, readout, sample_rate
+):
+    cfg = HeterodyneConfig(
+        integration_time=0.002, readout=readout, sample_rate=sample_rate)
+    det = DetectorParams(rin=1e-7, line_freq_hz=20e3, line_amp_w=1e-9)
+    operating = heterodyne.operating_point(cfg, MEDIUM, POINTER)
+
+    def run():
+        return run_beat_experiment(
+            cfg, MEDIUM, POINTER, det, 5, cfg.e_signal[-1], operating).samples
+
+    periodic = run()
+    monkeypatch.setattr(
+        heterodyne,
+        "sample_timeseries",
+        lambda fn, *args: _reference_sample_timeseries(_full_length(fn), *args),
+    )
+    assert_same_bits(periodic, run())
+
+
+def test_periodic_chain_memory_stays_near_the_record_size():
+    # two channels of a 20-sample period with RIN; the contrast readout
+    # alone holds 5 records (both channels, their sum and difference, and
+    # the quotient), so the chain before it must stay below that
+    fs = 3.0e6
+    fn = _periodic_channels(2, 20)
+    det = DetectorParams(rin=1e-7)
+    n = 300_000
+    tracemalloc.start()
+    try:
+        ts = sample_timeseries(fn, det, fs, n / fs, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ts.samples.size == n
+    assert peak <= 6 * ts.samples.nbytes
+
+
+def test_channels_of_unequal_or_excess_length_are_rejected():
+    det = DetectorParams()
+    for fn in (
+        lambda t: (np.ones(20), np.ones(62)),
+        lambda t: (np.ones(t.size + 1),),
+        lambda t: (np.ones((2, 10)),),
+        lambda t: (np.ones(0),),
+    ):
+        with pytest.raises(InvalidParameterError):
+            sample_timeseries(fn, det, 1e6, 0.01, seed=0)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,6 +201,31 @@ def test_beat_period_follows_the_exact_sample_ratio(readout):
     assert cfg.beat_period >= round(cfg.fs * cfg.integration_time)
     samples, direct = _clean_and_direct(cfg)
     assert np.array_equal(samples, direct)
+
+
+@pytest.mark.parametrize("readout", READOUT_SCHEMES)
+def test_automatic_rate_has_a_20_sample_period_at_any_beat(readout):
+    # 123456.7 Hz has no exact binary form, so 20 * delta_f / delta_f is
+    # not exactly 20; the automatic rate is 20 samples per beat by
+    # definition all the same
+    delta_f = 123456.7
+    cfg = config(
+        delta_f=delta_f,
+        f_signal=8.565865e9 + delta_f,
+        integration_time=0.1,
+        readout=readout,
+    )
+    assert cfg.beat_period == 20
+    samples, direct = _clean_and_direct(cfg)
+    assert samples.shape == direct.shape
+    assert np.array_equal(samples[:20], direct[:20])
+    swing = direct.max() - direct.min()
+    assert np.max(np.abs(samples - direct)) <= 1e-9 * swing
+    # the same rate given explicitly keeps the exact ratio's period
+    explicit = replace(cfg, sample_rate=cfg.fs)
+    exact = Fraction(cfg.fs) / Fraction(delta_f)
+    assert explicit.beat_period == exact.numerator > 20
+    assert config(sample_rate=3.1e6).beat_period == 62
 
 
 def test_signal_stronger_than_local_oscillator_rejected():
