@@ -47,7 +47,7 @@ from .eit_medium import (
     phase_and_absorption,
     susceptibility_spectrum,
 )
-from .emit import write_csv, write_json
+from .emit import sanitize, write_csv, write_json
 from .errors import (
     ConfigError,
     GridPolicyError,
@@ -324,22 +324,14 @@ def _check_output_limits(config):
 # experiment runners (each returns the list of files written)
 
 
-def _medium_from(block):
-    return LadderSystemParams(**block)
-
-
 def _heterodyne_from(block):
     block = {key: value for key, value in block.items() if key != "compare"}
     block["e_signal"] = tuple(block["e_signal"])
     return HeterodyneConfig(**block)
 
 
-def _detector_from(block):
-    return DetectorParams(**block)
-
-
 def _run_spectrum(config, out_dir, seed):
-    medium = _medium_from(config["medium"])
+    medium = LadderSystemParams(**config["medium"])
     grid = detuning_grid(
         medium, config["grid"]["span_linewidths"], config["grid"]["points"]
     )
@@ -501,8 +493,8 @@ def _scheme_files(out_dir, scheme, points, fit):
 
 
 def _run_heterodyne(config, out_dir, seed, threads):
-    medium = _medium_from(config["medium"])
-    detector = _detector_from(config["detector"])
+    medium = LadderSystemParams(**config["medium"])
+    detector = DetectorParams(**config["detector"])
     compare = config["heterodyne"]["compare"]
     hetero = _heterodyne_from(config["heterodyne"])
     pblock = config["pointer"]
@@ -546,7 +538,7 @@ def _run_heterodyne(config, out_dir, seed, threads):
 
 
 def _run_calibrate(config, out_dir, seed):
-    medium = _medium_from(config["medium"])
+    medium = LadderSystemParams(**config["medium"])
     block = config["calibrate"]
     result = _calibration_curve(
         block["powers_w"],
@@ -673,15 +665,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "schema":
-            from .emit import sanitize
-
             print(json.dumps(sanitize(_schema_for(args.experiment)), indent=2,
                              sort_keys=True))
             return 0
         config = load_config(args.config_path)
         if args.command == "validate":
-            from .emit import sanitize
-
             print(json.dumps(sanitize(config), indent=2, sort_keys=True))
             return 0
         if args.threads < 1:

@@ -1,8 +1,7 @@
 """Dual-channel photodetection and intensity-contrast readout.
 
-The split detector integrates the transverse beam profile on each side of
-a small dead gap about x = 0, converts the two optical powers to the
-normalized contrast eta, and supports noisy time-series sampling with
+The split detector reads the clean optical power of its two halves as the
+normalized contrast eta, and the noisy chain samples those powers with
 photon shot noise, NEP-equivalent white noise, dark-current noise, an
 optional common-mode relative-intensity noise, an optional narrowband
 line, and a single-pole bandwidth limit.  Noise is injected in optical
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import constants, fft
-from scipy.integrate import trapezoid
 
 from .errors import InvalidParameterError, RegimeWarning
 
@@ -32,11 +30,14 @@ class DetectorParams:
     """Split-detector electronics and noise figures.
 
     ``gain`` is the dimensionless transimpedance magnification, ``nep`` the
-    noise-equivalent power in W per root Hz, ``gap`` the dead zone about
-    x = 0 in meters, ``rin`` a common-mode relative intensity noise density
-    in 1 per root Hz shared by both channels, and ``line_freq_hz`` /
-    ``line_amp_w`` an optional additive narrowband line split across the
-    channels.  ``wavelength`` sets the photon energy for shot noise.
+    noise-equivalent power in W per root Hz, ``rin`` a common-mode relative
+    intensity noise density in 1 per root Hz shared by both channels, and
+    ``line_freq_hz`` / ``line_amp_w`` an optional additive narrowband line
+    split across the channels.  ``wavelength`` sets the photon energy for
+    shot noise.  ``gap``, the dead zone about x = 0 in meters, is accepted
+    and echoed in the manifest but unused: the channel powers arrive
+    already split.  Removing it waits for a re-record of the benchmark
+    snapshots, whose manifests echo it.
     """
 
     gain: float = 1.0e5
@@ -97,51 +98,6 @@ class TimeSeries:
 
     def times(self):
         return self.t0 + np.arange(self.samples.size) / self.fs
-
-
-# ---------------------------------------------------------------------------
-# profile partition
-
-
-def _segment_integral(x, y, a, b):
-    """Trapezoid integral of sampled y over [a, b] with interpolated ends."""
-    if b <= a:
-        return 0.0
-    inside = (x > a) & (x < b)
-    xs = np.concatenate(([a], x[inside], [b]))
-    ys = np.concatenate(([np.interp(a, x, y)], y[inside], [np.interp(b, x, y)]))
-    return float(trapezoid(ys, xs))
-
-
-def split_powers(profile, grid, det):
-    """Optical power on the left and right detector halves.
-
-    Integrates the intensity profile over x < -gap/2 and x > +gap/2;
-    power falling in the gap is discarded.
-    """
-    grid = np.asarray(grid, dtype=float)
-    profile = np.asarray(profile, dtype=float)
-    if grid.ndim != 1 or grid.shape != profile.shape or grid.size < 3:
-        raise InvalidParameterError("profile and grid must be matching 1-D arrays")
-    if not np.all(np.diff(grid) > 0.0):
-        raise InvalidParameterError("grid must be strictly increasing")
-    total = float(trapezoid(profile, grid))
-    if total <= 0.0:
-        raise InvalidParameterError("profile carries no power")
-    half_gap = 0.5 * det.gap
-    p_left = _segment_integral(grid, profile, grid[0], -half_gap)
-    p_right = _segment_integral(grid, profile, half_gap, grid[-1])
-    return p_left, p_right
-
-
-def icr_from_powers(p_left, p_right):
-    """Normalized contrast (P_left - P_right) / (P_left + P_right)."""
-    if p_left < 0.0 or p_right < 0.0:
-        raise InvalidParameterError("channel powers must be >= 0")
-    total = p_left + p_right
-    if total <= 0.0:
-        raise InvalidParameterError("total detected power must be > 0")
-    return (p_left - p_right) / total
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +181,24 @@ def _bandwidth_filter(x, det, fs):
     return one_pole((1.0 - a) * x, a, y0=x[0])
 
 
-def _common_mode_factors(rng, det, fs, t, size, channels):
+def _common_mode_factors(rng, det, fs, n, size, channels):
     """RIN factor and each channel's share of the line (either may be None).
 
-    The factor spans ``size`` samples; past the record's ``t.size`` it
-    holds ones.
+    The line spans the record's ``n`` samples.  The factor spans ``size``
+    samples; past ``n`` it holds ones.
     """
     factor = None
     if det.rin > 0.0:
         factor = np.zeros(size)
-        rng.standard_normal(out=factor[: t.size])
+        rng.standard_normal(out=factor[:n])
         factor *= det.rin * math.sqrt(0.5 * fs)
         factor += 1.0
     line = None
     if det.line_amp_w > 0.0 and det.line_freq_hz > 0.0:
         phase = rng.uniform(0.0, 2.0 * math.pi)
-        line = np.multiply(t, 2.0 * math.pi * det.line_freq_hz)
+        line = np.arange(n, dtype=float)
+        line /= fs
+        line *= 2.0 * math.pi * det.line_freq_hz
         line += phase
         np.sin(line, out=line)
         line *= det.line_amp_w
@@ -249,34 +207,37 @@ def _common_mode_factors(rng, det, fs, t, size, channels):
 
 
 def channel_readout(channels):
-    """Readout of one or two channel power records.
+    """Readout of one or two channel power records, which it consumes.
 
     One channel reads out as its power; two read out as the contrast
     eta = (P_left - P_right) / (P_left + P_right), zero where no power
-    arrives.
+    arrives.  The powers must be >= 0, so the difference is already zero
+    wherever the sum is; the sum overwrites the left record and the
+    contrast the difference.
     """
     if len(channels) == 1:
         return channels[0]
     left, right = channels
-    total = left + right
-    return np.divide(left - right, total, out=np.zeros_like(total), where=total > 0.0)
+    eta = left - right
+    total = np.add(left, right, out=left)
+    return np.divide(eta, total, out=eta, where=total > 0.0)
 
 
-def sample_timeseries(signal_fn, det, fs, duration, seed):
+def sample_timeseries(clean, det, fs, duration, seed):
     """Noisy readout record of a one- or two-channel optical signal.
 
-    ``signal_fn(t)`` maps the array of n sample times to a tuple of clean
-    channel powers in watts: ``(P,)`` for a transmitted-power record, or
-    ``(P_left, P_right)`` for a split-detector eta record.  The channels
-    share one length p <= n and repeat with period p across the record: a
-    scalar is a constant power, a full-length array is period n, and a
-    periodic model may return just one period; the record is the same
-    whichever of these describes the signal.  Per sample and channel the
-    chain draws shot noise (variance 2 h nu P fs/2), NEP noise (variance
-    nep^2 fs/2) and dark-current noise, applies any common-mode intensity
-    noise and line (split evenly across the channels), low-passes each
-    channel at the detector bandwidth, clamps negative powers, and reads
-    out through channel_readout.  Reproducible from the seed.
+    ``clean`` is the tuple of clean channel powers in watts: ``(P,)`` for
+    a transmitted-power record, or ``(P_left, P_right)`` for a
+    split-detector eta record.  The channels share one length p <= n and
+    repeat with period p across the record: a scalar is a constant power,
+    a full-length array is period n, and a periodic signal may pass just
+    one period; the record is the same whichever of these describes the
+    signal.  Per sample and channel the chain draws shot noise (variance
+    2 h nu P fs/2), NEP noise (variance nep^2 fs/2) and dark-current
+    noise, applies any common-mode intensity noise and line (split evenly
+    across the channels), low-passes each channel at the detector
+    bandwidth, clamps negative powers, and reads out through
+    channel_readout.  Reproducible from the seed.
     """
     n = _sample_count(fs, duration)
     if fs > 2.0 * det.bandwidth:
@@ -286,12 +247,9 @@ def sample_timeseries(signal_fn, det, fs, duration, seed):
             RegimeWarning,
             stacklevel=2,
         )
-    t = np.arange(n, dtype=float)
-    t /= fs
-    clean = signal_fn(t)
     if not isinstance(clean, tuple) or len(clean) not in (1, 2):
         raise InvalidParameterError(
-            "signal_fn must return a tuple of 1 or 2 channel powers"
+            "clean must be a tuple of 1 or 2 channel powers"
         )
     try:
         powers = np.broadcast_arrays(
@@ -312,8 +270,7 @@ def sample_timeseries(signal_fn, det, fs, duration, seed):
     shape = (-(-n // period), period)
     size = shape[0] * period
     rng = np.random.default_rng(seed)
-    factor, line = _common_mode_factors(rng, det, fs, t, size, len(powers))
-    del t
+    factor, line = _common_mode_factors(rng, det, fs, n, size, len(powers))
     scratch = None if factor is None and line is None else np.empty(size)
     channels = []
     for power in powers:

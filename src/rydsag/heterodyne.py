@@ -373,30 +373,24 @@ def run_beat_experiment(
     if operating is None:
         operating = operating_point(config, medium, pointer)
 
-    def channel_powers(t):
-        period = min(config.beat_period, t.size)
-        drive = instantaneous_rabi(config, t[:period], e_signal)
-        chi = _chi_values(medium, operating.delta_p, omega_mw=drive)
-        pair = phase_and_absorption(chi, medium)
-        phi, beta = pair.delta_phi, pair.delta_beta
-        transmitted = config.probe_power * np.exp(2.0 * beta)
-        if config.readout == "amplitude":
-            channels = (transmitted,)
-        else:
-            k = pointer.coupling.k
-            w = pointer.beam.w
-            detected = transmitted * closed_p_post(phi, beta, k, w)
-            eta = closed_icr(phi, beta, k, w)
-            channels = (0.5 * detected * (1.0 + eta), 0.5 * detected * (1.0 - eta))
-        return channels
-
+    n = int(round(config.fs * config.integration_time))
+    t = np.arange(min(config.beat_period, n)) / config.fs
+    drive = instantaneous_rabi(config, t, e_signal)
+    chi = _chi_values(medium, operating.delta_p, omega_mw=drive)
+    pair = phase_and_absorption(chi, medium)
+    phi, beta = pair.delta_phi, pair.delta_beta
+    transmitted = config.probe_power * np.exp(2.0 * beta)
+    if config.readout == "amplitude":
+        clean = (transmitted,)
+    else:
+        k = pointer.coupling.k
+        w = pointer.beam.w
+        detected = transmitted * closed_p_post(phi, beta, k, w)
+        eta = closed_icr(phi, beta, k, w)
+        clean = (0.5 * detected * (1.0 + eta), 0.5 * detected * (1.0 - eta))
     if detector is None:
-        t = np.arange(int(round(config.fs * config.integration_time))) / config.fs
-        clean = channel_readout(channel_powers(t))
-        return TimeSeries(fs=config.fs, samples=np.resize(clean, t.size))
-    return sample_timeseries(
-        channel_powers, detector, config.fs, config.integration_time, seed
-    )
+        return TimeSeries(fs=config.fs, samples=np.resize(channel_readout(clean), n))
+    return sample_timeseries(clean, detector, config.fs, config.integration_time, seed)
 
 
 def beat_metrics(ts, delta_f, segment_length=SEGMENT_LENGTH):

@@ -19,11 +19,9 @@ from rydsag.detector_chain import (
     _noise_sigma,
     _sample_count,
     channel_readout,
-    icr_from_powers,
     one_pole,
     psd,
     sample_timeseries,
-    split_powers,
 )
 from rydsag.eit_medium import LadderSystemParams
 from rydsag.errors import InvalidParameterError, RegimeWarning
@@ -49,46 +47,12 @@ def quiet_detector(**overrides):
     return DetectorParams(**base)
 
 
-def test_split_powers_balanced_gaussian():
-    x = np.linspace(-5e-3, 5e-3, 4001)
-    profile = np.exp(-x**2 / (2 * (1e-3) ** 2))
-    left, right = split_powers(profile, x, quiet_detector())
-    assert left == pytest.approx(right, rel=1e-9)
-
-
-def test_split_powers_sign_follows_imbalance():
-    x = np.linspace(-5e-3, 5e-3, 4001)
-    shifted = np.exp(-((x + 2e-4) ** 2) / (2 * (1e-3) ** 2))  # left-shifted
-    left, right = split_powers(shifted, x, quiet_detector())
-    assert left > right
-    assert icr_from_powers(left, right) > 0.0
-
-
-def test_split_powers_gap_discards_center():
-    x = np.linspace(-5e-3, 5e-3, 4001)
-    profile = np.exp(-x**2 / (2 * (1e-3) ** 2))
-    full_l, full_r = split_powers(profile, x, quiet_detector())
-    gap_l, gap_r = split_powers(profile, x, quiet_detector(gap=1e-3))
-    assert gap_l < full_l and gap_r < full_r
-    assert gap_l == pytest.approx(gap_r, rel=1e-9)
-
-
-def test_icr_from_powers_bounds_and_validation():
-    assert icr_from_powers(1.0, 0.0) == 1.0
-    assert icr_from_powers(0.0, 1.0) == -1.0
-    assert icr_from_powers(2.0, 1.0) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(InvalidParameterError):
-        icr_from_powers(-1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        icr_from_powers(0.0, 0.0)
-
-
 def test_sample_timeseries_deterministic():
     det = DetectorParams()
-    fn = lambda t: (np.full_like(t, 100e-6), np.full_like(t, 90e-6))
-    a = sample_timeseries(fn, det, 1e6, 0.01, seed=123)
-    b = sample_timeseries(fn, det, 1e6, 0.01, seed=123)
-    c = sample_timeseries(fn, det, 1e6, 0.01, seed=124)
+    clean = (np.full(10_000, 100e-6), np.full(10_000, 90e-6))
+    a = sample_timeseries(clean, det, 1e6, 0.01, seed=123)
+    b = sample_timeseries(clean, det, 1e6, 0.01, seed=123)
+    c = sample_timeseries(clean, det, 1e6, 0.01, seed=124)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
@@ -98,7 +62,7 @@ def test_shot_noise_variance_scaling():
     power = 175e-6
     fs = 1e6
     det = quiet_detector()
-    ts = sample_timeseries(lambda t: (power,), det, fs, 0.5, seed=5)
+    ts = sample_timeseries((power,), det, fs, 0.5, seed=5)
     nu = sc.c / det.wavelength
     expected = 2.0 * sc.h * nu * power * (fs / 2.0)
     measured = float(np.var(ts.samples))
@@ -110,7 +74,7 @@ def test_nep_noise_adds_in_quadrature():
     fs = 1e6
     nep = 7.2e-12  # exaggerated so it dominates shot noise
     det = quiet_detector(nep=nep)
-    ts = sample_timeseries(lambda t: (power,), det, fs, 0.5, seed=6)
+    ts = sample_timeseries((power,), det, fs, 0.5, seed=6)
     nu = sc.c / det.wavelength
     expected = (2.0 * sc.h * nu * power + nep**2) * (fs / 2.0)
     assert float(np.var(ts.samples)) == pytest.approx(expected, rel=0.05)
@@ -120,16 +84,15 @@ def test_rin_cancels_in_contrast_but_not_in_power():
     power = 175e-6
     fs = 1e6
     rin = 1e-6
-    fn = lambda t: (np.full_like(t, 0.6 * power), np.full_like(t, 0.4 * power))
-    eta_plain = sample_timeseries(fn, quiet_detector(), fs, 0.2, seed=7)
-    eta_rin = sample_timeseries(fn, quiet_detector(rin=rin), fs, 0.2, seed=7)
+    clean = (np.full(200_000, 0.6 * power), np.full(200_000, 0.4 * power))
+    eta_plain = sample_timeseries(clean, quiet_detector(), fs, 0.2, seed=7)
+    eta_rin = sample_timeseries(clean, quiet_detector(rin=rin), fs, 0.2, seed=7)
     # common-mode multiplicative noise divides out of the eta record
     assert float(np.std(eta_rin.samples)) == pytest.approx(
         float(np.std(eta_plain.samples)), rel=0.02)
 
-    p_plain = sample_timeseries(lambda t: (power,), quiet_detector(), fs, 0.2, seed=8)
-    p_rin = sample_timeseries(
-        lambda t: (power,), quiet_detector(rin=rin), fs, 0.2, seed=8)
+    p_plain = sample_timeseries((power,), quiet_detector(), fs, 0.2, seed=8)
+    p_rin = sample_timeseries((power,), quiet_detector(rin=rin), fs, 0.2, seed=8)
     var_gain = np.var(p_rin.samples) / np.var(p_plain.samples)
     assert var_gain > 5.0  # RIN at 1e-6/sqrt(Hz) dwarfs shot noise here
 
@@ -138,7 +101,7 @@ def test_line_injection_shows_up_in_psd():
     power = 175e-6
     fs = 1e6
     det = quiet_detector(line_freq_hz=50e3, line_amp_w=1e-8)
-    ts = sample_timeseries(lambda t: (power,), det, fs, 0.2, seed=9)
+    ts = sample_timeseries((power,), det, fs, 0.2, seed=9)
     freqs, density = psd(ts, 4096)
     peak = freqs[np.argmax(density[1:]) + 1]
     assert abs(peak - 50e3) <= freqs[1] - freqs[0]
@@ -208,12 +171,12 @@ def test_low_bandwidth_filter_attenuates_high_frequency():
     fs = 1e6
     f_sig = 2e5
     power = 100e-6
-    fn = lambda t: power * (1.0 + 0.01 * np.sin(2 * math.pi * f_sig * t))
-    wide = sample_timeseries(
-        lambda t: (fn(t),), quiet_detector(bandwidth=25e6), fs, 0.05, seed=3)
+    t = np.arange(50_000) / fs
+    clean = (power * (1.0 + 0.01 * np.sin(2 * math.pi * f_sig * t)),)
+    wide = sample_timeseries(clean, quiet_detector(bandwidth=25e6), fs, 0.05, seed=3)
     with pytest.warns(Warning, match="bandwidth"):
         narrow = sample_timeseries(
-            lambda t: (fn(t),), quiet_detector(bandwidth=2e4), fs, 0.05, seed=3)
+            clean, quiet_detector(bandwidth=2e4), fs, 0.05, seed=3)
 
     def tone_power(ts):
         freqs, density = psd(ts, 4096)
@@ -256,13 +219,18 @@ def test_bandwidth_filter_skips_only_an_exact_identity():
 def test_sample_count_guard():
     det = DetectorParams()
     with pytest.raises(InvalidParameterError):
-        sample_timeseries(lambda t: (1e-6,), det, 1e9, MAX_SAMPLES, seed=0)
+        sample_timeseries((1e-6,), det, 1e9, MAX_SAMPLES, seed=0)
     with pytest.raises(InvalidParameterError):
-        sample_timeseries(lambda t: (1e-6,), det, -1.0, 1.0, seed=0)
-    # a bare array or a third channel is not a channel tuple
-    for fn in (lambda t: np.full_like(t, 1e-6), lambda t: (t, t, t)):
+        sample_timeseries((1e-6,), det, -1.0, 1.0, seed=0)
+    # a bare array, a third channel or a callable is not a channel tuple
+    t = np.arange(10_000) / 1e6
+    for clean in (
+        np.full_like(t, 1e-6),
+        (t, t, t),
+        lambda t: (np.full_like(t, 1e-6),),
+    ):
         with pytest.raises(InvalidParameterError):
-            sample_timeseries(fn, det, 1e6, 0.01, seed=0)
+            sample_timeseries(clean, det, 1e6, 0.01, seed=0)
 
 
 def test_detector_params_validation():
@@ -349,14 +317,26 @@ def _reference_sample_timeseries(signal_fn, det, fs, duration, seed):
         if line is not None:
             power += line / len(powers)
         channels.append(np.clip(_bandwidth_filter(power + noise, det, fs), 0.0, None))
-    return TimeSeries(fs=fs, samples=channel_readout(channels))
+    return TimeSeries(fs=fs, samples=_reference_channel_readout(channels))
 
 
-def _full_length(signal_fn):
-    """The same signal with every channel repeated out to the record length."""
-    return lambda t: tuple(
-        np.resize(np.asarray(p, dtype=float), t.size) for p in signal_fn(t)
-    )
+def _reference_channel_readout(channels):
+    """Readout of one or two channel power records.
+
+    One channel reads out as its power; two read out as the contrast
+    eta = (P_left - P_right) / (P_left + P_right), zero where no power
+    arrives.
+    """
+    if len(channels) == 1:
+        return channels[0]
+    left, right = channels
+    total = left + right
+    return np.divide(left - right, total, out=np.zeros_like(total), where=total > 0.0)
+
+
+def _repeated(clean, n):
+    """The same channels, each repeated out to n samples."""
+    return tuple(np.resize(np.asarray(p, dtype=float), n) for p in clean)
 
 
 def assert_same_bits(actual, reference):
@@ -364,8 +344,19 @@ def assert_same_bits(actual, reference):
     assert np.array_equal(actual.view(np.int64), reference.view(np.int64))
 
 
+def test_in_place_readout_is_bit_equal_to_the_old_readout():
+    # clamped channels with samples where one or both carry no power
+    rng = np.random.default_rng(2)
+    left, right = np.clip(rng.normal(1e-6, 2e-6, (2, 10_000)), 0.0, None)
+    left[:100] = right[:100] = 0.0
+    reference = _reference_channel_readout((left.copy(), right.copy()))
+    assert np.count_nonzero((left + right) == 0.0) >= 100
+    assert_same_bits(channel_readout((left, right)), reference)
+
+
 ORACLE_FS = 1.0e6
-ORACLE_DURATION = 0.006  # 6000 samples
+ORACLE_DURATION = 0.006
+ORACLE_SAMPLES = 6000
 
 
 def _periodic_channels(channels, period):
@@ -374,20 +365,18 @@ def _periodic_channels(channels, period):
     One channel is the right one, whose clean power dips below zero, so
     the noise deviation and the record both clamp.
     """
-    def signal_fn(t):
-        if period is None:
-            return (80e-6, 60e-6)[2 - channels :]
-        phase = 2.0 * math.pi * np.arange(period) / period
-        left = 80e-6 * (1.0 + 0.3 * np.sin(phase))
-        right = 3e-11 * (0.2 + np.cos(phase))
-        return (left, right)[2 - channels :]
-    return signal_fn
+    if period is None:
+        return (80e-6, 60e-6)[2 - channels :]
+    phase = 2.0 * math.pi * np.arange(period) / period
+    left = 80e-6 * (1.0 + 0.3 * np.sin(phase))
+    right = 3e-11 * (0.2 + np.cos(phase))
+    return (left, right)[2 - channels :]
 
 
 @pytest.mark.parametrize("channels", [1, 2])
 @pytest.mark.parametrize("period", [None, 20, 7, 6000], ids=["scalar", "20", "7", "n"])
 def test_periodic_chain_is_bit_equal_to_full_length_chain(channels, period):
-    fn = _periodic_channels(channels, period)
+    clean = _periodic_channels(channels, period)
     base = DetectorParams()
     detectors = [
         replace(base, rin=rin, line_freq_hz=line, line_amp_w=1e-9 if line else 0.0)
@@ -399,10 +388,11 @@ def test_periodic_chain_is_bit_equal_to_full_length_chain(channels, period):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             reference = _reference_sample_timeseries(
-                _full_length(fn), det, ORACLE_FS, ORACLE_DURATION, seed)
-            periodic = sample_timeseries(fn, det, ORACLE_FS, ORACLE_DURATION, seed)
+                lambda t: _repeated(clean, t.size), det, ORACLE_FS, ORACLE_DURATION,
+                seed)
+            periodic = sample_timeseries(clean, det, ORACLE_FS, ORACLE_DURATION, seed)
             full = sample_timeseries(
-                _full_length(fn), det, ORACLE_FS, ORACLE_DURATION, seed)
+                _repeated(clean, ORACLE_SAMPLES), det, ORACLE_FS, ORACLE_DURATION, seed)
         assert_same_bits(periodic.samples, reference.samples)
         assert_same_bits(full.samples, reference.samples)
 
@@ -434,36 +424,38 @@ def test_heterodyne_records_equal_the_full_length_path(
     monkeypatch.setattr(
         heterodyne,
         "sample_timeseries",
-        lambda fn, *args: _reference_sample_timeseries(_full_length(fn), *args),
+        lambda clean, *args: _reference_sample_timeseries(
+            lambda t: _repeated(clean, t.size), *args),
     )
     assert_same_bits(periodic, run())
 
 
 def test_periodic_chain_memory_stays_near_the_record_size():
-    # two channels of a 20-sample period with RIN; the contrast readout
-    # alone holds 5 records (both channels, their sum and difference, and
-    # the quotient), so the chain before it must stay below that
+    # two channels of a 20-sample period with RIN: assembly holds both
+    # channel records, the RIN factor and one scratch record, and the
+    # contrast readout both channels and the difference it divides in
+    # place, so the chain needs about 4 records and must stay near that
     fs = 3.0e6
-    fn = _periodic_channels(2, 20)
+    clean = _periodic_channels(2, 20)
     det = DetectorParams(rin=1e-7)
     n = 300_000
     tracemalloc.start()
     try:
-        ts = sample_timeseries(fn, det, fs, n / fs, seed=0)
+        ts = sample_timeseries(clean, det, fs, n / fs, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert ts.samples.size == n
-    assert peak <= 6 * ts.samples.nbytes
+    assert peak <= 4.5 * ts.samples.nbytes
 
 
 def test_channels_of_unequal_or_excess_length_are_rejected():
     det = DetectorParams()
-    for fn in (
-        lambda t: (np.ones(20), np.ones(62)),
-        lambda t: (np.ones(t.size + 1),),
-        lambda t: (np.ones((2, 10)),),
-        lambda t: (np.ones(0),),
+    for clean in (
+        (np.ones(20), np.ones(62)),
+        (np.ones(10_001),),
+        (np.ones((2, 10)),),
+        (np.ones(0),),
     ):
         with pytest.raises(InvalidParameterError):
-            sample_timeseries(fn, det, 1e6, 0.01, seed=0)
+            sample_timeseries(clean, det, 1e6, 0.01, seed=0)
