@@ -87,6 +87,7 @@ from .weak_pointer import (
     closed_centroid,
     closed_icr,
     closed_p_post,
+    closed_readout,
     icr_approx,
     icr_exact,
     quadrature_oracle,
@@ -131,6 +132,7 @@ __all__ = [
     "closed_centroid",
     "closed_icr",
     "closed_p_post",
+    "closed_readout",
     "cs_number_density",
     "cs_vapor_pressure",
     "detuning_grid",

@@ -77,7 +77,8 @@ from .weak_pointer import (
     PostSelection,
     PreSelection,
     WeakCoupling,
-    quadrature_oracle,
+    closed_readout,
+    final_wavefunction,
 )
 
 OUTPUT_DIR_ENV = "RYDSAG_OUTPUT_DIR"
@@ -381,9 +382,12 @@ def _run_pointer(config, out_dir, seed):
     post = PostSelection(block["angle"])
     coupling = WeakCoupling(block["k"])
     beam = BeamPointer.centered(block["w"], block["span_w"], block["points"])
-    readout = quadrature_oracle(pre, post, coupling, beam)
+    centroid, eta, p_post = closed_readout(
+        pre.delta_phi, pre.delta_beta, post.angle, coupling.k, beam.w
+    )
+    profile = np.abs(final_wavefunction(pre, post, coupling, beam)) ** 2
     csv_path = os.path.join(out_dir, "profile.csv")
-    write_csv(csv_path, ("x_m", "intensity"), (beam.grid, readout.profile))
+    write_csv(csv_path, ("x_m", "intensity"), (beam.grid, profile))
     json_path = os.path.join(out_dir, "readout.json")
     write_json(
         json_path,
@@ -392,9 +396,9 @@ def _run_pointer(config, out_dir, seed):
             "delta_beta": pre.delta_beta,
             "k": coupling.k,
             "w": beam.w,
-            "centroid_m": readout.centroid,
-            "eta": readout.eta,
-            "p_post": readout.p_post,
+            "centroid_m": centroid,
+            "eta": eta,
+            "p_post": p_post,
         },
     )
     return [csv_path, json_path]

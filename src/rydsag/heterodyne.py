@@ -27,7 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detector_chain import TimeSeries, channel_readout, psd, sample_timeseries
+from .detector_chain import (
+    MAX_SAMPLES,
+    TimeSeries,
+    channel_readout,
+    psd,
+    sample_timeseries,
+)
 from .eit_medium import (
     _chi_values,
     _refine_extremum,
@@ -370,10 +376,12 @@ def run_beat_experiment(
             RegimeWarning,
             stacklevel=2,
         )
+    n = int(round(config.fs * config.integration_time))
+    if n > MAX_SAMPLES:
+        raise InvalidParameterError(f"{n} samples exceed the {MAX_SAMPLES} cap")
     if operating is None:
         operating = operating_point(config, medium, pointer)
 
-    n = int(round(config.fs * config.integration_time))
     t = np.arange(min(config.beat_period, n)) / config.fs
     drive = instantaneous_rabi(config, t, e_signal)
     chi = _chi_values(medium, operating.delta_p, omega_mw=drive)

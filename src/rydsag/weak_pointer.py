@@ -8,7 +8,8 @@ log-amplitude imbalance ``delta_beta``, and post-selection is a linear
 polarizer at ``angle``.  Pointer observables are the beam centroid and
 the left/right intensity-contrast ratio eta.
 
-Conventions fixed here and enforced against the quadrature oracle:
+Conventions fixed here and enforced against mpmath references and the
+quadrature oracle:
 
 - meter amplitude ``phi(x) = (2 pi w^2)**-0.25 * exp(-x^2 / (4 w^2))``,
   so ``|phi|^2`` is a normal density with RMS width ``w``;
@@ -24,17 +25,15 @@ Conventions fixed here and enforced against the quadrature oracle:
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (
     AccuracyError,
-    DomainError,
     InvalidParameterError,
     OrthogonalPostselectionError,
     RegimeWarning,
@@ -49,9 +48,6 @@ ORTHOGONAL_POWER_FLOOR = 1e-30
 
 _QUAD_EPSREL = 1e-13
 _QUAD_LIMIT = 400
-
-# erfi is validated against mpmath on |z| <= 10.
-_ERFI_DOMAIN = 10.0
 
 
 def _check_finite(**named):
@@ -162,16 +158,6 @@ class PointerReadout:
 # special function
 
 
-def erfi(z):
-    """Imaginary error function erfi(z) = -i erf(i z) for real |z| <= 10."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise InvalidParameterError(f"erfi argument must be finite, got {z!r}")
-    if abs(z) > _ERFI_DOMAIN:
-        raise DomainError(f"erfi validated only for |z| <= {_ERFI_DOMAIN}, got {z!r}")
-    return float(special.erfi(z))
-
-
 def scaled_erfi(z):
     """exp(-z^2) * erfi(z), overflow-free for any real z (vectorized).
 
@@ -185,12 +171,29 @@ def scaled_erfi(z):
 # state algebra
 
 
-def _arm_amplitudes(pre, post):
-    """Post-selected (cos(angle)*a_H, sin(angle)*a_V) arm coefficients."""
-    norm = math.sqrt(2.0 * math.cosh(2.0 * pre.delta_beta))
-    a_h = cmath.exp(complex(pre.delta_beta, 0.5 * pre.delta_phi)) / norm
-    a_v = cmath.exp(complex(-pre.delta_beta, -0.5 * pre.delta_phi)) / norm
-    return math.cos(post.angle) * a_h, math.sin(post.angle) * a_v
+def _arm_amplitudes(delta_phi, delta_beta, angle):
+    """Post-selected (cos(angle)*a_H, sin(angle)*a_V) arm coefficients.
+
+    Vectorized: the arguments broadcast against each other.
+    """
+    norm = np.sqrt(2.0 * np.cosh(2.0 * delta_beta))
+    a_h = np.exp(delta_beta + 0.5j * delta_phi) / norm
+    a_v = np.exp(-delta_beta - 0.5j * delta_phi) / norm
+    return np.cos(angle) * a_h, np.sin(angle) * a_v
+
+
+def _interference(delta_phi, delta_beta, angle):
+    """Arm imbalance (|ch| - |sv|)^2, cross term |ch conj(sv)| and its phase.
+
+    At transverse phase theta - 2 k x the post-selected intensity factor
+    |ch|^2 + |sv|^2 - 2 |ch conj(sv)| cos(theta - 2 k x) equals
+    imbalance + 4 cross sin^2((theta - 2 k x)/2), a sum of nonnegative
+    terms, so deep destructive interference is computed without
+    cancellation.
+    """
+    ch, sv = _arm_amplitudes(delta_phi, delta_beta, angle)
+    cross = ch * np.conj(sv)
+    return (np.abs(ch) - np.abs(sv)) ** 2, np.abs(cross), np.angle(cross)
 
 
 def weak_value(pre, post):
@@ -209,7 +212,7 @@ def weak_value(pre, post):
                 "pre- and post-selection are orthogonal; weak value diverges"
             )
         return complex(0.0, -(1.0 + c) / s) if s != 0.0 else complex(0.0, 0.0)
-    ch, sv = _arm_amplitudes(pre, post)
+    ch, sv = _arm_amplitudes(pre.delta_phi, pre.delta_beta, post.angle)
     numerator = ch + sv
     denominator = ch - sv
     if abs(denominator) ** 2 < ORTHOGONAL_POWER_FLOOR:
@@ -222,7 +225,7 @@ def weak_value(pre, post):
 def final_wavefunction(pre, post, coupling, beam):
     """Post-selected meter amplitude on the beam grid (unit input power)."""
     x = beam.grid
-    ch, sv = _arm_amplitudes(pre, post)
+    ch, sv = _arm_amplitudes(pre.delta_phi, pre.delta_beta, post.angle)
     envelope = (2.0 * math.pi * beam.w**2) ** -0.25 * np.exp(
         -(x**2) / (4.0 * beam.w**2)
     )
@@ -231,7 +234,45 @@ def final_wavefunction(pre, post, coupling, beam):
 
 
 # ---------------------------------------------------------------------------
-# closed forms for the symmetric analyzer (angle = pi/4)
+# closed forms
+
+
+def closed_readout(delta_phi, delta_beta, angle, k, w):
+    """Exact (centroid in meters, eta, p_post) for any analyzer angle.
+
+    Vectorized: the arguments broadcast against each other.  With the arm
+    terms of _interference and b = 2 k w, the Gaussian integrals of the
+    post-selected intensity over u = x / w give
+
+    - p_post = imbalance + 2 cross (-expm1(-b^2/2) + 2 e^{-b^2/2} sin^2(theta/2)),
+      a sum of nonnegative terms;
+    - left - right = 4 cross sin(theta) dawsn(b / sqrt 2) / sqrt(pi);
+    - first moment = -2 cross b e^{-b^2/2} sin(theta);
+
+    so eta = (left - right) / p_post and centroid = w moment / p_post, the
+    weak-value pointer integrals of Dixon et al., PRL 102, 173601 (2009)
+    and Jordan, Martinez-Rincon & Howell, PRX 4, 011031 (2014).
+    """
+    imbalance, cross, theta = _interference(delta_phi, delta_beta, angle)
+    b = 2.0 * np.multiply(k, w)
+    half_b2 = 0.5 * b * b
+    damp = np.exp(-half_b2)
+    p_post = imbalance + 2.0 * cross * (
+        -np.expm1(-half_b2) + 2.0 * damp * np.sin(0.5 * theta) ** 2
+    )
+    if np.any(p_post < ORTHOGONAL_POWER_FLOOR):
+        raise OrthogonalPostselectionError(
+            "post-selected power below 1e-30 of input; pointer readout undefined"
+        )
+    sin_theta = np.sin(theta)
+    eta = 4.0 / _SQRTPI * cross * sin_theta * special.dawsn(b / math.sqrt(2.0)) / p_post
+    centroid = -2.0 * np.multiply(w, b) * cross * damp * sin_theta / p_post
+    return centroid, eta, p_post
+
+
+# The symmetric analyzer (angle = pi/4) in the cosh/cos form.  The
+# heterodyne and stabilization records are computed with these, and their
+# output bytes depend on this exact arithmetic.
 
 
 def closed_p_post(delta_phi, delta_beta, k, w):
@@ -269,15 +310,11 @@ def _guard_closed_denominator(den, delta_beta):
 
 
 def centroid_exact(pre, post, coupling, beam):
-    """Exact post-selected beam centroid in meters.
-
-    Closed form for the symmetric analyzer with a pure phase; any other
-    setting is routed through the quadrature oracle.
-    """
-    if pre.delta_beta == 0.0 and post.angle == math.pi / 4:
-        _warn_coupling_regime(coupling, beam)
-        return float(closed_centroid(pre.delta_phi, 0.0, coupling.k, beam.w))
-    return quadrature_oracle(pre, post, coupling, beam).centroid
+    """Exact post-selected beam centroid in meters (closed_readout)."""
+    _warn_coupling_regime(coupling, beam)
+    return float(
+        closed_readout(pre.delta_phi, pre.delta_beta, post.angle, coupling.k, beam.w)[0]
+    )
 
 
 def centroid_approx(delta_phi, coupling):
@@ -295,15 +332,11 @@ def centroid_approx(delta_phi, coupling):
 
 
 def icr_exact(pre, post, coupling, beam):
-    """Exact intensity-contrast ratio (left minus right over total).
-
-    The closed form carries the scaled imaginary error function of
-    sqrt(2) k w; routing matches centroid_exact.
-    """
-    if pre.delta_beta == 0.0 and post.angle == math.pi / 4:
-        _warn_coupling_regime(coupling, beam)
-        return float(closed_icr(pre.delta_phi, 0.0, coupling.k, beam.w))
-    return quadrature_oracle(pre, post, coupling, beam).eta
+    """Exact intensity-contrast ratio, left minus right over total (closed_readout)."""
+    _warn_coupling_regime(coupling, beam)
+    return float(
+        closed_readout(pre.delta_phi, pre.delta_beta, post.angle, coupling.k, beam.w)[1]
+    )
 
 
 def icr_approx(delta_phi, coupling, beam):
@@ -340,17 +373,12 @@ def quadrature_oracle(pre, post, coupling, beam):
     Integrates |Phi(x)|^2 adaptively (relative tolerance 1e-13 per
     sign-definite piece) for the total power, the left/right partition and
     the first moment.  Handles arbitrary delta_beta and analyzer angle;
-    this is the ground truth the closed forms are validated against.
+    this is the test oracle the closed forms are validated against.
     """
-    ch, sv = _arm_amplitudes(pre, post)
-    cross_c = ch * sv.conjugate()
-    cross = abs(cross_c)
-    dphi = cmath.phase(cross_c)
+    imbalance_sq, cross, dphi = map(
+        float, _interference(pre.delta_phi, pre.delta_beta, post.angle)
+    )
     wk = coupling.k * beam.w
-    # |ch|^2 + |sv|^2 - 2 cross cos(theta) rewritten as a sum of two
-    # nonnegative pieces so deep destructive interference is computed
-    # without cancellation
-    imbalance_sq = (abs(ch) - abs(sv)) ** 2
 
     def interference(theta):
         return imbalance_sq + 4.0 * cross * math.sin(0.5 * theta) ** 2
@@ -392,38 +420,12 @@ def quadrature_oracle(pre, post, coupling, beam):
 
 
 def _quad(fn, a, b):
+    # imported here so that no closed-form caller loads scipy.integrate
+    from scipy import integrate
+
     value, abserr, info, *tail = integrate.quad(
         fn, a, b, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT, full_output=True
     )
     if tail:
         raise AccuracyError(f"pointer quadrature did not converge: {tail[0]}")
     return value
-
-
-# ---------------------------------------------------------------------------
-# auxiliary interferometer readouts
-
-
-def mzi_intensity(a, delta_phi):
-    """Reference Mach-Zehnder output intensity a * cos(delta_phi)."""
-    _check_finite(a=a, delta_phi=delta_phi)
-    if not 0.0 <= a <= 1.0:
-        raise InvalidParameterError(f"contrast amplitude must be in [0, 1], got {a!r}")
-    return a * math.cos(delta_phi)
-
-
-def feedback_weak_value(phi_f):
-    """Weak value -i cot(phi_f) of the which-path stabilization port."""
-    _check_finite(phi_f=phi_f)
-    s = math.sin(phi_f)
-    if abs(s) < 1e-15:
-        raise OrthogonalPostselectionError(
-            "which-path pre/post selection orthogonal at phi_f = n*pi"
-        )
-    return -1j * math.cos(phi_f) / s
-
-
-def feedback_centroid(phi_f, coupling, beam):
-    """Pointer displacement 2 k w^2 |A_w| of the stabilization port."""
-    a_w = feedback_weak_value(phi_f)
-    return 2.0 * coupling.k * beam.w**2 * abs(a_w)

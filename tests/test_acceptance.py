@@ -52,6 +52,7 @@ from rydsag.weak_pointer import (
     closed_centroid,
     closed_icr,
     closed_p_post,
+    closed_readout,
     icr_approx,
     icr_exact,
     quadrature_oracle,
@@ -86,11 +87,14 @@ def test_criterion_01_pointer_quadrature_matches_closed_forms():
                     pre = PreSelection(delta_phi, 0.0)
                     readout = quadrature_oracle(
                         pre, ANALYZER, WeakCoupling(k), BeamPointer.centered(w))
+                    general = closed_readout(delta_phi, 0.0, ANALYZER.angle, k, w)
                     worst = max(
                         worst,
                         rel_err(readout.centroid, closed_centroid(delta_phi, 0.0, k, w)),
                         rel_err(readout.eta, closed_icr(delta_phi, 0.0, k, w)),
                         rel_err(readout.p_post, closed_p_post(delta_phi, 0.0, k, w)),
+                        *map(rel_err, (readout.centroid, readout.eta, readout.p_post),
+                             general),
                     )
         elapsed = time.perf_counter() - started
         assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"

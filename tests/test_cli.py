@@ -336,8 +336,10 @@ def test_runtime_failure_reports_error_json(tmp_path, capsys):
     assert "drift" in error["message"] and "nan" not in error["message"]
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # a fresh interpreter: the oracle tests import scipy.signal into this one
+def test_cli_import_loads_no_scipy_integrate_optimize_or_signal():
+    # a fresh interpreter: the oracle tests import these into this one.
+    # scipy.integrate serves only the pointer's quadrature oracle and pulls
+    # in scipy.optimize; scipy.signal was replaced by scipy.fft code
     src = os.path.dirname(os.path.dirname(rydsag.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -346,7 +348,8 @@ def test_cli_import_does_not_load_scipy_signal():
             sys.executable,
             "-c",
             "import sys, rydsag.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy.signal')])",
+            "print([m for m in sys.modules if m.startswith("
+            "('scipy.integrate', 'scipy.optimize', 'scipy.signal'))])",
         ],
         env=env,
         capture_output=True,

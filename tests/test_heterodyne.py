@@ -151,6 +151,15 @@ def test_clean_record_beats_at_150khz():
     assert metrics.snr_db > 100.0
 
 
+@pytest.mark.parametrize("detector", [None, DetectorParams()])
+def test_record_over_the_sample_cap_is_rejected(detector):
+    # 1000 s at 3 MHz: the clean path would otherwise ask np.resize for 3e9
+    # samples and raise MemoryError
+    cfg = config(integration_time=1000.0)
+    with pytest.raises(InvalidParameterError, match="samples exceed the"):
+        run_beat_experiment(cfg, MEDIUM, POINTER, detector, seed=0)
+
+
 def _direct_record(cfg, e_signal, operating):
     """Clean record with the channel model evaluated at every sample."""
     t = np.arange(int(round(cfg.fs * cfg.integration_time))) / cfg.fs
