@@ -34,6 +34,7 @@ from scipy import special
 
 from .errors import (
     AccuracyError,
+    DomainError,
     InvalidParameterError,
     OrthogonalPostselectionError,
     RegimeWarning,
@@ -48,6 +49,9 @@ ORTHOGONAL_POWER_FLOOR = 1e-30
 
 _QUAD_EPSREL = 1e-13
 _QUAD_LIMIT = 400
+
+# The prepared state's squared norm 2 cosh(2 delta_beta) overflows past this.
+_MAX_ABS_DELTA_BETA = 354.0
 
 
 def _check_finite(**named):
@@ -69,6 +73,11 @@ class PreSelection:
 
     def __post_init__(self):
         _check_finite(delta_phi=self.delta_phi, delta_beta=self.delta_beta)
+        if abs(self.delta_beta) > _MAX_ABS_DELTA_BETA:
+            raise DomainError(
+                f"|delta_beta| must be <= {_MAX_ABS_DELTA_BETA} (the state norm "
+                f"overflows), got {self.delta_beta!r}"
+            )
 
 
 @dataclass(frozen=True)

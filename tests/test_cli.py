@@ -335,6 +335,19 @@ def test_runtime_failure_reports_error_json(tmp_path, capsys):
     assert error["category"] == "domain"
     assert "drift" in error["message"] and "nan" not in error["message"]
 
+    # an arm imbalance whose state norm 2 cosh(2 delta_beta) overflows
+    cfg = write_config(
+        tmp_path,
+        {"experiment": "pointer", "pointer": {"delta_beta": 1000.0}},
+        "huge_imbalance.json",
+    )
+    code, out = run_cli(capsys, "simulate", cfg, "--output-dir", str(tmp_path / "p"))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "domain"
+    assert "delta_beta" in error["message"]
+    assert not (tmp_path / "p" / "readout.json").exists()
+
 
 def test_cli_import_loads_no_scipy_integrate_optimize_or_signal():
     # a fresh interpreter: the oracle tests import these into this one.
