@@ -58,7 +58,7 @@ MPMATH_CASES = [
 #
 # The first two have |delta_phi| ~ 1e-6, where the small difference
 # left - right is beyond the quadrature oracle's per-half tolerance: it
-# misses their centroid and eta by 1.6e-8 to 2.6e-8 relative.
+# misses their centroid and eta by 2.3e-9 to 2.6e-8 relative.
 TILTED_MPMATH_CASES = [
     # (delta_phi, delta_beta, angle, k, w, centroid, eta, p_post)
     (1.5e-6, 0.04, 1.48, 2.0, 1.0e-3,
