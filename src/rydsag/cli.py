@@ -267,6 +267,8 @@ def load_config(path):
     _check_seed(config["seed"])
     _check_sizes(config)
     _check_output_limits(config)
+    if "pointer" in config:
+        _pointer_models(config["pointer"])
     return config
 
 
@@ -319,6 +321,30 @@ def _check_output_limits(config):
         raise ConfigError(
             f"pid.output_limits must be a finite pair [lo, hi] with lo < 0 < hi, got {limits}"
         )
+
+
+def _pointer_models(block):
+    """The pointer section's model objects, in key order: PreSelection and
+    PostSelection where the section has an angle, then WeakCoupling and
+    the centered BeamPointer. A refusal keeps its category and names the
+    keys the refusing object was built from."""
+    builders = [
+        (("k",), WeakCoupling),
+        (("w", "span_w", "points"), BeamPointer.centered),
+    ]
+    if "angle" in block:
+        builders[:0] = [
+            (("delta_phi", "delta_beta"), PreSelection),
+            (("angle",), PostSelection),
+        ]
+    models = []
+    for keys, build in builders:
+        try:
+            models.append(build(*(block[key] for key in keys)))
+        except SimulationError as exc:
+            paths = ", ".join(f"pointer.{key}" for key in keys)
+            raise type(exc)(f"{paths}: {exc}") from exc
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +403,7 @@ def _run_spectrum(config, out_dir, seed):
 
 
 def _run_pointer(config, out_dir, seed):
-    block = config["pointer"]
-    pre = PreSelection(block["delta_phi"], block["delta_beta"])
-    post = PostSelection(block["angle"])
-    coupling = WeakCoupling(block["k"])
-    beam = BeamPointer.centered(block["w"], block["span_w"], block["points"])
+    pre, post, coupling, beam = _pointer_models(config["pointer"])
     centroid, eta, p_post = closed_readout(
         pre.delta_phi, pre.delta_beta, post.angle, coupling.k, beam.w
     )
@@ -501,12 +523,8 @@ def _run_heterodyne(config, out_dir, seed, threads):
     detector = DetectorParams(**config["detector"])
     compare = config["heterodyne"]["compare"]
     hetero = _heterodyne_from(config["heterodyne"])
-    pblock = config["pointer"]
-    pointer = PointerSetup(
-        post=PostSelection(math.pi / 4),
-        coupling=WeakCoupling(pblock["k"]),
-        beam=BeamPointer.centered(pblock["w"], pblock["span_w"], pblock["points"]),
-    )
+    coupling, beam = _pointer_models(config["pointer"])
+    pointer = PointerSetup(post=PostSelection(math.pi / 4), coupling=coupling, beam=beam)
 
     sweep = scheme_comparison if compare else sensitivity_sweep
     if threads > 1:

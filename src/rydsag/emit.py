@@ -8,8 +8,10 @@ every emitted file is strict JSON and byte-stable for a given payload.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import types
 
 import numpy as np
 
@@ -42,12 +44,17 @@ def format_cell(value):
     raise InvalidParameterError(f"cannot format a {type(value).__name__} CSV cell")
 
 
+# Rows per block: a block's buffers stay near a megabyte.
+_BLOCK_ROWS = 16384
+
+
 def write_csv(path, header, columns):
     """Write a header and equal-length 1-D columns; returns the path.
 
     A column's type is its array dtype: a float column is written with
     ``'%.9g'`` (the same bytes as ``format_cell``), and any other column
-    (bool, int, str) is formatted once, cell by cell, by ``format_cell``.
+    (bool, int, str) cell by cell by ``format_cell``. Rows are formatted
+    and written _BLOCK_ROWS at a time.
     """
     names = [format_cell(name) for name in header]
     arrays = [np.asarray(column) for column in columns]
@@ -60,19 +67,189 @@ def write_csv(path, header, columns):
     lengths = {array.shape[0] for array in arrays}
     if len(lengths) > 1:
         raise InvalidParameterError(f"CSV columns differ in length: {sorted(lengths)}")
-    specs, values = [], []
-    for array in arrays:
-        if array.dtype.kind == "f":
-            specs.append("%.9g")
-            values.append(array.tolist())
-        else:
-            specs.append("%s")
-            values.append([format_cell(value) for value in array.tolist()])
-    template = ",".join(specs) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(names) + "\n")
-        handle.writelines(map(template.__mod__, zip(*values)))
+    rows = lengths.pop() if lengths else 0
+    with open(path, "wb") as handle:
+        handle.write((",".join(names) + "\n").encode("utf-8"))
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = [array[start:start + _BLOCK_ROWS] for array in arrays]
+            handle.write(_csv_rows(block))
     return path
+
+
+def _csv_rows(block):
+    """The bytes of one block of rows, each cell followed by ',' or LF.
+
+    Every column becomes a fixed-width byte table and a cell length. The
+    tables sit side by side with one spare byte per cell for its
+    separator, and the block is compacted by cell length; a NUL inside a
+    string cell is data, so padding is never told apart by its value.
+    """
+    tables = [
+        _float_cells(part) if part.dtype.kind == "f" else _text_cells(part)
+        for part in block
+    ]
+    rows = block[0].shape[0]
+    width = sum(cells.shape[1] + 1 for cells, _ in tables)
+    buffer = np.empty((rows, width), np.uint8)
+    keep = np.empty((rows, width), bool)
+    row_starts = np.arange(0, rows * width, width)
+    start = 0
+    for index, (cells, length) in enumerate(tables):
+        stop = start + cells.shape[1]
+        buffer[:, start:stop] = cells
+        separator = b"\n" if index == len(tables) - 1 else b","
+        buffer.reshape(-1)[row_starts + start + length] = ord(separator)
+        # row L of `prefix` keeps a cell's first L bytes and its separator
+        span = stop + 1 - start
+        prefix = np.arange(span) <= np.arange(span)[:, None]
+        rows_of_prefix = prefix.view(np.dtype((np.void, span)))
+        keep[:, start:stop + 1] = rows_of_prefix[length].view(bool).reshape(rows, span)
+        start = stop + 1
+    return buffer[keep].tobytes()
+
+
+def _text_cells(values):
+    """``format_cell`` of each value as UTF-8: (rows x width bytes, lengths)."""
+    encoded = [format_cell(value).encode("utf-8") for value in values.tolist()]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    cells = np.array(encoded, dtype=f"S{max(lengths.max(), 1)}")
+    return cells.view(np.uint8).reshape(len(encoded), -1), lengths
+
+
+# Every '%.9g' of a double fits in 16 bytes: '-1.23456789e-100'.
+_FLOAT_WIDTH = 16
+# Decimal exponents e of the fast path, |8 - e| <= 22, and one carry above.
+_EXP_LO, _EXP_HI = -14, 31
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _float_cells(values):
+    """``'%.9g'`` of each float as (rows x 16 bytes, lengths), exact.
+
+    A finite normal nonzero |x| with decimal exponent e is printed from
+    the integer m = round(|x| * 10**(8 - e)) in [1e8, 1e9). The fast
+    path computes s = |x| * 10**k / 10**j with k = max(8 - e, 0) and
+    j = max(e - 8, 0), and is taken only where |8 - e| <= 22. There
+    10**k and 10**j are exact doubles, one of them is 1, so s is one
+    correctly rounded product or quotient: |s - S| <= 2**-24 for the
+    exact S = |x| * 10**(8 - e) < 2**30. e starts as floor(log10|x|) and
+    is moved once by one decade when s falls outside [1e8, 1e9).
+
+    Where 1e8 <= s < 1e9 and |s - rint(s)| < 0.5 - 1e-6, rint(s) is
+    the correctly rounded S: the margin exceeds the error of s, so S lies
+    on the same side of every half-integer, ties included. Rounding is
+    monotonic and 1e8 and 1e9 are doubles, so s >= 1e8 gives S >= 1e8 -
+    2**-24; an S just below 1e8 belongs to exponent e - 1, where 10 S
+    rounds up to 1e9 and carries back to m = 1e8 at e, the same digits.
+    m = 1e9 carries to m = 1e8 at exponent e + 1. None of this depends
+    on log10 being exact: a wrong e leaves s outside [1e8, 1e9).
+
+    m's digits are read from a 3-digit ASCII table, and its trailing
+    zeros are counted. The exponent, the number of digits kept and the
+    sign select a row of the layout table (``_float_layout``), which
+    holds the row's constant bytes and where each digit goes. ±0 has
+    rows of its own. Every other value (non-finite, subnormal, outside
+    the exponent range, within 1e-6 of a tie) is formatted by ``'%.9g'``
+    itself.
+    """
+    layout = _float_layout()
+    # as in '%': a longdouble beyond the double range is inf, a signaling NaN nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = values.astype(np.float64, copy=False)
+    rows = x.shape[0]
+    magnitude = np.abs(x)
+    normal = (magnitude >= _SMALLEST_NORMAL) & (magnitude < np.inf)
+    magnitude = np.where(normal, magnitude, 1.0)
+    exponent = np.floor(np.log10(magnitude)).astype(np.intp)
+    scaled = _scale(magnitude, exponent, layout.pow10)
+    off = np.flatnonzero((scaled < 1e8) | (scaled >= 1e9))
+    if off.size:
+        exponent[off] += np.where(scaled[off] >= 1e9, 1, -1)
+        scaled[off] = _scale(magnitude[off], exponent[off], layout.pow10)
+    mantissa = np.rint(scaled)
+    fast = (
+        normal
+        & (np.abs(8 - exponent) <= 22)
+        & (scaled >= 1e8)
+        & (scaled < 1e9)
+        & (np.abs(scaled - mantissa) < 0.5 - 1e-6)
+    )
+    mantissa = np.where(fast, mantissa, 1e8).astype(np.int32)
+    carry = mantissa == 10**9
+    mantissa[carry] = 10**8
+    exponent += carry
+    high, low = np.divmod(mantissa, 1000)
+    high, middle = np.divmod(high, 1000)
+    digits = np.empty((rows, 3), np.uint32)
+    digits[:, 0] = layout.three[high]
+    digits[:, 1] = layout.three[middle]
+    digits[:, 2] = layout.three[low]
+    trailing = layout.trailing[low] + (low == 0) * (
+        layout.trailing[middle] + (middle == 0) * layout.trailing[high]
+    )
+    row = (np.clip(exponent, _EXP_LO, _EXP_HI) - _EXP_LO) * 18 + (8 - trailing) * 2
+    row += np.signbit(x)
+    zero = x == 0.0
+    row[zero] = layout.length.size - 2 + np.signbit(x[zero])
+    source = layout.source[row].view(np.uint8).reshape(rows, _FLOAT_WIDTH)
+    source = np.add(source, np.arange(0, 12 * rows, 12)[:, None])
+    cells = layout.const[row].view(np.uint8).reshape(rows, _FLOAT_WIDTH)
+    cells |= digits.view(np.uint8).reshape(-1)[source]
+    lengths = layout.length[row]
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size:
+        text = [("%.9g" % value).encode("ascii") for value in x[slow].tolist()]
+        cells[slow] = np.array(text, dtype=f"S{_FLOAT_WIDTH}").view(np.uint8).reshape(
+            slow.size, _FLOAT_WIDTH
+        )
+        lengths[slow] = list(map(len, text))
+    return cells, lengths
+
+
+def _scale(magnitude, exponent, pow10):
+    """|x| * 10**(8 - e) as one rounding, for |8 - e| <= 22 (else unused)."""
+    up = np.clip(8 - exponent, 0, 22)
+    down = np.clip(exponent - 8, 0, 22)
+    return magnitude * pow10[up] / pow10[down]
+
+
+@functools.cache
+def _float_layout():
+    """Read-only lookup tables of the fast ``'%.9g'`` path, built on first
+    use (see ``_float_cells``)."""
+    three = [f"{v:03d}" for v in range(1000)]
+    # One row per (exponent, digits kept, sign), in _float_cells' order,
+    # printed by '%.9g' itself from the distinct digits 1..9; then ±0.
+    text = [
+        "%.9g" % float(f"{sign}{'123456789'[:kept]}e{exp - kept + 1}")
+        for exp in range(_EXP_LO, _EXP_HI + 1)
+        for kept in range(1, 10)
+        for sign in ("", "-")
+    ] + ["0", "-0"]
+    table = np.array([t.encode("ascii") for t in text], f"S{_FLOAT_WIDTH}")
+    table = table.view(np.uint8).reshape(len(text), _FLOAT_WIDTH)
+    mantissa_end = np.array([len(t.partition("e")[0]) for t in text])[:, None]
+    is_digit = (
+        (table >= ord("1"))
+        & (table <= ord("9"))
+        & (np.arange(_FLOAT_WIDTH) < mantissa_end)
+    )
+    # byte offsets of the nine digits in _float_cells' per-value triple of
+    # 3-digit groups, each a NUL-terminated uint32; offset 3 is always NUL
+    digit_source = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10], np.uint8)
+    source = np.where(is_digit, digit_source[np.clip(table - ord("1"), 0, 8)], 3)
+    cell = np.dtype((np.void, _FLOAT_WIDTH))
+    layout = types.SimpleNamespace(
+        pow10=np.array([float(10**k) for k in range(23)]),
+        three=np.frombuffer("\0".join(three + [""]).encode("ascii"), np.uint32),
+        trailing=np.array([3 - len(t.rstrip("0")) for t in three], np.intp),
+        const=np.where(is_digit, 0, table).astype(np.uint8).view(cell).ravel(),
+        source=source.astype(np.uint8).view(cell).ravel(),
+        length=np.array(list(map(len, text)), np.intp),
+    )
+    for array in vars(layout).values():
+        array.setflags(write=False)
+    return layout
 
 
 def sanitize(value):

@@ -262,17 +262,6 @@ def instantaneous_rabi(config, t, e_signal):
     return exact_rabi_magnitude(config.omega_local, omega_signal, theta)
 
 
-def beat_amplitude_linear(omega_local, omega_signal):
-    """Small-signal first-harmonic amplitude of the beat, in rad/s."""
-    if omega_signal < 0.0 or omega_local <= 0.0:
-        raise InvalidParameterError("need omega_local > 0 and omega_signal >= 0")
-    if omega_signal >= omega_local:
-        raise InvalidParameterError(
-            "linearized beat amplitude requires omega_signal < omega_local"
-        )
-    return omega_signal
-
-
 # ---------------------------------------------------------------------------
 # operating point
 

@@ -347,6 +347,12 @@ def test_runtime_failure_reports_error_json(tmp_path, capsys):
     assert error["category"] == "domain"
     assert "delta_beta" in error["message"]
     assert not (tmp_path / "p" / "readout.json").exists()
+    # validate builds the pointer's models too, so it refuses the same config
+    code, out = run_cli(capsys, "validate", cfg)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "domain"
+    assert "pointer.delta_beta" in error["message"]
 
 
 def test_cli_import_loads_no_scipy_integrate_optimize_or_signal():

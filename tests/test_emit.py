@@ -2,14 +2,48 @@
 
 import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rydsag import cli
 from rydsag.emit import UNDEFINED, format_cell, sanitize, write_csv, write_json
 from rydsag.errors import InvalidParameterError
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def reference_csv(path, header, columns):
+    """The per-row writer that the block writer replaced: one '%.9g' /
+    '%s' template applied to each row of Python values."""
+    specs, values = [], []
+    for column in columns:
+        array = np.asarray(column)
+        if array.dtype.kind == "f":
+            specs.append("%.9g")
+            values.append(array.tolist())
+        else:
+            specs.append("%s")
+            values.append([format_cell(value) for value in array.tolist()])
+    template = ",".join(specs) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(format_cell(name) for name in header) + "\n")
+        handle.writelines(map(template.__mod__, zip(*values)))
+    return path
+
+
+def assert_matches_reference(directory, header, columns):
+    written = write_csv(directory / "block.csv", header, columns)
+    reference = reference_csv(directory / "reference.csv", header, columns)
+    assert written.read_bytes() == reference.read_bytes()
+
+
+def float_bits(x):
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
 
 
 def test_format_cell_types():
@@ -71,6 +105,93 @@ def test_write_csv_bytes(tmp_path):
         b"-0,12345678901,true,z\n"
     )
     assert b"\r" not in raw
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+@example(float_bits(0.0))
+@example(float_bits(-0.0))
+@example(float_bits(5e-324))
+@example(float_bits(1.7976931348623157e308))
+@example(float_bits(0.5))
+@example(float_bits(2.5))
+@example(float_bits(123456789.5))
+@example(float_bits(999999999.5))
+@example(float_bits(99999999.95))
+@example(float_bits(9.9999999995e-5))
+@example(float_bits(1e-5))
+@example(float_bits(1e-4))
+@example(float_bits(1e22))
+@example(float_bits(1e23))
+@example(float_bits(math.nextafter(1e9, 0.0)))
+@example(float_bits(math.nextafter(1e9, math.inf)))
+@example(float_bits(math.nextafter(1e-4, 0.0)))
+@example(float_bits(math.nextafter(1e-4, math.inf)))
+@example(float_bits(1.770842505e-12))
+@example(float_bits(9494954.215))
+@example(float_bits(3.131294555e27))
+def test_write_csv_float_is_percent_9g(tmp_path_factory, bits):
+    # every double, from its raw bit pattern: NaN payloads, subnormals,
+    # both zeros, ties and the carry across a power of ten
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    path = write_csv(tmp_path_factory.mktemp("bits") / "one.csv", ["x"], [np.array([x])])
+    assert path.read_bytes() == ("x\n" + "%.9g\n" % x).encode("ascii")
+
+
+def test_write_csv_random_bit_patterns_match_reference(tmp_path):
+    # four 50 000-row columns span several blocks; the fifth holds decimal
+    # ties m.mmmmmmmm5eE, whose nearest doubles often scale to exactly .5
+    rng = np.random.default_rng(20261018)
+    rows = 50_000
+    bits = rng.integers(0, 2**64, size=(4, rows), dtype=np.uint64, endpoint=False)
+    ties = [
+        float(f"{m}5e{e}")
+        for m, e in zip(rng.integers(10**8, 10**9, rows), rng.integers(-23, 22, rows))
+    ]
+    columns = [*bits.view(np.float64), ties]
+    assert_matches_reference(tmp_path, ["a", "b", "c", "d", "ties"], columns)
+
+
+def test_write_csv_other_float_widths_match_reference(tmp_path):
+    rng = np.random.default_rng(7)
+    rows = 3000
+    half = rng.integers(0, 2**16, rows, dtype=np.uint16).view(np.float16)
+    single = rng.integers(0, 2**32, rows, dtype=np.uint32).view(np.float32)
+    extended = rng.standard_normal(rows).astype(np.longdouble) / 3
+    # beyond the double range on both sides, and a third to round
+    extended[:3] = [np.longdouble("1e400"), np.longdouble("-1e-400"), np.longdouble(1) / 3]
+    columns = [half, single, extended]
+    assert_matches_reference(tmp_path, ["half", "single", "long"], columns)
+
+
+def test_write_csv_zero_rows_is_header_only(tmp_path):
+    path = write_csv(tmp_path / "empty.csv", ["a", "b"], [np.zeros(0), []])
+    assert path.read_bytes() == b"a,b\n"
+
+
+def test_write_csv_string_cells_keep_nul_and_utf8(tmp_path):
+    text = ["a\x00b", "\x00", "é", "", "trailing\x00"]
+    columns = [np.arange(5), text, [0.25, -1e-300, math.nan, 1e300, 7.0]]
+    assert_matches_reference(tmp_path, ["i", "s", "f"], columns)
+    assert b",a\x00b," in (tmp_path / "block.csv").read_bytes()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_config_csv_bytes_match_reference(config, tmp_path, monkeypatch):
+    # every CSV a shipped config writes, rewritten by the per-row writer
+    calls = []
+
+    def spy(path, header, columns):
+        calls.append((path, header, columns))
+        return write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "write_csv", spy)
+    out_dir = tmp_path / "out"
+    assert cli.main(["simulate", str(config), "--output-dir", str(out_dir)]) == 0
+    written = sorted(path.name for path in out_dir.glob("*.csv"))
+    assert written == sorted(Path(path).name for path, _, _ in calls)
+    for path, header, columns in calls:
+        reference = reference_csv(tmp_path / "reference.csv", header, columns)
+        assert Path(path).read_bytes() == reference.read_bytes()
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):

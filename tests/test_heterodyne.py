@@ -18,7 +18,6 @@ from rydsag.heterodyne import (
     READOUT_SCHEMES,
     HeterodyneConfig,
     SweepPoint,
-    beat_amplitude_linear,
     beat_metrics,
     calibration_curve,
     comparison_from_points,
@@ -81,12 +80,6 @@ def test_exact_rabi_magnitude_limits():
     assert exact_rabi_magnitude(ol, os, math.pi) == pytest.approx(ol - os, rel=1e-12)
     quad = exact_rabi_magnitude(ol, os, math.pi / 2)
     assert quad == pytest.approx(math.hypot(ol, os), rel=1e-12)
-
-
-def test_beat_amplitude_linear_is_signal_rabi():
-    assert beat_amplitude_linear(3.0e7, 2.0e5) == pytest.approx(2.0e5)
-    with pytest.raises(InvalidParameterError):
-        beat_amplitude_linear(1.0e6, 1.0e6)
 
 
 def test_instantaneous_rabi_harmonics():
