@@ -7,14 +7,16 @@ Errors are serialized as machine-readable JSON on stdout with a nonzero
 exit status.
 
 Subcommands:
-  simulate <config> [--output-dir D] [--seed N] [--threads N]
+  simulate <config> [--output-dir D] [--seed N]
   validate <config>
   schema <experiment>
 
-``--threads N`` evaluates the heterodyne sweep points on N threads.  The
-output bytes do not depend on N; peak memory grows with it, since each
-thread holds its own detected records (README.md gives measured times
-and memory).
+The heterodyne sweep evaluates its points on a thread pool, one thread
+per usable CPU up to the number of swept amplitudes.  Each point draws
+from its own child seed, so the output bytes do not depend on the pool;
+peak memory grows with it, since each thread holds its own detected
+record of about two record lengths (README.md gives measured times and
+memory).
 
 Output directory precedence: --output-dir flag, then the
 RYDSAG_OUTPUT_DIR environment variable, then the config's output_dir,
@@ -518,7 +520,13 @@ def _scheme_files(out_dir, scheme, points, fit):
     return [json_path, csv_path]
 
 
-def _run_heterodyne(config, out_dir, seed, threads):
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_heterodyne(config, out_dir, seed):
     medium = LadderSystemParams(**config["medium"])
     detector = DetectorParams(**config["detector"])
     compare = config["heterodyne"]["compare"]
@@ -527,11 +535,9 @@ def _run_heterodyne(config, out_dir, seed, threads):
     pointer = PointerSetup(post=PostSelection(math.pi / 4), coupling=coupling, beam=beam)
 
     sweep = scheme_comparison if compare else sensitivity_sweep
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            result = sweep(hetero, medium, pointer, detector, seed, map_fn=pool.map)
-    else:
-        result = sweep(hetero, medium, pointer, detector, seed)
+    workers = min(_usable_cpus(), len(hetero.e_signal))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        result = sweep(hetero, medium, pointer, detector, seed, map_fn=pool.map)
 
     if not compare:
         return _scheme_files(
@@ -622,7 +628,7 @@ def _resolve_output_dir(config, cli_dir):
     return config.get("output_dir") or "."
 
 
-def run(config, out_dir, seed, threads=1):
+def run(config, out_dir, seed):
     """Dispatch one validated config; returns the manifest path."""
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -637,7 +643,7 @@ def run(config, out_dir, seed, threads=1):
     elif experiment == "stabilize":
         written = _run_stabilize(config, out_dir, seed)
     elif experiment == "heterodyne":
-        written = _run_heterodyne(config, out_dir, seed, threads)
+        written = _run_heterodyne(config, out_dir, seed)
     elif experiment == "calibrate":
         written = _run_calibrate(config, out_dir, seed)
     elif experiment == "limits":
@@ -676,7 +682,6 @@ def main(argv=None):
     sim.add_argument("config_path")
     sim.add_argument("--output-dir", default="")
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--threads", type=int, default=1)
 
     val = sub.add_parser("validate", help="check a config and echo defaults")
     val.add_argument("config_path")
@@ -694,12 +699,10 @@ def main(argv=None):
         if args.command == "validate":
             print(json.dumps(sanitize(config), indent=2, sort_keys=True))
             return 0
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         seed = config["seed"] if args.seed is None else args.seed
         _check_seed(seed)
         out_dir = _resolve_output_dir(config, args.output_dir)
-        manifest = run(config, out_dir, seed, args.threads)
+        manifest = run(config, out_dir, seed)
         print(manifest)
         return 0
     except SimulationError as exc:

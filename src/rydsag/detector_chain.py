@@ -24,6 +24,13 @@ from .errors import InvalidParameterError, RegimeWarning
 
 MAX_SAMPLES = 100_000_000
 
+# The chain works through a record BLOCK samples at a time, and psd
+# transforms CHUNK segments at a time, so that no temporary is near the
+# size of a record: 128 KiB blocks and, at 2048-sample segments, 0.5 MiB
+# chunks.  A record with two channels then peaks at about two records.
+BLOCK = 16_384
+CHUNK = 32
+
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -84,7 +91,6 @@ class TimeSeries:
 
     fs: float
     samples: np.ndarray
-    t0: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.fs) or self.fs <= 0.0:
@@ -97,7 +103,7 @@ class TimeSeries:
         object.__setattr__(self, "samples", samples)
 
     def times(self):
-        return self.t0 + np.arange(self.samples.size) / self.fs
+        return np.arange(self.samples.size) / self.fs
 
 
 # ---------------------------------------------------------------------------
@@ -171,39 +177,48 @@ def _bandwidth_filter(x, det, fs):
     """Single-pole low-pass at the detector bandwidth, settled at x[0]."""
     a = math.exp(-2.0 * math.pi * det.bandwidth / fs)
     # far above the sample rate the pole rounds away: skip the filter only
-    # when every step of the recursion provably returns its input
+    # when every step of the recursion provably returns its input, checked
+    # a block at a time
     if a == 0.0 or (
         1.0 - a == 1.0
         and x[0] + a * x[0] == x[0]
-        and np.array_equal(x[1:] + a * x[:-1], x[1:])
+        and all(
+            np.array_equal(x[i + 1 : j + 1] + a * x[i:j], x[i + 1 : j + 1])
+            for i, j in _blocks(x.size - 1, 1)
+        )
     ):
         return x
     return one_pole((1.0 - a) * x, a, y0=x[0])
 
 
-def _common_mode_factors(rng, det, fs, n, size, channels):
-    """RIN factor and each channel's share of the line (either may be None).
+def _blocks(n, period):
+    """(start, stop) ranges of about BLOCK samples that cover n samples.
 
-    The line spans the record's ``n`` samples.  The factor spans ``size``
-    samples; past ``n`` it holds ones.
+    A block holds whole periods when a period fits in BLOCK samples, and
+    a piece of one period otherwise, so that a period tiled
+    max(BLOCK // period, 1) times, read from start % period on, lines up
+    with every block.
     """
-    factor = None
-    if det.rin > 0.0:
-        factor = np.zeros(size)
-        rng.standard_normal(out=factor[:n])
-        factor *= det.rin * math.sqrt(0.5 * fs)
-        factor += 1.0
-    line = None
-    if det.line_amp_w > 0.0 and det.line_freq_hz > 0.0:
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        line = np.arange(n, dtype=float)
-        line /= fs
-        line *= 2.0 * math.pi * det.line_freq_hz
-        line += phase
-        np.sin(line, out=line)
-        line *= det.line_amp_w
-        line /= channels
-    return factor, line
+    if period <= BLOCK:
+        step = BLOCK // period * period
+        return [(start, min(start + step, n)) for start in range(0, n, step)]
+    return [
+        (start, min(start + BLOCK, row + period, n))
+        for row in range(0, n, period)
+        for start in range(row, min(row + period, n), BLOCK)
+    ]
+
+
+def _line(det, phase, fs, start, stop, channels):
+    """Each channel's share of the line over samples start:stop."""
+    line = np.arange(start, stop, dtype=float)
+    line /= fs
+    line *= 2.0 * math.pi * det.line_freq_hz
+    line += phase
+    np.sin(line, out=line)
+    line *= det.line_amp_w
+    line /= channels
+    return line
 
 
 def channel_readout(channels):
@@ -212,15 +227,18 @@ def channel_readout(channels):
     One channel reads out as its power; two read out as the contrast
     eta = (P_left - P_right) / (P_left + P_right), zero where no power
     arrives.  The powers must be >= 0, so the difference is already zero
-    wherever the sum is; the sum overwrites the left record and the
-    contrast the difference.
+    wherever the sum is.  A block at a time, the difference overwrites
+    the left record and the contrast the difference.
     """
     if len(channels) == 1:
         return channels[0]
     left, right = channels
-    eta = left - right
-    total = np.add(left, right, out=left)
-    return np.divide(eta, total, out=eta, where=total > 0.0)
+    for start, stop in _blocks(left.size, 1):
+        eta, other = left[start:stop], right[start:stop]
+        total = eta + other
+        np.subtract(eta, other, out=eta)
+        np.divide(eta, total, out=eta, where=total > 0.0)
+    return left
 
 
 def sample_timeseries(clean, det, fs, duration, seed):
@@ -237,7 +255,8 @@ def sample_timeseries(clean, det, fs, duration, seed):
     noise, applies any common-mode intensity noise and line (split evenly
     across the channels), low-passes each channel at the detector
     bandwidth, clamps negative powers, and reads out through
-    channel_readout.  Reproducible from the seed.
+    channel_readout.  Reproducible from the seed: the RIN factor is drawn
+    first, then the line's phase, then each channel's noise in turn.
     """
     n = _sample_count(fs, duration)
     if fs > 2.0 * det.bandwidth:
@@ -264,37 +283,42 @@ def sample_timeseries(clean, det, fs, duration, seed):
             f"got shape {powers[0].shape}"
         )
 
-    # each channel's record is one buffer of rows x period samples, zero
-    # past n, so one period of the clean power and of the noise deviation
-    # broadcasts over its (rows, period) view
-    shape = (-(-n // period), period)
-    size = shape[0] * period
+    # record = noise * sigma + (factor * power + line), one block at a time;
+    # the last channel's draws come last in the stream, so its noise is
+    # drawn block by block and its record takes over the factor's buffer,
+    # each block once no channel needs its factor any more
+    blocks = _blocks(n, period)
+    reps = max(BLOCK // period, 1)
     rng = np.random.default_rng(seed)
-    factor, line = _common_mode_factors(rng, det, fs, n, size, len(powers))
-    scratch = None if factor is None and line is None else np.empty(size)
+    factor = None
+    if det.rin > 0.0:
+        factor = rng.standard_normal(n)
+        factor *= det.rin * math.sqrt(0.5 * fs)
+        factor += 1.0
+    phase = None
+    if det.line_amp_w > 0.0 and det.line_freq_hz > 0.0:
+        phase = rng.uniform(0.0, 2.0 * math.pi)
     channels = []
-    for power in powers:
-        record = np.zeros(size)
-        rng.standard_normal(out=record[:n])
-        grid = record.reshape(shape)
-        grid *= _noise_sigma(power, det, fs)
-        if scratch is None:
-            grid += power
-        else:
-            if factor is None:
-                scratch.reshape(shape)[:] = power
+    for i, power in enumerate(powers):
+        sigma = np.tile(_noise_sigma(power, det, fs), reps)
+        power = np.tile(power, reps)
+        in_factor = factor is not None and i == len(powers) - 1
+        record = factor if in_factor else rng.standard_normal(n)
+        for start, stop in blocks:
+            at = start % period
+            block, p = record[start:stop], power[at : at + stop - start]
+            if in_factor:
+                common = np.multiply(block, p, out=block)
+                noise = rng.standard_normal(stop - start)
             else:
-                np.multiply(factor.reshape(shape), power, out=scratch.reshape(shape))
-            if line is not None:
-                scratch[:n] += line
-            record += scratch
-        channels.append(record[:n])
-    # free the common-mode buffers before the filter's exactness check
-    # allocates its record-sized temporaries
-    del factor, line, scratch
-    for i, record in enumerate(channels):
+                noise = block
+                common = p if factor is None else factor[start:stop] * p
+            noise *= sigma[at : at + stop - start]
+            if phase is not None:
+                common = common + _line(det, phase, fs, start, stop, len(powers))
+            np.add(noise, common, out=block)
         filtered = _bandwidth_filter(record, det, fs)
-        channels[i] = np.clip(filtered, 0.0, None, out=filtered)
+        channels.append(np.clip(filtered, 0.0, None, out=filtered))
     return TimeSeries(fs=fs, samples=channel_readout(channels))
 
 
@@ -328,14 +352,19 @@ def psd(ts, segment_length, overlap=None):
     hop = segment_length - overlap
     count = (samples.size - overlap) // hop
     segments = sliding_window_view(samples, segment_length)[::hop][:count]
-    segments = segments - segments.mean(axis=-1, keepdims=True)
     window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, segment_length + 1)[:-1])
-    # scaled in scipy's operation order, so the two agree bit for bit
-    segments *= window * (1.0 / np.sqrt(sum(window**2) / (1.0 / fs)))
-    spectra = fft.rfft(segments, axis=-1)
-    del segments  # free each record-sized intermediate before the next
-    # (frequency, segment) layout, as scipy averages it, so the sums round alike
-    density = np.ascontiguousarray((spectra.real**2 + spectra.imag**2).T)
-    del spectra
+    # scaled in scipy's operation order, and laid out (frequency, segment)
+    # as scipy averages it, so the two agree bit for bit
+    scale = window * (1.0 / np.sqrt(sum(window**2) / (1.0 / fs)))
+    density = np.empty((segment_length // 2 + 1, count))
+    for start in range(0, count, CHUNK):
+        chunk = segments[start : start + CHUNK]
+        chunk = chunk - chunk.mean(axis=-1, keepdims=True)
+        chunk *= scale
+        spectra = fft.rfft(chunk, axis=-1)
+        del chunk  # free each chunk-sized intermediate before the next
+        power = np.square(spectra.real.T, out=density[:, start : start + CHUNK])
+        power += np.square(spectra.imag.T)
+        del spectra
     density[1 : -1 if segment_length % 2 == 0 else None] *= 2.0
     return fft.rfftfreq(segment_length, 1.0 / fs), density.mean(axis=-1)

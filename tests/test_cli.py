@@ -271,20 +271,6 @@ def test_repeat_runs_byte_identical_except_manifest(tmp_path, capsys):
     assert m1 == m2
 
 
-def test_threaded_sweep_matches_serial(tmp_path, capsys):
-    cfg = write_config(tmp_path, FAST_HETERODYNE)
-    serial_dir = tmp_path / "serial"
-    threaded_dir = tmp_path / "threaded"
-    code, _ = run_cli(
-        capsys, "simulate", cfg, "--output-dir", str(serial_dir), "--threads", "1")
-    assert code == 0
-    code, _ = run_cli(
-        capsys, "simulate", cfg, "--output-dir", str(threaded_dir), "--threads", "4")
-    assert code == 0
-    for name in ("sensitivity_dispersion.json", "sweep_dispersion.csv"):
-        assert (serial_dir / name).read_bytes() == (threaded_dir / name).read_bytes()
-
-
 def test_runtime_failure_reports_error_json(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

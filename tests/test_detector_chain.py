@@ -8,10 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.constants as sc
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import constants, signal
+from scipy import fft as sfft
 
 from rydsag import heterodyne
 from rydsag.detector_chain import (
+    BLOCK,
+    CHUNK,
     MAX_SAMPLES,
     DetectorParams,
     TimeSeries,
@@ -150,6 +154,46 @@ def test_psd_matches_scipy_welch(n, segment_length, overlap):
     assert_matches_oracle(density, ref_density)
 
 
+def _reference_psd(ts, segment_length, overlap=None):
+    """The whole-record psd as it stood before it transformed the segments
+    a chunk at a time, kept as the oracle of the chunked one."""
+    samples = ts.samples
+    segment_length = int(segment_length)
+    if overlap is None:
+        overlap = segment_length // 2
+    fs = ts.fs
+    hop = segment_length - overlap
+    count = (samples.size - overlap) // hop
+    segments = sliding_window_view(samples, segment_length)[::hop][:count]
+    segments = segments - segments.mean(axis=-1, keepdims=True)
+    window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, segment_length + 1)[:-1])
+    segments *= window * (1.0 / np.sqrt(sum(window**2) / (1.0 / fs)))
+    spectra = sfft.rfft(segments, axis=-1)
+    density = np.ascontiguousarray((spectra.real**2 + spectra.imag**2).T)
+    density[1 : -1 if segment_length % 2 == 0 else None] *= 2.0
+    return sfft.rfftfreq(segment_length, 1.0 / fs), density.mean(axis=-1)
+
+
+@pytest.mark.parametrize(
+    "n, segment_length, overlap",
+    [
+        (1_500_000, 2048, None),  # 1463 segments
+        (3 * CHUNK * 256 + 100, 256, 0),  # three whole chunks
+        ((5 * CHUNK + 3) * 1001, 1001, 0),  # odd length, a partial chunk
+        (100_000, 1023, 500),
+        (CHUNK * 64, 128, None),  # one segment short of a chunk
+        (4096, 4096, None),  # a single segment
+    ],
+)
+def test_chunked_psd_is_bit_equal_to_whole_record_psd(n, segment_length, overlap):
+    rng = np.random.default_rng(n)
+    series = TimeSeries(fs=3.3e6, samples=1.0 + 3.0 * rng.standard_normal(n))
+    freqs, density = psd(series, segment_length, overlap)
+    ref_freqs, ref_density = _reference_psd(series, segment_length, overlap)
+    assert_same_bits(freqs, ref_freqs)
+    assert_same_bits(density, ref_density)
+
+
 @pytest.mark.parametrize("n", [1, 1009, 1_500_000])
 @pytest.mark.parametrize("a", [0.0, 1.8e-23, 0.5, 0.939, 0.999, 0.99997])
 @pytest.mark.parametrize("y0", [0.0, 2.5])
@@ -201,12 +245,14 @@ def test_bandwidth_filter_skips_only_an_exact_identity():
     assert skipped is x
     assert np.array_equal(skipped, one_pole((1.0 - a) * x, a, y0=x[0]))
 
-    # a zero sample after a nonzero one keeps a * x[n-1]: no skip
-    holed = x.copy()
-    holed[10] = 0.0
-    filtered = _bandwidth_filter(holed, det, fs)
-    assert filtered[10] == a * holed[9] > 0.0
-    assert np.array_equal(filtered, one_pole((1.0 - a) * holed, a, y0=holed[0]))
+    # a zero sample after a nonzero one keeps a * x[n-1]: no skip, in the
+    # first block, on a block edge or at the last sample
+    for hole in (10, BLOCK, x.size - 1):
+        holed = x.copy()
+        holed[hole] = 0.0
+        filtered = _bandwidth_filter(holed, det, fs)
+        assert filtered[hole] == a * holed[hole - 1] > 0.0
+        assert np.array_equal(filtered, one_pole((1.0 - a) * holed, a, y0=holed[0]))
 
     # a bandwidth of fs/10 is a real low-pass
     slow = DetectorParams(bandwidth=fs / 10)
@@ -245,8 +291,8 @@ def test_detector_params_validation():
 
 
 def test_timeseries_times():
-    ts = TimeSeries(fs=10.0, samples=np.zeros(5), t0=1.0)
-    assert np.allclose(ts.times(), 1.0 + np.arange(5) / 10.0)
+    ts = TimeSeries(fs=10.0, samples=np.zeros(5))
+    assert np.array_equal(ts.times(), np.arange(5) / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +401,6 @@ def test_in_place_readout_is_bit_equal_to_the_old_readout():
 
 
 ORACLE_FS = 1.0e6
-ORACLE_DURATION = 0.006
-ORACLE_SAMPLES = 6000
 
 
 def _periodic_channels(channels, period):
@@ -373,9 +417,31 @@ def _periodic_channels(channels, period):
     return (left, right)[2 - channels :]
 
 
+# a record of several blocks, the last one partial
+LONG = 2 * BLOCK + 7_000
+
+
 @pytest.mark.parametrize("channels", [1, 2])
-@pytest.mark.parametrize("period", [None, 20, 7, 6000], ids=["scalar", "20", "7", "n"])
-def test_periodic_chain_is_bit_equal_to_full_length_chain(channels, period):
+@pytest.mark.parametrize(
+    "period, samples",
+    [
+        (None, 6000),
+        (20, 6000),
+        (7, 6000),
+        (6000, 6000),
+        # 20 and 7 do not divide the block size, and a period longer than
+        # a block is split into pieces of one period
+        (None, LONG),
+        (20, LONG),
+        (7, LONG),
+        (BLOCK + 600, LONG),
+        (LONG, LONG),
+    ],
+    ids=["scalar", "20", "7", "n", "scalar-blocks", "20-blocks", "7-blocks",
+         "over-block-blocks", "n-blocks"],
+)
+def test_periodic_chain_is_bit_equal_to_full_length_chain(channels, period, samples):
+    duration = samples / ORACLE_FS
     clean = _periodic_channels(channels, period)
     base = DetectorParams()
     detectors = [
@@ -388,11 +454,10 @@ def test_periodic_chain_is_bit_equal_to_full_length_chain(channels, period):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             reference = _reference_sample_timeseries(
-                lambda t: _repeated(clean, t.size), det, ORACLE_FS, ORACLE_DURATION,
-                seed)
-            periodic = sample_timeseries(clean, det, ORACLE_FS, ORACLE_DURATION, seed)
+                lambda t: _repeated(clean, t.size), det, ORACLE_FS, duration, seed)
+            periodic = sample_timeseries(clean, det, ORACLE_FS, duration, seed)
             full = sample_timeseries(
-                _repeated(clean, ORACLE_SAMPLES), det, ORACLE_FS, ORACLE_DURATION, seed)
+                _repeated(clean, samples), det, ORACLE_FS, duration, seed)
         assert_same_bits(periodic.samples, reference.samples)
         assert_same_bits(full.samples, reference.samples)
 
@@ -430,23 +495,37 @@ def test_heterodyne_records_equal_the_full_length_path(
     assert_same_bits(periodic, run())
 
 
-def test_periodic_chain_memory_stays_near_the_record_size():
-    # two channels of a 20-sample period with RIN: assembly holds both
-    # channel records, the RIN factor and one scratch record, and the
-    # contrast readout both channels and the difference it divides in
-    # place, so the chain needs about 4 records and must stay near that
-    fs = 3.0e6
-    clean = _periodic_channels(2, 20)
-    det = DetectorParams(rin=1e-7)
-    n = 300_000
+def _peak_bytes(fn):
+    """Result of fn() and the peak of memory traced while it ran."""
     tracemalloc.start()
     try:
-        ts = sample_timeseries(clean, det, fs, n / fs, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ts.samples.size == n
-    assert peak <= 4.5 * ts.samples.nbytes
+
+
+def test_periodic_chain_memory_stays_near_the_record_size():
+    # a 20-sample period with RIN: two channels hold the first channel's
+    # record and the RIN factor, whose buffer becomes the second channel's
+    # record, so the chain needs about 2 records; one channel needs about
+    # one, the factor's buffer; blocks and the finiteness check add a little
+    fs = 3.0e6
+    det = DetectorParams(rin=1e-7)
+    n = 300_000
+    for channels, bound in ((2, 2.5), (1, 1.5)):
+        clean = _periodic_channels(channels, 20)
+        ts, peak = _peak_bytes(lambda: sample_timeseries(clean, det, fs, n / fs, seed=0))
+        assert ts.samples.size == n
+        assert peak <= bound * ts.samples.nbytes
+
+
+def test_psd_memory_stays_near_its_input():
+    # the (frequency, segment) density is about one record; the chunks of
+    # segments in flight add a little
+    series = TimeSeries(fs=3.0e6, samples=np.random.default_rng(0).standard_normal(300_000))
+    _, peak = _peak_bytes(lambda: psd(series, 2048))
+    assert peak <= 2.0 * series.samples.nbytes
 
 
 def test_channels_of_unequal_or_excess_length_are_rejected():

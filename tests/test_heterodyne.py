@@ -337,17 +337,22 @@ def test_sensitivity_sweep_dispersion_linearity():
 
 
 def test_sensitivity_sweep_map_fn_equivalence():
-    # a thread-pool map must give bit-identical numbers to the serial map
+    # a thread-pool map of any size must give bit-identical numbers to the
+    # serial map, for one sweep and for the scheme comparison
     from concurrent.futures import ThreadPoolExecutor
 
     cfg = config()
     det = DetectorParams(rin=7.0e-7)
     serial = sensitivity_sweep(cfg, MEDIUM, POINTER, det, seed=3)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = sensitivity_sweep(
-            cfg, MEDIUM, POINTER, det, seed=3, map_fn=pool.map)
-    assert [(p.e_signal, p.snr_db, p.beat_db) for p in serial] == [
-        (p.e_signal, p.snr_db, p.beat_db) for p in threaded]
+    serial_comparison = scheme_comparison(cfg, MEDIUM, POINTER, det, seed=3)
+    for workers in (1, 2, 4):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            threaded = sensitivity_sweep(
+                cfg, MEDIUM, POINTER, det, seed=3, map_fn=pool.map)
+            comparison = scheme_comparison(
+                cfg, MEDIUM, POINTER, det, seed=3, map_fn=pool.map)
+        assert threaded == serial
+        assert comparison == serial_comparison
 
 
 def test_snr_nonincreasing_in_nep():
