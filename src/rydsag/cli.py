@@ -521,6 +521,7 @@ def _scheme_files(out_dir, scheme, points, fit):
 
 
 def _usable_cpus():
+    """CPUs this process may run on (all of them where that is unknown)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 import rydsag
+from rydsag import cli
 from rydsag.cli import EXPERIMENTS, MAX_GRID_POINTS, load_config, main
 from rydsag.errors import ConfigError
 
@@ -269,6 +270,32 @@ def test_repeat_runs_byte_identical_except_manifest(tmp_path, capsys):
     m2 = json.loads((dirs[1] / "manifest.json").read_text())
     m1.pop("wall_time_s"), m2.pop("wall_time_s")
     assert m1 == m2
+
+
+def test_heterodyne_pool_has_a_worker_per_usable_cpu_up_to_the_amplitudes(
+    tmp_path, capsys, monkeypatch
+):
+    # the sweep's three records run on min(usable CPUs, 3) threads, and the
+    # output bytes do not depend on how many
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    cfg = write_config(tmp_path, FAST_HETERODYNE)
+    for cpus in (1, 8):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        code, _ = run_cli(
+            capsys, "simulate", cfg, "--output-dir", str(tmp_path / str(cpus)))
+        assert code == 0
+    assert sizes == [1, 3]
+    for name in ("sensitivity_dispersion.json", "sweep_dispersion.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "8" / name).read_bytes()
 
 
 def test_runtime_failure_reports_error_json(tmp_path, capsys):

@@ -337,22 +337,29 @@ def test_sensitivity_sweep_dispersion_linearity():
 
 
 def test_sensitivity_sweep_map_fn_equivalence():
-    # a thread-pool map of any size must give bit-identical numbers to the
-    # serial map, for one sweep and for the scheme comparison
+    # a thread-pool map of any size, with threads switching often, must
+    # give bit-identical numbers to the serial map, for one sweep and for
+    # the scheme comparison
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
     cfg = config()
     det = DetectorParams(rin=7.0e-7)
     serial = sensitivity_sweep(cfg, MEDIUM, POINTER, det, seed=3)
     serial_comparison = scheme_comparison(cfg, MEDIUM, POINTER, det, seed=3)
-    for workers in (1, 2, 4):
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            threaded = sensitivity_sweep(
-                cfg, MEDIUM, POINTER, det, seed=3, map_fn=pool.map)
-            comparison = scheme_comparison(
-                cfg, MEDIUM, POINTER, det, seed=3, map_fn=pool.map)
-        assert threaded == serial
-        assert comparison == serial_comparison
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 4):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                threaded = sensitivity_sweep(
+                    cfg, MEDIUM, POINTER, det, seed=3, map_fn=pool.map)
+                comparison = scheme_comparison(
+                    cfg, MEDIUM, POINTER, det, seed=3, map_fn=pool.map)
+            assert threaded == serial
+            assert comparison == serial_comparison
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_snr_nonincreasing_in_nep():
