@@ -85,15 +85,6 @@ from .weak_pointer import (
 
 OUTPUT_DIR_ENV = "RYDSAG_OUTPUT_DIR"
 
-EXPERIMENTS = (
-    "spectrum",
-    "pointer",
-    "stabilize",
-    "heterodyne",
-    "calibrate",
-    "limits",
-)
-
 _V_PER_M_PER_V_PER_CM = 100.0
 
 # Largest grid or record a config may ask for: 2**21 float64 samples are
@@ -616,6 +607,18 @@ def _run_limits(config, out_dir, seed):
     return [json_path]
 
 
+_RUNNERS = {
+    "spectrum": _run_spectrum,
+    "pointer": _run_pointer,
+    "stabilize": _run_stabilize,
+    "heterodyne": _run_heterodyne,
+    "calibrate": _run_calibrate,
+    "limits": _run_limits,
+}
+
+EXPERIMENTS = tuple(_RUNNERS)
+
+
 # ---------------------------------------------------------------------------
 # orchestration
 
@@ -636,21 +639,10 @@ def run(config, out_dir, seed):
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     experiment = config["experiment"]
-    started = time.perf_counter()
-    if experiment == "spectrum":
-        written = _run_spectrum(config, out_dir, seed)
-    elif experiment == "pointer":
-        written = _run_pointer(config, out_dir, seed)
-    elif experiment == "stabilize":
-        written = _run_stabilize(config, out_dir, seed)
-    elif experiment == "heterodyne":
-        written = _run_heterodyne(config, out_dir, seed)
-    elif experiment == "calibrate":
-        written = _run_calibrate(config, out_dir, seed)
-    elif experiment == "limits":
-        written = _run_limits(config, out_dir, seed)
-    else:
+    if experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {experiment!r}")
+    started = time.perf_counter()
+    written = _RUNNERS[experiment](config, out_dir, seed)
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_json(
         manifest_path,

@@ -79,6 +79,8 @@ class DetectorParams:
         for name in ("gain", "bandwidth", "responsivity", "wavelength"):
             if getattr(self, name) <= 0.0:
                 raise InvalidParameterError(f"{name} must be > 0")
+        if self.responsivity**2 == 0.0:  # the dark-current variance divides by it
+            raise InvalidParameterError(f"responsivity {self.responsivity!r} squares to 0")
 
     @property
     def photon_energy(self):

@@ -143,32 +143,15 @@ class LadderSystemParams:
         return math.sqrt(2.0 * constants.k * self.temperature / self.atomic_mass)
 
 
-@dataclass(frozen=True)
-class SusceptibilityPoint:
-    """Complex susceptibility at one probe detuning."""
-
-    delta_p: float
-    chi: complex
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Susceptibility sampled on a detuning grid, as two aligned arrays.
-
-    Integer indexing and iteration yield ``SusceptibilityPoint`` records.
-    """
+    """Susceptibility sampled on a detuning grid, as two aligned arrays."""
 
     delta_p: np.ndarray
     chi: np.ndarray
 
     def __len__(self):
         return self.delta_p.size
-
-    def __getitem__(self, index):
-        return SusceptibilityPoint(float(self.delta_p[index]), complex(self.chi[index]))
-
-    def __iter__(self):
-        return map(SusceptibilityPoint, self.delta_p.tolist(), self.chi.tolist())
 
 
 @dataclass(frozen=True)
@@ -266,10 +249,10 @@ def _gauss_hermite(n):
     return nodes, weights
 
 
-def doppler_average(params, delta_p, rtol=GH_RTOL):
+def doppler_average(params, delta_p):
     """Thermal-ensemble susceptibility via adaptive Gauss-Hermite quadrature.
 
-    Node count doubles from 64 until successive levels agree to ``rtol``,
+    Node count doubles from 64 until successive levels agree to ``GH_RTOL``,
     raising an accuracy error past 32768 nodes.  Narrow-line warm vapors
     legitimately exhaust the ladder: their velocity integrand varies on a
     scale far below the node spacing.
@@ -285,7 +268,7 @@ def doppler_average(params, delta_p, rtol=GH_RTOL):
         nodes, weights = _gauss_hermite(n)
         values = _chi_values(params, float(delta_p), velocity=u * nodes)
         current = complex(np.dot(weights, values) / math.sqrt(math.pi))
-        if previous is not None and abs(current - previous) <= rtol * abs(current):
+        if previous is not None and abs(current - previous) <= GH_RTOL * abs(current):
             return current
         previous = current
         n *= 2
@@ -437,14 +420,15 @@ def field_from_at_splitting(f_at, dipole_mw):
     return constants.h * f_at / dipole_mw
 
 
-def splitting_vs_drive(params, omega_mw_values, span_linewidths=40.0, points=8192):
+def splitting_vs_drive(params, omega_mw_values):
     """at_splitting swept over microwave drive amplitudes.
 
+    Every drive is read on one grid of 8192 points over 40 linewidths.
     Returns a list of (omega_mw, f_at or None); None marks drives whose
     transparency window did not resolve into two dips.
     """
     results = []
-    grid = detuning_grid(params, span_linewidths, points)
+    grid = detuning_grid(params, 40.0, 8192)
     for omega in omega_mw_values:
         swept = replace(params, omega_mw=float(omega))
         try:

@@ -67,6 +67,10 @@ _MIN_SAMPLES_PER_BEAT = 20
 # samples
 SEGMENT_LENGTH = 2048
 
+# sweep points above 0 dB SNR, and R^2, that a sensitivity fit needs
+_MIN_FIT_POINTS = 3
+_R2_FLOOR = 0.99
+
 DEFAULT_DIPOLE_MW = 1.27e-26
 
 
@@ -297,17 +301,18 @@ def _observable(config, medium, pointer, delta_p, omega_mw):
     return np.exp(2.0 * pair.delta_beta)
 
 
-def operating_point(config, medium, pointer=None, span_linewidths=6.0, points=1501):
+def operating_point(config, medium, pointer=None):
     """Probe detuning maximizing the drive-amplitude response.
 
-    Sweeps the probe across the dressed spectrum, takes the central
+    Sweeps the probe over 1501 points across the dressed spectrum (at
+    least 6 linewidths, and 3 local-tone Rabi frequencies), takes the central
     difference of the scheme observable against the microwave Rabi
     frequency, and parabola-refines the detuning of largest magnitude.
     """
     _require_stationary(medium)
     _check_pointer(config, pointer)
-    span = max(span_linewidths, 3.0 * config.omega_local / medium.gamma_2)
-    grid = detuning_grid(medium, span, points)
+    span = max(6.0, 3.0 * config.omega_local / medium.gamma_2)
+    grid = detuning_grid(medium, span, 1501)
     h = 1.0e-3 * config.omega_local
     upper = _observable(config, medium, pointer, grid, config.omega_local + h)
     lower = _observable(config, medium, pointer, grid, config.omega_local - h)
@@ -390,16 +395,17 @@ def run_beat_experiment(
     return sample_timeseries(clean, detector, config.fs, config.integration_time, seed)
 
 
-def beat_metrics(ts, delta_f, segment_length=SEGMENT_LENGTH):
+def beat_metrics(ts, delta_f):
     """Locate the beat line in a detected record and rate it against the floor.
 
     The line power integrates the density over the peak bin and its two
     neighbors; the floor is the median density away from the line and DC.
-    SNR compares the line power with the floor in a 1 Hz bandwidth.
+    SNR compares the line power with the floor in a 1 Hz bandwidth.  The
+    spectrum is Welch's, over segments of ``SEGMENT_LENGTH`` samples.
     """
     if delta_f <= 0.0:
         raise InvalidParameterError("delta_f must be > 0")
-    freqs, density = psd(ts, segment_length)
+    freqs, density = psd(ts, SEGMENT_LENGTH)
     df = float(freqs[1] - freqs[0])
     searchable = freqs >= 2.5 * df
     if not np.any(searchable):
@@ -425,9 +431,7 @@ def beat_metrics(ts, delta_f, segment_length=SEGMENT_LENGTH):
     )
 
 
-def sensitivity_sweep(
-    config, medium, pointer, detector, seed, segment_length=SEGMENT_LENGTH, map_fn=map
-):
+def sensitivity_sweep(config, medium, pointer, detector, seed, map_fn=map):
     """Beat detection swept over the configured signal amplitudes.
 
     Each amplitude gets an independent child seed, so the sweep is
@@ -442,7 +446,7 @@ def sensitivity_sweep(
         ts = run_beat_experiment(
             config, medium, pointer, detector, child, e_signal, operating
         )
-        metrics = beat_metrics(ts, config.delta_f, segment_length)
+        metrics = beat_metrics(ts, config.delta_f)
         beat_db = (
             10.0 * math.log10(metrics.line_power)
             if metrics.line_power > 0.0
@@ -459,19 +463,18 @@ def sensitivity_sweep(
     return list(map_fn(one_point, zip(config.e_signal, children)))
 
 
-def min_detectable_field(points, snr_floor_db=0.0, min_points=3, r2_floor=0.99):
+def min_detectable_field(points):
     """Field amplitude whose beat would just reach the noise floor.
 
-    Fits SNR in dB against 10 log10(E); the beat line power grows as the
-    field squared, so the expected slope is 2 dB per dB.  The crossing of
-    the fit with the floor gives the minimum detectable field in V/m.
+    Fits SNR in dB against 10 log10(E) over the points above 0 dB; the beat
+    line power grows as the field squared, so the expected slope is 2 dB
+    per dB.  The crossing of the fit with 0 dB gives the minimum detectable
+    field in V/m.
     """
-    usable = [
-        p for p in points if math.isfinite(p.snr_db) and p.snr_db > snr_floor_db
-    ]
-    if len(usable) < min_points:
+    usable = [p for p in points if math.isfinite(p.snr_db) and p.snr_db > 0.0]
+    if len(usable) < _MIN_FIT_POINTS:
         raise FitFailureError(
-            f"need at least {min_points} sweep points above the noise floor, "
+            f"need at least {_MIN_FIT_POINTS} sweep points above the noise floor, "
             f"got {len(usable)}"
         )
     x = np.array([10.0 * math.log10(p.e_signal) for p in usable])
@@ -483,14 +486,14 @@ def min_detectable_field(points, snr_floor_db=0.0, min_points=3, r2_floor=0.99):
     if ss_tot == 0.0:
         raise FitFailureError("sweep SNR does not vary; fit is degenerate")
     r_squared = 1.0 - ss_res / ss_tot
-    if r_squared < r2_floor:
+    if r_squared < _R2_FLOOR:
         raise FitFailureError(
-            f"sensitivity fit R^2 = {r_squared:.4f} below {r2_floor}; "
+            f"sensitivity fit R^2 = {r_squared:.4f} below {_R2_FLOOR}; "
             "the sweep is not in its linear regime"
         )
     if slope <= 0.0:
         raise FitFailureError("fitted SNR slope is not positive")
-    e_min = 10.0 ** ((snr_floor_db - intercept) / slope / 10.0)
+    e_min = 10.0 ** (-intercept / slope / 10.0)
     return SensitivityResult(
         e_min=float(e_min),
         slope_db_per_db=float(slope),
@@ -602,9 +605,7 @@ def comparison_from_points(points_dispersion, points_amplitude):
     )
 
 
-def scheme_comparison(
-    config, medium, pointer, detector, seed, segment_length=SEGMENT_LENGTH, map_fn=map
-):
+def scheme_comparison(config, medium, pointer, detector, seed, map_fn=map):
     """Dispersion against amplitude readout under matched seed and medium.
 
     Runs the same sweep through both schemes, fits both sensitivities, and
@@ -613,13 +614,7 @@ def scheme_comparison(
     """
     points_dispersion, points_amplitude = (
         sensitivity_sweep(
-            replace(config, readout=scheme),
-            medium,
-            pointer,
-            detector,
-            seed,
-            segment_length,
-            map_fn,
+            replace(config, readout=scheme), medium, pointer, detector, seed, map_fn
         )
         for scheme in READOUT_SCHEMES
     )

@@ -104,11 +104,6 @@ def cs_number_density(temperature):
     return cs_vapor_pressure(temperature) / (constants.k * temperature)
 
 
-def atom_number_estimate(geometry, temperature):
-    """Atoms inside the probe-beam volume at the cell temperature."""
-    return cs_number_density(temperature) * geometry.beam_volume()
-
-
 # ---------------------------------------------------------------------------
 # counting limits
 

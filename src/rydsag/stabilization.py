@@ -101,7 +101,6 @@ class LoopTrace:
     ts: TimeSeries
     pid_output: np.ndarray
     disturbance: np.ndarray
-    loop_on_at: float
 
 
 def plant_response(k_offset, phi_f, beam):
@@ -118,10 +117,21 @@ def plant_response(k_offset, phi_f, beam):
     return float(closed_icr(phi_f, 0.0, k_offset, beam.w))
 
 
+def _check_phi_f(phi_f):
+    """The plant needs sin(phi_f) != 0 for a signal and cos(phi_f) != 1 for
+    a nonzero denominator 1 - cos(phi_f) at k_offset = 0."""
+    if not math.isfinite(phi_f):
+        raise InvalidParameterError(f"phi_f must be finite, got {phi_f!r}")
+    if math.sin(phi_f) == 0.0 or math.cos(phi_f) == 1.0:
+        raise InvalidParameterError(
+            "phi_f must not be a multiple of pi, nor so near an even one that "
+            f"cos(phi_f) rounds to 1, got {phi_f!r}"
+        )
+
+
 def plant_gain(phi_f, beam):
     """Small-offset slope d(eta)/d(k_offset) of the which-path pointer."""
-    if math.sin(phi_f) == 0.0:
-        raise InvalidParameterError("phi_f must not be a multiple of pi")
+    _check_phi_f(phi_f)
     return (
         2.0
         * _SQRT2
@@ -211,8 +221,7 @@ def simulate_closed_loop_detailed(
         raise InvalidParameterError("need duration > loop_on_at >= 0")
     if beam is None:
         beam = BeamPointer.centered(DEFAULT_BEAM_W)
-    if math.sin(phi_f) == 0.0:
-        raise InvalidParameterError("phi_f must not be a multiple of pi")
+    _check_phi_f(phi_f)
 
     fs = pid.sample_rate
     n = int(round(duration * fs))
@@ -281,14 +290,7 @@ def simulate_closed_loop_detailed(
     eta = np.concatenate((open_eta, closed_eta))
     control = np.concatenate((np.zeros(split), closed_u))
     ts = TimeSeries(fs=fs, samples=eta)
-    return LoopTrace(ts=ts, pid_output=control, disturbance=disturbance, loop_on_at=loop_on_at)
-
-
-def simulate_closed_loop(pid, drift, duration, loop_on_at, seed, phi_f=DEFAULT_PHI_F, beam=None):
-    """Contrast record of the feedback run (see the detailed variant)."""
-    return simulate_closed_loop_detailed(
-        pid, drift, duration, loop_on_at, seed, phi_f=phi_f, beam=beam
-    ).ts
+    return LoopTrace(ts=ts, pid_output=control, disturbance=disturbance)
 
 
 def suppression_report(ts, loop_on_at):

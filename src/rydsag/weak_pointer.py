@@ -113,8 +113,9 @@ class BeamPointer:
 
     def __post_init__(self):
         _check_finite(w=self.w)
-        if self.w <= 0.0:
-            raise InvalidParameterError(f"beam width w must be > 0, got {self.w!r}")
+        # the meter amplitude's (2 pi w^2)**-0.25 needs w^2 > 0, not just w
+        if self.w <= 0.0 or self.w * self.w == 0.0:
+            raise InvalidParameterError(f"beam width w and w**2 must be > 0, got {self.w!r}")
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size < 3:
             raise InvalidParameterError("beam grid must be 1-D with >= 3 samples")
@@ -154,13 +155,6 @@ class PointerReadout:
     eta: float
     p_post: float
     profile: np.ndarray
-
-    def summary(self):
-        return {
-            "centroid_m": self.centroid,
-            "eta": self.eta,
-            "p_post": self.p_post,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,27 @@ def test_runtime_failure_reports_error_json(tmp_path, capsys):
     assert "pointer.delta_beta" in error["message"]
 
 
+@pytest.mark.parametrize("payload, key", [
+    ({"experiment": "stabilize", "loop": {"phi_f": float("inf")}}, "phi_f"),
+    ({"experiment": "stabilize", "loop": {"phi_f": 1.0e-300}}, "phi_f"),
+    ({"experiment": "pointer", "pointer": {"w": 1.0e-300}}, "pointer.w"),
+    ({**FAST_HETERODYNE, "detector": {"responsivity": 1.0e-300}}, "responsivity"),
+])
+def test_degenerate_phi_f_and_underflowing_squares_exit_with_error_json(
+        tmp_path, capsys, payload, key):
+    # each of these used to end simulate in a ValueError or ZeroDivisionError
+    # traceback
+    cfg = write_config(tmp_path, payload)
+    code = main(["simulate", cfg, "--output-dir", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "" and captured.out.count("\n") == 1
+    error = json.loads(captured.out)["error"]
+    assert set(error) == {"category", "message"}
+    assert error["category"] == "invalid-argument"
+    assert key in error["message"]
+
+
 def test_cli_import_loads_no_scipy_integrate_optimize_or_signal():
     # a fresh interpreter: the oracle tests import these into this one.
     # scipy.integrate serves only the pointer's quadrature oracle and pulls

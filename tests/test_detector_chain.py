@@ -284,6 +284,9 @@ def test_detector_params_validation():
         DetectorParams(nep=-1.0)
     with pytest.raises(InvalidParameterError):
         DetectorParams(responsivity=0.0)
+    # responsivity**2 underflows to 0, and the dark-current variance divides by it
+    with pytest.raises(InvalidParameterError, match="responsivity"):
+        DetectorParams(responsivity=1.0e-300)
     with pytest.raises(InvalidParameterError):
         DetectorParams(wavelength=-1.0)
     assert DetectorParams().photon_energy == pytest.approx(

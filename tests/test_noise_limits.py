@@ -11,7 +11,6 @@ from rydsag.errors import DomainError, InvalidParameterError
 from rydsag.noise_limits import (
     CellGeometry,
     LimitInputs,
-    atom_number_estimate,
     atomic_shot_noise,
     cs_number_density,
     cs_vapor_pressure,
@@ -73,8 +72,6 @@ def test_number_density_frozen():
 
 
 def test_atom_number_for_beam_and_bore():
-    geom = CellGeometry()
-    assert atom_number_estimate(geom, 299.15) == pytest.approx(BEAM_ATOMS, rel=1e-12)
     report = limits_report(LimitInputs())
     assert report["beam_atom_number"] == pytest.approx(BEAM_ATOMS, rel=1e-12)
     assert report["bore_atom_number"] == pytest.approx(BORE_ATOMS, rel=1e-12)

@@ -20,7 +20,6 @@ from rydsag.stabilization import (
     equivalent_phase_deviation,
     plant_gain,
     plant_response,
-    simulate_closed_loop,
     simulate_closed_loop_detailed,
     suppression_report,
     synthesize_drift,
@@ -61,6 +60,18 @@ def test_plant_gain_closed_form():
     expected = 2.0 * math.sqrt(2.0 / math.pi) * BEAM.w * (
         math.sin(PHI_F) / (1.0 - math.cos(PHI_F)))
     assert plant_gain(PHI_F, BEAM) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "phi_f", [math.inf, -math.inf, math.nan, 0.0, 1.0e-300, 2.0 * math.pi])
+def test_phi_f_without_a_plant_is_refused(phi_f):
+    # sin(phi_f) = 0 leaves no error signal, and where cos(phi_f) rounds to 1
+    # the plant's denominator 1 - cos(phi_f) is 0 at the balanced point
+    with pytest.raises(InvalidParameterError, match="phi_f"):
+        plant_gain(phi_f, BEAM)
+    with pytest.raises(InvalidParameterError, match="phi_f"):
+        simulate_closed_loop_detailed(
+            PidParams(), DriftModel(), 0.2, 0.1, seed=0, phi_f=phi_f)
 
 
 def test_plant_response_orthogonal_guard():
@@ -114,7 +125,7 @@ def test_one_over_f_spectrum_slope():
 def test_zero_drift_zero_gains_constant_output():
     drift = DriftModel(one_over_f_amplitude=0.0, white_amplitude=0.0, sinusoids=())
     pid = PidParams(kp=0.0, ki=0.0, kd=0.0)
-    ts = simulate_closed_loop(pid, drift, 1.0, 0.5, seed=0)
+    ts = simulate_closed_loop_detailed(pid, drift, 1.0, 0.5, seed=0).ts
     assert np.all(ts.samples == ts.samples[0])
 
 
@@ -181,8 +192,8 @@ def test_increasing_ki_never_hurts_suppression():
 
 
 def test_loop_determinism_bit_identical():
-    a = simulate_closed_loop(PidParams(), DriftModel(), 2.0, 1.0, seed=42)
-    b = simulate_closed_loop(PidParams(), DriftModel(), 2.0, 1.0, seed=42)
+    a = simulate_closed_loop_detailed(PidParams(), DriftModel(), 2.0, 1.0, seed=42).ts
+    b = simulate_closed_loop_detailed(PidParams(), DriftModel(), 2.0, 1.0, seed=42).ts
     assert np.array_equal(a.samples, b.samples)
 
 
@@ -190,19 +201,20 @@ def test_unstable_gains_raise():
     # proportional gain far above the discrete-loop stability limit
     pid = PidParams(kp=500.0, ki=3.0e5)
     with pytest.raises(InstabilityError, match="kp=500"):
-        simulate_closed_loop(pid, DriftModel(), 2.0, 0.0, seed=0)
+        simulate_closed_loop_detailed(pid, DriftModel(), 2.0, 0.0, seed=0)
 
 
 def test_loop_timing_validation():
     with pytest.raises(InvalidParameterError):
-        simulate_closed_loop(PidParams(), DriftModel(), 1.0, 1.0, seed=0)
+        simulate_closed_loop_detailed(PidParams(), DriftModel(), 1.0, 1.0, seed=0)
     with pytest.raises(InvalidParameterError):
-        simulate_closed_loop(PidParams(), DriftModel(), 1.0, -0.1, seed=0)
+        simulate_closed_loop_detailed(PidParams(), DriftModel(), 1.0, -0.1, seed=0)
     with pytest.raises(InvalidParameterError):
-        simulate_closed_loop(PidParams(), DriftModel(), 1.0, math.nan, seed=0)
+        simulate_closed_loop_detailed(PidParams(), DriftModel(), 1.0, math.nan, seed=0)
     # 1 s at 0.1 Hz rounds to no samples
     with pytest.raises(InvalidParameterError):
-        simulate_closed_loop(PidParams(sample_rate=0.1), DriftModel(), 1.0, 0.0, seed=0)
+        simulate_closed_loop_detailed(
+            PidParams(sample_rate=0.1), DriftModel(), 1.0, 0.0, seed=0)
 
 
 def test_pid_params_validation():
@@ -239,7 +251,7 @@ def test_overflowing_drift_is_a_domain_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows"):
-            simulate_closed_loop(
+            simulate_closed_loop_detailed(
                 PidParams(), DriftModel(white_amplitude=1e300), 1.0, 0.5, seed=0)
         # 1e308 components sum past the float range inside the synthesis,
         # which used to warn and report an offset of nan rad/m
@@ -248,7 +260,7 @@ def test_overflowing_drift_is_a_domain_error():
             synthesize_drift(huge, 10000, 1e4, seed=0)
         assert "nan" not in str(caught.value)
         with pytest.raises(DomainError, match="float range"):
-            simulate_closed_loop(PidParams(), huge, 1.0, 0.5, seed=0)
+            simulate_closed_loop_detailed(PidParams(), huge, 1.0, 0.5, seed=0)
 
 
 def test_equivalent_phase_deviation_linearization():
