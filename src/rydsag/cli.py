@@ -4,7 +4,8 @@ Experiments are described by a single JSON config with strict unknown-key
 rejection; every run writes its data files plus a manifest (full config
 echo, seed, package versions, wall time) into one output directory.
 Errors are serialized as machine-readable JSON on stdout with a nonzero
-exit status.
+exit status.  Validation builds every section's model, so a config that
+`validate` accepts fails in `simulate` only on something the run computes.
 
 Subcommands:
   simulate <config> [--output-dir D] [--seed N]
@@ -34,7 +35,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import scipy
@@ -64,12 +65,13 @@ from .heterodyne import (
     sensitivity_sweep,
 )
 from .heterodyne import calibration_curve as _calibration_curve
-from .noise_limits import CellGeometry, LimitInputs, limits_report
+from .noise_limits import LimitInputs, limits_report
 from .stabilization import (
     MIN_SEGMENT_SAMPLES,
     DriftModel,
     PidParams,
     equivalent_phase_deviation,
+    plant_gain,
     simulate_closed_loop_detailed,
     suppression_report,
 )
@@ -99,83 +101,29 @@ _GRID_POINT_FIELDS = (
 )
 
 
-def _dataclass_defaults(cls):
-    return {f.name: f.default for f in fields(cls)}
-
-
-def _pointer_block(angle=True):
-    block = {
-        "k": 10.0,
-        "w": 1.0e-3,
-        "span_w": 10.0,
-        "points": 1001,
-    }
-    if angle:
-        block.update({"delta_phi": 1.0e-3, "delta_beta": 0.0, "angle": math.pi / 4})
-    return block
-
-
-def _heterodyne_block():
-    block = _dataclass_defaults(HeterodyneConfig)
-    block["e_signal"] = list(block["e_signal"])
-    block["compare"] = True
-    return block
+def _plain(value):
+    """A model's fields, or a model class's defaults, as config data:
+    nested dataclasses become objects and tuples become lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 def _schema_for(experiment):
-    common = {"experiment": experiment, "seed": 0, "output_dir": ""}
-    if experiment == "spectrum":
-        return {
-            **common,
-            "medium": _dataclass_defaults(LadderSystemParams),
-            "grid": {"span_linewidths": 40.0, "points": 4096},
-        }
-    if experiment == "pointer":
-        return {**common, "pointer": _pointer_block()}
-    if experiment == "stabilize":
-        pid = _dataclass_defaults(PidParams)
-        pid["output_limits"] = list(pid["output_limits"])
-        drift = _dataclass_defaults(DriftModel)
-        drift["sinusoids"] = [list(pair) for pair in drift["sinusoids"]]
-        return {
-            **common,
-            "pid": pid,
-            "drift": drift,
-            "loop": {
-                "duration": 10.0,
-                "loop_on_at": 5.0,
-                "phi_f": 0.2,
-                "beam_w": 1.0e-3,
-                "readout_kick": 10.0,
-            },
-        }
-    if experiment == "heterodyne":
-        return {
-            **common,
-            "medium": _dataclass_defaults(LadderSystemParams),
-            "detector": _dataclass_defaults(DetectorParams),
-            "pointer": _pointer_block(angle=False),
-            "heterodyne": _heterodyne_block(),
-        }
-    if experiment == "calibrate":
-        return {
-            **common,
-            "medium": _dataclass_defaults(LadderSystemParams),
-            "calibrate": {
-                "powers_w": [1.0e-6, 4.0e-6, 1.0e-5, 4.0e-5, 1.0e-4],
-                "horn_factor": 1000.0,
-                "dipole_mw": 1.27e-26,
-                "points": 8192,
-            },
-        }
-    if experiment == "limits":
-        limits = _dataclass_defaults(LimitInputs)
-        limits["geometry"] = _dataclass_defaults(CellGeometry)
-        return {**common, "limits": limits}
-    raise ConfigError(
-        f"unknown experiment {experiment!r}; expected one of "
-        + ", ".join(EXPERIMENTS)
-    )
+    if experiment not in _EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment {experiment!r}; expected one of "
+            + ", ".join(EXPERIMENTS)
+        )
+    schema = {"experiment": experiment, "seed": 0, "output_dir": ""}
+    for name, section in _EXPERIMENTS[experiment][1].items():
+        schema[name] = section if isinstance(section, dict) else _plain(section)
+    if "heterodyne" in schema:
+        # the runner's option: compare both readouts, or run the configured one
+        schema["heterodyne"]["compare"] = True
+    return schema
 
 
 def _type_label(value):
@@ -241,7 +189,8 @@ def _checked(default, value, path, nested=False):
 
 
 def load_config(path):
-    """Parse and validate a config file; returns the fully populated echo."""
+    """Parse and validate a config file and build its sections' models;
+    returns the fully populated echo and the models by section name."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -258,11 +207,22 @@ def load_config(path):
         raise ConfigError("config needs an 'experiment' string key")
     config = _merge(_schema_for(experiment), raw)
     _check_seed(config["seed"])
-    _check_sizes(config)
-    _check_output_limits(config)
-    if "pointer" in config:
-        _pointer_models(config["pointer"])
-    return config
+    for section, key in _GRID_POINT_FIELDS:
+        if section in config and config[section][key] > MAX_GRID_POINTS:
+            raise ConfigError(f"{section}.{key} must be at most {MAX_GRID_POINTS}")
+    if experiment == "stabilize":
+        _check_loop(config)
+    models = {}
+    for name, section in _EXPERIMENTS[experiment][1].items():
+        if name == "pointer":
+            models[name] = _pointer_models(config[name])
+        elif name == "loop":
+            models[name] = _loop_beam(config[name])
+        elif not isinstance(section, dict):
+            models[name] = _model(section, config[name], name)
+    if experiment == "heterodyne":
+        _check_beat_record(models["heterodyne"])
+    return config, models
 
 
 def _check_seed(seed):
@@ -270,50 +230,69 @@ def _check_seed(seed):
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
 
-def _check_sizes(config):
-    """Reject grids and records longer than MAX_GRID_POINTS, loop records
-    too short to compare the open and closed halves, and beat records
-    shorter than one Welch segment."""
-    for section, key in _GRID_POINT_FIELDS:
-        if section in config and config[section][key] > MAX_GRID_POINTS:
-            raise ConfigError(f"{section}.{key} must be at most {MAX_GRID_POINTS}")
-    if config["experiment"] == "stabilize":
-        samples = config["loop"]["duration"] * config["pid"]["sample_rate"]
-        if not (math.isfinite(samples) and 1 <= round(samples) <= MAX_GRID_POINTS):
-            raise ConfigError(
-                "loop.duration x pid.sample_rate must be a finite count of 1 to "
-                f"{MAX_GRID_POINTS} samples, got {samples}"
-            )
-        split = config["loop"]["loop_on_at"] * config["pid"]["sample_rate"]
-        least = MIN_SEGMENT_SAMPLES
-        if not (math.isfinite(split) and least <= round(split) <= round(samples) - least):
-            raise ConfigError(
-                f"loop.loop_on_at x pid.sample_rate must leave at least {least} of "
-                f"the {round(samples)} samples on each side, got {split}"
-            )
-    if config["experiment"] == "heterodyne":
-        hetero = _heterodyne_from(config["heterodyne"])
-        samples = hetero.fs * hetero.integration_time
-        if not (math.isfinite(samples)
-                and SEGMENT_LENGTH <= round(samples) <= MAX_GRID_POINTS):
-            raise ConfigError(
-                f"heterodyne.integration_time x the {hetero.fs} Hz sample rate must "
-                f"give {SEGMENT_LENGTH} to {MAX_GRID_POINTS} samples, got {samples}"
-            )
-
-
-def _check_output_limits(config):
-    """The open-loop actuator rests at u = 0, so the limits must admit it;
-    otherwise every open-loop sample counts as saturated and the loop is
-    reported unstable whatever its gains."""
-    if config["experiment"] != "stabilize":
-        return
+def _check_loop(config):
+    """Reject loop records longer than MAX_GRID_POINTS or too short to
+    compare the open and closed halves, and actuator limits that exclude
+    u = 0: the open-loop actuator rests there, so every open-loop sample
+    would count as saturated and the loop be reported unstable whatever
+    its gains."""
+    samples = config["loop"]["duration"] * config["pid"]["sample_rate"]
+    if not (math.isfinite(samples) and 1 <= round(samples) <= MAX_GRID_POINTS):
+        raise ConfigError(
+            "loop.duration x pid.sample_rate must be a finite count of 1 to "
+            f"{MAX_GRID_POINTS} samples, got {samples}"
+        )
+    split = config["loop"]["loop_on_at"] * config["pid"]["sample_rate"]
+    least = MIN_SEGMENT_SAMPLES
+    if not (math.isfinite(split) and least <= round(split) <= round(samples) - least):
+        raise ConfigError(
+            f"loop.loop_on_at x pid.sample_rate must leave at least {least} of "
+            f"the {round(samples)} samples on each side, got {split}"
+        )
     limits = config["pid"]["output_limits"]
     if not (len(limits) == 2 and all(map(math.isfinite, limits))
             and limits[0] < 0.0 < limits[1]):
         raise ConfigError(
             f"pid.output_limits must be a finite pair [lo, hi] with lo < 0 < hi, got {limits}"
         )
+
+
+def _check_beat_record(hetero):
+    """Reject beat records shorter than one Welch segment or longer than
+    MAX_GRID_POINTS."""
+    samples = hetero.fs * hetero.integration_time
+    if not (math.isfinite(samples)
+            and SEGMENT_LENGTH <= round(samples) <= MAX_GRID_POINTS):
+        raise ConfigError(
+            f"heterodyne.integration_time x the {hetero.fs} Hz sample rate must "
+            f"give {SEGMENT_LENGTH} to {MAX_GRID_POINTS} samples, got {samples}"
+        )
+
+
+def _built(paths, build, *args, **kwargs):
+    """build(*args, **kwargs); a refusal keeps its category and is prefixed
+    with the config paths it was built from."""
+    try:
+        return build(*args, **kwargs)
+    except SimulationError as exc:
+        raise type(exc)(f"{paths}: {exc}") from exc
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _model(cls, block, path):
+    """The dataclass cls built from its checked config section: lists
+    become tuples, and a nested object becomes its field's dataclass.
+    Keys that are not fields, such as heterodyne.compare, are skipped."""
+    kwargs = {}
+    for field in fields(cls):
+        value = block[field.name]
+        if is_dataclass(field.default):
+            value = _model(type(field.default), value, f"{path}.{field.name}")
+        kwargs[field.name] = _tuples(value)
+    return _built(path, cls, **kwargs)
 
 
 def _pointer_models(block):
@@ -330,28 +309,27 @@ def _pointer_models(block):
             (("delta_phi", "delta_beta"), PreSelection),
             (("angle",), PostSelection),
         ]
-    models = []
-    for keys, build in builders:
-        try:
-            models.append(build(*(block[key] for key in keys)))
-        except SimulationError as exc:
-            paths = ", ".join(f"pointer.{key}" for key in keys)
-            raise type(exc)(f"{paths}: {exc}") from exc
-    return models
+    return [
+        _built(", ".join(f"pointer.{key}" for key in keys), build,
+               *(block[key] for key in keys))
+        for keys, build in builders
+    ]
+
+
+def _loop_beam(block):
+    """The loop's centered BeamPointer, with phi_f checked against it."""
+    beam = _built("loop.beam_w", BeamPointer.centered, block["beam_w"])
+    _built("loop.phi_f", plant_gain, block["phi_f"], beam)
+    return beam
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each returns the list of files written)
+# experiment runners (each takes the echo and the models of load_config and
+# returns the list of files written)
 
 
-def _heterodyne_from(block):
-    block = {key: value for key, value in block.items() if key != "compare"}
-    block["e_signal"] = tuple(block["e_signal"])
-    return HeterodyneConfig(**block)
-
-
-def _run_spectrum(config, out_dir, seed):
-    medium = LadderSystemParams(**config["medium"])
+def _run_spectrum(config, models, out_dir, seed):
+    medium = models["medium"]
     grid = detuning_grid(
         medium, config["grid"]["span_linewidths"], config["grid"]["points"]
     )
@@ -395,8 +373,8 @@ def _run_spectrum(config, out_dir, seed):
     return [csv_path, report_path]
 
 
-def _run_pointer(config, out_dir, seed):
-    pre, post, coupling, beam = _pointer_models(config["pointer"])
+def _run_pointer(config, models, out_dir, seed):
+    pre, post, coupling, beam = models["pointer"]
     centroid, eta, p_post = closed_readout(
         pre.delta_phi, pre.delta_beta, post.angle, coupling.k, beam.w
     )
@@ -419,23 +397,17 @@ def _run_pointer(config, out_dir, seed):
     return [csv_path, json_path]
 
 
-def _run_stabilize(config, out_dir, seed):
-    pid_block = dict(config["pid"])
-    pid_block["output_limits"] = tuple(pid_block["output_limits"])
-    pid = PidParams(**pid_block)
-    drift_block = dict(config["drift"])
-    drift_block["sinusoids"] = tuple(tuple(pair) for pair in drift_block["sinusoids"])
-    drift = DriftModel(**drift_block)
+def _run_stabilize(config, models, out_dir, seed):
+    pid = models["pid"]
     loop = config["loop"]
-    beam = BeamPointer.centered(loop["beam_w"])
     trace = simulate_closed_loop_detailed(
         pid,
-        drift,
+        models["drift"],
         loop["duration"],
         loop["loop_on_at"],
         seed,
         phi_f=loop["phi_f"],
-        beam=beam,
+        beam=models["loop"],
     )
     std_open, std_closed, ratio = suppression_report(trace.ts, loop["loop_on_at"])
     csv_path = os.path.join(out_dir, "timeseries.csv")
@@ -518,18 +490,18 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _run_heterodyne(config, out_dir, seed):
-    medium = LadderSystemParams(**config["medium"])
-    detector = DetectorParams(**config["detector"])
+def _run_heterodyne(config, models, out_dir, seed):
     compare = config["heterodyne"]["compare"]
-    hetero = _heterodyne_from(config["heterodyne"])
-    coupling, beam = _pointer_models(config["pointer"])
+    hetero = models["heterodyne"]
+    coupling, beam = models["pointer"]
     pointer = PointerSetup(post=PostSelection(math.pi / 4), coupling=coupling, beam=beam)
 
     sweep = scheme_comparison if compare else sensitivity_sweep
     workers = min(_usable_cpus(), len(hetero.e_signal))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        result = sweep(hetero, medium, pointer, detector, seed, map_fn=pool.map)
+        result = sweep(
+            hetero, models["medium"], pointer, models["detector"], seed, map_fn=pool.map
+        )
 
     if not compare:
         return _scheme_files(
@@ -557,25 +529,22 @@ def _run_heterodyne(config, out_dir, seed):
     return written + [comparison_path]
 
 
-def _run_calibrate(config, out_dir, seed):
-    medium = LadderSystemParams(**config["medium"])
+def _run_calibrate(config, models, out_dir, seed):
     block = config["calibrate"]
     result = _calibration_curve(
         block["powers_w"],
         block["horn_factor"],
-        medium,
+        models["medium"],
         dipole_mw=block["dipole_mw"],
         points=block["points"],
     )
+    header = ("power_w", "e_applied_vperm", "f_at_hz", "e_recovered_vperm", "resolved")
+    columns = [
+        [getattr(e, name) for e in result.entries]
+        for name in ("power_w", "e_applied", "f_at_hz", "e_recovered", "resolved")
+    ]
     csv_path = os.path.join(out_dir, "calibration.csv")
-    write_csv(
-        csv_path,
-        ("power_w", "e_applied_vperm", "f_at_hz", "e_recovered_vperm", "resolved"),
-        [
-            [getattr(e, name) for e in result.entries]
-            for name in ("power_w", "e_applied", "f_at_hz", "e_recovered", "resolved")
-        ],
-    )
+    write_csv(csv_path, header, columns)
     json_path = os.path.join(out_dir, "calibration.json")
     write_json(
         json_path,
@@ -583,40 +552,62 @@ def _run_calibrate(config, out_dir, seed):
             "slope": result.slope,
             "r_squared": result.r_squared,
             "horn_factor": block["horn_factor"],
-            "entries": [
-                {
-                    "power_w": e.power_w,
-                    "e_applied_vperm": e.e_applied,
-                    "f_at_hz": e.f_at_hz,
-                    "e_recovered_vperm": e.e_recovered,
-                    "resolved": e.resolved,
-                }
-                for e in result.entries
-            ],
+            "entries": [dict(zip(header, row)) for row in zip(*columns)],
         },
     )
     return [csv_path, json_path]
 
 
-def _run_limits(config, out_dir, seed):
-    block = dict(config["limits"])
-    geometry = CellGeometry(**block.pop("geometry"))
-    inputs = LimitInputs(geometry=geometry, **block)
+def _run_limits(config, models, out_dir, seed):
     json_path = os.path.join(out_dir, "limits.json")
-    write_json(json_path, limits_report(inputs))
+    write_json(json_path, limits_report(models["limits"]))
     return [json_path]
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "pointer": _run_pointer,
-    "stabilize": _run_stabilize,
-    "heterodyne": _run_heterodyne,
-    "calibrate": _run_calibrate,
-    "limits": _run_limits,
+_POINTER = {"k": 10.0, "w": 1.0e-3, "span_w": 10.0, "points": 1001}
+
+# Each experiment's runner and config sections, in schema order.  A section
+# is a model dataclass, whose field defaults are its schema and which
+# load_config builds, or a literal schema block; load_config builds the
+# pointer and loop blocks' models too.
+_EXPERIMENTS = {
+    "spectrum": (_run_spectrum, {
+        "medium": LadderSystemParams,
+        "grid": {"span_linewidths": 40.0, "points": 4096},
+    }),
+    "pointer": (_run_pointer, {
+        "pointer": {**_POINTER, "delta_phi": 1.0e-3, "delta_beta": 0.0, "angle": math.pi / 4},
+    }),
+    "stabilize": (_run_stabilize, {
+        "pid": PidParams,
+        "drift": DriftModel,
+        "loop": {
+            "duration": 10.0,
+            "loop_on_at": 5.0,
+            "phi_f": 0.2,
+            "beam_w": 1.0e-3,
+            "readout_kick": 10.0,
+        },
+    }),
+    "heterodyne": (_run_heterodyne, {
+        "medium": LadderSystemParams,
+        "detector": DetectorParams,
+        "pointer": _POINTER,
+        "heterodyne": HeterodyneConfig,
+    }),
+    "calibrate": (_run_calibrate, {
+        "medium": LadderSystemParams,
+        "calibrate": {
+            "powers_w": [1.0e-6, 4.0e-6, 1.0e-5, 4.0e-5, 1.0e-4],
+            "horn_factor": 1000.0,
+            "dipole_mw": 1.27e-26,
+            "points": 8192,
+        },
+    }),
+    "limits": (_run_limits, {"limits": LimitInputs}),
 }
 
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -632,17 +623,16 @@ def _resolve_output_dir(config, cli_dir):
     return config.get("output_dir") or "."
 
 
-def run(config, out_dir, seed):
-    """Dispatch one validated config; returns the manifest path."""
+def run(config, models, out_dir, seed):
+    """Run one config with its models, as load_config returns them; returns
+    the manifest path."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     experiment = config["experiment"]
-    if experiment not in _RUNNERS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
     started = time.perf_counter()
-    written = _RUNNERS[experiment](config, out_dir, seed)
+    written = _EXPERIMENTS[experiment][0](config, models, out_dir, seed)
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_json(
         manifest_path,
@@ -688,14 +678,14 @@ def main(argv=None):
             print(json.dumps(sanitize(_schema_for(args.experiment)), indent=2,
                              sort_keys=True))
             return 0
-        config = load_config(args.config_path)
+        config, models = load_config(args.config_path)
         if args.command == "validate":
             print(json.dumps(sanitize(config), indent=2, sort_keys=True))
             return 0
         seed = config["seed"] if args.seed is None else args.seed
         _check_seed(seed)
         out_dir = _resolve_output_dir(config, args.output_dir)
-        manifest = run(config, out_dir, seed)
+        manifest = run(config, models, out_dir, seed)
         print(manifest)
         return 0
     except SimulationError as exc:

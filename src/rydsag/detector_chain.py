@@ -79,8 +79,13 @@ class DetectorParams:
         for name in ("gain", "bandwidth", "responsivity", "wavelength"):
             if getattr(self, name) <= 0.0:
                 raise InvalidParameterError(f"{name} must be > 0")
-        if self.responsivity**2 == 0.0:  # the dark-current variance divides by it
-            raise InvalidParameterError(f"responsivity {self.responsivity!r} squares to 0")
+        # the noise variances take nep**2 and divide by responsivity**2
+        square = self.responsivity * self.responsivity
+        if not 0.0 < square < math.inf:
+            raise InvalidParameterError(
+                f"responsivity {self.responsivity!r} squares to {square}")
+        if self.nep * self.nep == math.inf:
+            raise InvalidParameterError(f"nep {self.nep!r} squares to inf")
 
     @property
     def photon_energy(self):

@@ -110,6 +110,8 @@ def plant_response(k_offset, phi_f, beam):
     preparation phase phi_f (oracle-checked in the test suite); odd in
     k_offset and zero at the balanced point.
     """
+    if not math.isfinite(phi_f):
+        raise InvalidParameterError(f"phi_f must be finite, got {phi_f!r}")
     if math.sin(phi_f) == 0.0:
         raise OrthogonalPostselectionError(
             "stabilization port is dark at phi_f = n*pi; no error signal"

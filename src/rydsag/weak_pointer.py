@@ -113,9 +113,10 @@ class BeamPointer:
 
     def __post_init__(self):
         _check_finite(w=self.w)
-        # the meter amplitude's (2 pi w^2)**-0.25 needs w^2 > 0, not just w
-        if self.w <= 0.0 or self.w * self.w == 0.0:
-            raise InvalidParameterError(f"beam width w and w**2 must be > 0, got {self.w!r}")
+        # the meter amplitude's (2 pi w^2)**-0.25 needs a finite w^2 > 0, not just w
+        if self.w <= 0.0 or not 0.0 < self.w * self.w < math.inf:
+            raise InvalidParameterError(
+                f"beam width w and w**2 must be finite and > 0, got {self.w!r}")
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size < 3:
             raise InvalidParameterError("beam grid must be 1-D with >= 3 samples")

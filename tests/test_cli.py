@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,8 @@ import rydsag
 from rydsag import cli
 from rydsag.cli import EXPERIMENTS, MAX_GRID_POINTS, load_config, main
 from rydsag.errors import ConfigError
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 FAST_HETERODYNE = {
     "experiment": "heterodyne",
@@ -40,6 +43,18 @@ def test_schema_command_covers_every_experiment(capsys):
         schema = json.loads(out)
         assert schema["experiment"] == experiment
         assert schema["seed"] == 0
+
+
+def test_schema_output_is_frozen(capsys):
+    # the schema is derived from the model dataclasses; this is the printed
+    # text of every experiment's schema, in EXPERIMENTS order
+    expected = (DATA / "schema.txt").read_text(encoding="utf-8")
+    printed = []
+    for experiment in EXPERIMENTS:
+        code, out = run_cli(capsys, "schema", experiment)
+        assert code == 0
+        printed.append(out)
+    assert "".join(printed) == expected
 
 
 def test_schema_unknown_experiment(capsys):
@@ -387,6 +402,46 @@ def test_degenerate_phi_f_and_underflowing_squares_exit_with_error_json(
     assert set(error) == {"category", "message"}
     assert error["category"] == "invalid-argument"
     assert key in error["message"]
+
+
+@pytest.mark.parametrize("experiment, key, value, prefix", [
+    ("spectrum", "medium.gamma_2", 0.0, "medium: gamma_2"),
+    ("calibrate", "medium.omega_c", -1.0, "medium: omega_c"),
+    ("heterodyne", "detector.bandwidth", 0.0, "detector: bandwidth"),
+    ("heterodyne", "detector.responsivity", 1.0e300, "detector: responsivity"),
+    ("heterodyne", "detector.nep", 1.0e300, "detector: nep"),
+    ("stabilize", "pid.kp", float("nan"), "pid: kp"),
+    ("stabilize", "drift.corner_hz", 0.0, "drift: corner_hz"),
+    ("stabilize", "loop.phi_f", 1.0e-300, "loop.phi_f: "),
+    ("stabilize", "loop.beam_w", 1.0e-300, "loop.beam_w: "),
+    ("pointer", "pointer.w", 1.0e300, "pointer.w, "),
+    ("limits", "limits.geometry.beam_radius", 1.0, "limits.geometry: beam_radius"),
+])
+def test_validate_refuses_what_simulate_refuses(
+        tmp_path, capsys, experiment, key, value, prefix):
+    # validate builds every section's model, so a model's refusal comes from
+    # validate too, named by its section path; each of these used to pass
+    # validate and then fail simulate, some with a traceback
+    payload = dict(FAST_HETERODYNE) if experiment == "heterodyne" else {
+        "experiment": experiment}
+    *sections, leaf = key.split(".")
+    block = payload
+    for section in sections:
+        block[section] = dict(block.get(section, {}))
+        block = block[section]
+    block[leaf] = value
+    cfg = write_config(tmp_path, payload)
+    out_dir = tmp_path / "out"
+    errors = []
+    for argv in (["validate", cfg], ["simulate", cfg, "--output-dir", str(out_dir)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "" and captured.out.count("\n") == 1
+        errors.append(json.loads(captured.out)["error"])
+    assert errors[0] == errors[1]
+    assert errors[0]["message"].startswith(prefix)
+    assert not out_dir.exists()
 
 
 def test_cli_import_loads_no_scipy_integrate_optimize_or_signal():

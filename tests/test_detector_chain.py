@@ -287,6 +287,11 @@ def test_detector_params_validation():
     # responsivity**2 underflows to 0, and the dark-current variance divides by it
     with pytest.raises(InvalidParameterError, match="responsivity"):
         DetectorParams(responsivity=1.0e-300)
+    # squares that overflow: the noise variances take nep**2 and responsivity**2
+    with pytest.raises(InvalidParameterError, match="responsivity"):
+        DetectorParams(responsivity=1.0e300)
+    with pytest.raises(InvalidParameterError, match="nep"):
+        DetectorParams(nep=1.0e300)
     with pytest.raises(InvalidParameterError):
         DetectorParams(wavelength=-1.0)
     assert DetectorParams().photon_energy == pytest.approx(

@@ -77,6 +77,9 @@ def test_phi_f_without_a_plant_is_refused(phi_f):
 def test_plant_response_orthogonal_guard():
     with pytest.raises(OrthogonalPostselectionError):
         plant_response(1.0, 0.0, BEAM)
+    # sin(inf) is a math domain error, not a dark port
+    with pytest.raises(InvalidParameterError, match="phi_f"):
+        plant_response(1.0, math.inf, BEAM)
     # float(pi) is not an exact zero of sin; the response is astronomically
     # suppressed rather than rejected
     assert abs(plant_response(1.0, math.pi, BEAM)) < 1e-12

@@ -218,6 +218,9 @@ def test_beam_pointer_validation():
     # w**2 underflows to 0, and the meter amplitude divides by it
     with pytest.raises(InvalidParameterError, match="w\\*\\*2"):
         BeamPointer.centered(1.0e-300)
+    # and w**2 overflows to inf
+    with pytest.raises(InvalidParameterError, match="w\\*\\*2"):
+        BeamPointer.centered(1.0e300)
 
 
 def test_post_selection_angle_bounds():
