@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import importlib
 import json
 import math
 import os
@@ -70,6 +71,7 @@ from .stabilization import (
     MIN_SEGMENT_SAMPLES,
     DriftModel,
     PidParams,
+    burn_in_samples,
     equivalent_phase_deviation,
     plant_gain,
     simulate_closed_loop_detailed,
@@ -222,6 +224,10 @@ def load_config(path):
             models[name] = _model(section, config[name], name)
     if experiment == "heterodyne":
         _check_beat_record(models["heterodyne"])
+    if experiment == "stabilize":
+        _check_burn_in(models["drift"], models["pid"], config["loop"]["duration"])
+    for module in _scipy_imports(config):
+        importlib.import_module(module)
     return config, models
 
 
@@ -266,6 +272,19 @@ def _check_beat_record(hetero):
         raise ConfigError(
             f"heterodyne.integration_time x the {hetero.fs} Hz sample rate must "
             f"give {SEGMENT_LENGTH} to {MAX_GRID_POINTS} samples, got {samples}"
+        )
+
+
+def _check_burn_in(drift, pid, duration):
+    """Reject a 1/f burn-in longer than 4 x MAX_GRID_POINTS samples.  A
+    corner at or above the record's lowest octave needs at most about
+    3.2 records of burn-in, so only a corner below it is refused."""
+    burn = burn_in_samples(drift.corner_hz, pid.sample_rate, duration)
+    if burn > 4 * MAX_GRID_POINTS:
+        raise ConfigError(
+            f"drift.corner_hz of {drift.corner_hz} Hz needs a 1/f burn-in of "
+            f"{burn:.3g} samples at pid.sample_rate; at most "
+            f"{4 * MAX_GRID_POINTS} are allowed"
         )
 
 
@@ -608,6 +627,21 @@ _EXPERIMENTS = {
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def _scipy_imports(config):
+    """The scipy modules a run of this config calls into: scipy.special for
+    the Dawson function of the pointer readout, and for the Gauss-Hermite
+    rule of the Doppler average, which finds its nodes with scipy.linalg.
+    The physics modules import scipy.special where they call it;
+    load_config imports these first, so that their import time counts as
+    set-up, not as run time."""
+    modules = []
+    if config["experiment"] in ("pointer", "stabilize", "heterodyne"):
+        modules.append("scipy.special")
+    if config.get("medium", {}).get("doppler_enabled"):
+        modules += ["scipy.special", "scipy.linalg"]
+    return modules
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import constants, fft
 
+from . import constants
 from .errors import InvalidParameterError, RegimeWarning
 
 MAX_SAMPLES = 100_000_000
@@ -368,10 +368,10 @@ def psd(ts, segment_length, overlap=None):
         chunk = segments[start : start + CHUNK]
         chunk = chunk - chunk.mean(axis=-1, keepdims=True)
         chunk *= scale
-        spectra = fft.rfft(chunk, axis=-1)
+        spectra = np.fft.rfft(chunk, axis=-1)
         del chunk  # free each chunk-sized intermediate before the next
         power = np.square(spectra.real.T, out=density[:, start : start + CHUNK])
         power += np.square(spectra.imag.T)
         del spectra
     density[1 : -1 if segment_length % 2 == 0 else None] *= 2.0
-    return fft.rfftfreq(segment_length, 1.0 / fs), density.mean(axis=-1)
+    return np.fft.rfftfreq(segment_length, 1.0 / fs), density.mean(axis=-1)

@@ -27,9 +27,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import constants, fft
-from scipy.special import roots_hermite
 
+from . import constants
 from .errors import (
     AccuracyError,
     GridPolicyError,
@@ -121,6 +120,12 @@ class LadderSystemParams:
             raise InvalidParameterError("density must be >= 0")
         if self.dipole_probe <= 0.0 or self.atomic_mass <= 0.0:
             raise InvalidParameterError("dipole_probe and atomic_mass must be > 0")
+        # the resolvent takes (omega_c / 2)**2 and chi takes dipole_probe**2
+        for name, value in (("omega_c", 0.5 * self.omega_c),
+                            ("dipole_probe", self.dipole_probe)):
+            if value * value == math.inf:
+                raise InvalidParameterError(
+                    f"{name} {getattr(self, name)!r} is too large: its square overflows")
         if self.omega_p > _WEAK_PROBE_FRACTION * self.gamma_2:
             warnings.warn(
                 "probe Rabi frequency is not small against gamma_2; the "
@@ -243,6 +248,9 @@ def susceptibility_spectrum(params, grid):
 @functools.cache
 def _gauss_hermite(n):
     """Read-only Gauss-Hermite nodes and weights, computed once per ``n``."""
+    # imported here so that only Doppler-averaged runs load scipy.special
+    from scipy.special import roots_hermite
+
     nodes, weights = roots_hermite(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -355,11 +363,11 @@ def kk_residual(spectrum):
         )
     n = absorption.size
     padded = _KK_PAD_FACTOR * n
-    transform = fft.fft(absorption, padded)
     # analytic signal: keep DC and Nyquist, double positive, zero negative
+    transform = np.zeros(padded, dtype=complex)
+    transform[: padded // 2 + 1] = np.fft.rfft(absorption, padded)
     transform[1 : (padded + 1) // 2] *= 2.0
-    transform[padded // 2 + 1 :] = 0.0
-    reconstructed = -np.imag(fft.ifft(transform)[:n])
+    reconstructed = -np.imag(np.fft.ifft(transform)[:n])
     lo, hi = n // 4, n - n // 4
     scale = float(np.max(np.abs(dispersion[lo:hi])))
     worst = float(np.max(np.abs(dispersion[lo:hi] - reconstructed[lo:hi])))

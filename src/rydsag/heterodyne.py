@@ -111,6 +111,10 @@ class HeterodyneConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+        # exact_rabi_magnitude takes omega_local**2
+        if self.omega_local * self.omega_local == math.inf:
+            raise InvalidParameterError(
+                f"omega_local {self.omega_local!r} is too large: its square overflows")
         if not math.isfinite(self.p_local):
             raise InvalidParameterError("p_local must be finite")
         beat = abs(self.f_signal - self.f_local)

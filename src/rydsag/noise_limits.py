@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants
-
+from . import constants
 from .errors import DomainError, InvalidParameterError
 
 # saturated-vapor correlation coefficients, log10(p/atm) = a - b / T
@@ -42,6 +41,10 @@ class CellGeometry:
                 raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
         if self.beam_radius > self.cell_radius:
             raise InvalidParameterError("beam_radius must not exceed cell_radius")
+        # bore_volume takes cell_radius**2 (and beam_volume the smaller one's)
+        if self.cell_radius * self.cell_radius == math.inf:
+            raise InvalidParameterError(
+                f"cell_radius {self.cell_radius!r} is too large: its square overflows")
 
     def beam_volume(self):
         return math.pi * self.beam_radius**2 * self.length

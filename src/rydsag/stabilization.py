@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .detector_chain import TimeSeries, one_pole
 from .errors import (
@@ -36,6 +35,10 @@ MIN_SEGMENT_SAMPLES = 1000
 
 DEFAULT_PHI_F = 0.2
 DEFAULT_BEAM_W = 1.0e-3
+
+# the 1/f synthesis filters octaves down to this frequency, or to half the
+# record's lowest resolved frequency where that is higher
+LOWEST_OCTAVE_HZ = 0.05
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,12 @@ class DriftModel:
         for amplitude in (self.one_over_f_amplitude, self.white_amplitude):
             if not 0.0 <= amplitude < math.inf:
                 raise InvalidParameterError("drift amplitudes must be finite and >= 0")
-        if not 0.0 < self.corner_hz < math.inf:
-            raise InvalidParameterError("corner_hz must be finite and > 0")
+        # a lower corner is a single pole whose burn-in outgrows memory
+        if not LOWEST_OCTAVE_HZ <= self.corner_hz < math.inf:
+            raise InvalidParameterError(
+                f"corner_hz must be finite and >= {LOWEST_OCTAVE_HZ} Hz, the lowest "
+                f"octave of the 1/f synthesis, got {self.corner_hz!r}"
+            )
         for freq, amp in self.sinusoids:
             if not (0.0 < freq < math.inf and 0.0 <= amp < math.inf):
                 raise InvalidParameterError(
@@ -148,12 +155,22 @@ def plant_gain(phi_f, beam):
 # disturbance synthesis
 
 
+def _octave_poles(corner_hz, duration):
+    lowest = max(LOWEST_OCTAVE_HZ, 1.0 / (2.0 * duration))
+    octaves = max(1, min(14, int(math.ceil(math.log2(corner_hz / lowest))) + 1))
+    return corner_hz / (2.0 ** np.arange(octaves))
+
+
+def burn_in_samples(corner_hz, fs, duration):
+    """Samples each 1/f filter runs before the record starts: five time
+    constants of its lowest pole (a float, as it may exceed any array)."""
+    return 5.0 * fs / (2.0 * math.pi * _octave_poles(corner_hz, duration)[-1])
+
+
 def _one_over_f(rng, n, fs, corner_hz, duration):
     """Unit-RMS 1/f-shaped noise from octave-spaced one-pole filters."""
-    lowest = max(0.05, 1.0 / (2.0 * duration))
-    octaves = max(1, min(14, int(math.ceil(math.log2(corner_hz / lowest))) + 1))
-    poles = corner_hz / (2.0 ** np.arange(octaves))
-    burn = int(math.ceil(5.0 * fs / (2.0 * math.pi * poles[-1])))
+    poles = _octave_poles(corner_hz, duration)
+    burn = int(math.ceil(burn_in_samples(corner_hz, fs, duration)))
     total = np.zeros(n)
     for pole in poles:
         a = math.exp(-2.0 * math.pi * pole / fs)
@@ -161,7 +178,7 @@ def _one_over_f(rng, n, fs, corner_hz, duration):
         # input gain for unit output variance: var(y) = gain^2 / (1 - a^2)
         white *= math.sqrt((1.0 - a) * (1.0 + a))
         total += one_pole(white, a)[burn:]
-    return total / math.sqrt(octaves)
+    return total / math.sqrt(poles.size)
 
 
 def synthesize_drift(drift, n, fs, seed):
@@ -219,6 +236,9 @@ def simulate_closed_loop_detailed(
     its physical range) for 100 consecutive samples.  A drift so large
     that (k w)^2 of the plant overflows raises ``DomainError``.
     """
+    # imported here so that only the runs that evaluate it load scipy.special
+    from scipy.special import dawsn
+
     if not 0.0 <= loop_on_at < duration:
         raise InvalidParameterError("need duration > loop_on_at >= 0")
     if beam is None:
@@ -250,7 +270,7 @@ def simulate_closed_loop_detailed(
     split = min(on_index, n)
     kw = (disturbance[:split] + 0.0) * w
     damping = np.array(list(map(math.exp, (-2.0 * kw * kw).tolist())))
-    open_eta = 2.0 / _SQRTPI * special.dawsn(_SQRT2 * kw) * sin_f / (1.0 - damping * cos_f)
+    open_eta = 2.0 / _SQRTPI * dawsn(_SQRT2 * kw) * sin_f / (1.0 - damping * cos_f)
     # every open sample is saturated when the limits exclude u = 0
     saturated = (np.abs(open_eta) > 1.0) | (lo >= 0.0 or hi <= 0.0)
     runs = np.diff(np.concatenate(([-1], np.flatnonzero(~saturated), [split]))) - 1
@@ -260,7 +280,7 @@ def simulate_closed_loop_detailed(
 
     # closed half: scalar steps over lists, with the plant inlined
     kp, ki, kd, setpoint = pid.kp, pid.ki, pid.kd, pid.setpoint
-    exp, dawsn = math.exp, special.dawsn
+    exp = math.exp
     gain = 2.0 / _SQRTPI
     closed_eta, closed_u = [], []
     push_eta, push_u = closed_eta.append, closed_u.append

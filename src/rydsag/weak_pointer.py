@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     AccuracyError,
@@ -168,7 +167,10 @@ def scaled_erfi(z):
     Equals 2/sqrt(pi) times the Dawson function; used by the closed pointer
     forms so large actuator excursions stay finite.
     """
-    return 2.0 / _SQRTPI * special.dawsn(z)
+    # imported here so that only the runs that evaluate it load scipy.special
+    from scipy.special import dawsn
+
+    return 2.0 / _SQRTPI * dawsn(z)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +259,8 @@ def closed_readout(delta_phi, delta_beta, angle, k, w):
     weak-value pointer integrals of Dixon et al., PRL 102, 173601 (2009)
     and Jordan, Martinez-Rincon & Howell, PRX 4, 011031 (2014).
     """
+    from scipy.special import dawsn
+
     imbalance, cross, theta = _interference(delta_phi, delta_beta, angle)
     b = 2.0 * np.multiply(k, w)
     half_b2 = 0.5 * b * b
@@ -269,7 +273,7 @@ def closed_readout(delta_phi, delta_beta, angle, k, w):
             "post-selected power below 1e-30 of input; pointer readout undefined"
         )
     sin_theta = np.sin(theta)
-    eta = 4.0 / _SQRTPI * cross * sin_theta * special.dawsn(b / math.sqrt(2.0)) / p_post
+    eta = 4.0 / _SQRTPI * cross * sin_theta * dawsn(b / math.sqrt(2.0)) / p_post
     centroid = -2.0 * np.multiply(w, b) * cross * damp * sin_theta / p_post
     return centroid, eta, p_post
 

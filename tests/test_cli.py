@@ -1,6 +1,7 @@
 """Config handling, experiment dispatch and reproducibility of the CLI."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -416,6 +417,17 @@ def test_degenerate_phi_f_and_underflowing_squares_exit_with_error_json(
     ("stabilize", "loop.beam_w", 1.0e-300, "loop.beam_w: "),
     ("pointer", "pointer.w", 1.0e300, "pointer.w, "),
     ("limits", "limits.geometry.beam_radius", 1.0, "limits.geometry: beam_radius"),
+    # squares that overflow used to end simulate in an OverflowError, and a
+    # corner this low in a ValueError from allocating the 1/f burn-in
+    ("spectrum", "medium.omega_c", 1.0e300, "medium: omega_c"),
+    ("heterodyne", "medium.omega_c", 1.0e300, "medium: omega_c"),
+    ("calibrate", "medium.omega_c", 1.0e300, "medium: omega_c"),
+    ("spectrum", "medium.dipole_probe", 1.0e300, "medium: dipole_probe"),
+    ("heterodyne", "medium.dipole_probe", 1.0e300, "medium: dipole_probe"),
+    ("calibrate", "medium.dipole_probe", 1.0e300, "medium: dipole_probe"),
+    ("heterodyne", "heterodyne.omega_local", 1.0e300, "heterodyne: omega_local"),
+    ("limits", "limits.geometry.cell_radius", 1.0e300, "limits.geometry: cell_radius"),
+    ("stabilize", "drift.corner_hz", 1.0e-300, "drift: corner_hz"),
 ])
 def test_validate_refuses_what_simulate_refuses(
         tmp_path, capsys, experiment, key, value, prefix):
@@ -444,24 +456,106 @@ def test_validate_refuses_what_simulate_refuses(
     assert not out_dir.exists()
 
 
-def test_cli_import_loads_no_scipy_integrate_optimize_or_signal():
-    # a fresh interpreter: the oracle tests import these into this one.
-    # scipy.integrate serves only the pointer's quadrature oracle and pulls
-    # in scipy.optimize; scipy.signal was replaced by scipy.fft code
+def test_burn_in_longer_than_the_cap_is_refused(tmp_path, capsys):
+    # a corner above the lowest octave but below the record's lowest
+    # resolved frequency is one pole, whose burn-in grows with the sample
+    # rate: here 1.6e10 samples, which used to fail to allocate
+    cfg = write_config(tmp_path, {
+        "experiment": "stabilize",
+        "drift": {"corner_hz": 0.05},
+        "pid": {"sample_rate": 1.0e9},
+        "loop": {"duration": 1.0e-3, "loop_on_at": 5.0e-4},
+    })
+    for argv in (["validate", cfg], ["simulate", cfg, "--output-dir", str(tmp_path / "o")]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1 and out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["category"] == "config"
+        assert error["message"].startswith("drift.corner_hz of 0.05 Hz needs a 1/f burn-in")
+    # the same corner on the shipped 10 s record runs
+    assert load_config(write_config(tmp_path, {
+        "experiment": "stabilize", "drift": {"corner_hz": 0.05}}))[1]["drift"].corner_hz == 0.05
+
+
+def _python(code, *argv):
+    """stdout of a fresh interpreter running code on this package: the
+    oracle tests import scipy modules into this one."""
     src = os.path.dirname(os.path.dirname(rydsag.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, rydsag.cli; "
-            "print([m for m in sys.modules if m.startswith("
-            "('scipy.integrate', 'scipy.optimize', 'scipy.signal'))])",
-        ],
+        [sys.executable, "-c", code, *argv],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_loads_no_scipy_integrate_optimize_or_signal():
+    # scipy.integrate serves only the pointer's quadrature oracle and pulls
+    # in scipy.optimize; scipy.signal was replaced by numpy.fft code.
+    # scipy.special, scipy.constants and scipy.fft are loaded by no import:
+    # the package root of scipy is all that import rydsag.cli adds
+    loaded = json.loads(_python(
+        f"import json, sys, rydsag.cli; print(json.dumps({_SCIPY_MODULES}))"))
+    alone = json.loads(_python(
+        f"import json, sys, scipy; print(json.dumps({_SCIPY_MODULES}))"))
+    assert loaded == alone
+    assert not [m for m in loaded if m.startswith((
+        "scipy.integrate", "scipy.optimize", "scipy.signal",
+        "scipy.special", "scipy.constants", "scipy.fft"))]
+
+
+# records the scipy modules loaded when load_config returns and when main does
+_SETUP_PROBE = f"""
+import json, sys
+from rydsag import cli
+
+load_config, setup = cli.load_config, []
+
+def probe(path):
+    built = load_config(path)
+    setup.extend({_SCIPY_MODULES})
+    return built
+
+cli.load_config = probe
+code = cli.main(sys.argv[1:])
+print(json.dumps({{"code": code, "setup": setup, "end": {_SCIPY_MODULES}}}))
+"""
+
+_DOPPLER_SPECTRUM = {
+    "experiment": "spectrum",
+    "medium": {
+        "doppler_enabled": True,
+        "gamma_2": 2.0 * math.pi * 80e6,
+        "gamma_3": 2.0 * math.pi * 10e6,
+        "gamma_4": 2.0 * math.pi * 10e6,
+        "omega_c": 2.0 * math.pi * 20e6,
+        "omega_mw": 2.0 * math.pi * 100e6,
+    },
+    "grid": {"points": 64},
+}
+
+
+@pytest.mark.parametrize("config", [f"{name}.json" for name in EXPERIMENTS] + ["doppler"])
+def test_scipy_loads_during_setup_and_special_only_where_evaluated(tmp_path, config):
+    # the run must import no scipy module, so the import time counts as
+    # set-up; only the experiments that evaluate a special function (the
+    # pointer's Dawson function, the Doppler average's Gauss-Hermite rule)
+    # load scipy.special, and only the Doppler average scipy.linalg
+    if config == "doppler":
+        path = write_config(tmp_path, _DOPPLER_SPECTRUM)
+    else:
+        path = str(pathlib.Path(__file__).parent.parent / "configs" / config)
+    printed = _python(_SETUP_PROBE, "simulate", path, "--output-dir", str(tmp_path / "o"))
+    report = json.loads(printed.splitlines()[-1])
+    assert report["code"] == 0
+    assert report["end"] == report["setup"]
+    evaluates = config in ("pointer.json", "stabilize.json", "heterodyne.json", "doppler")
+    assert ("scipy.special" in report["end"]) == evaluates
+    assert ("scipy.linalg" in report["end"]) == (config == "doppler")
