@@ -38,7 +38,7 @@ DEFAULT_BEAM_W = 1.0e-3
 
 # the 1/f synthesis filters octaves down to this frequency, or to half the
 # record's lowest resolved frequency where that is higher
-LOWEST_OCTAVE_HZ = 0.05
+_LOWEST_OCTAVE_HZ = 0.05
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ class DriftModel:
             if not 0.0 <= amplitude < math.inf:
                 raise InvalidParameterError("drift amplitudes must be finite and >= 0")
         # a lower corner is a single pole whose burn-in outgrows memory
-        if not LOWEST_OCTAVE_HZ <= self.corner_hz < math.inf:
+        if not _LOWEST_OCTAVE_HZ <= self.corner_hz < math.inf:
             raise InvalidParameterError(
-                f"corner_hz must be finite and >= {LOWEST_OCTAVE_HZ} Hz, the lowest "
+                f"corner_hz must be finite and >= {_LOWEST_OCTAVE_HZ} Hz, the lowest "
                 f"octave of the 1/f synthesis, got {self.corner_hz!r}"
             )
         for freq, amp in self.sinusoids:
@@ -156,7 +156,7 @@ def plant_gain(phi_f, beam):
 
 
 def _octave_poles(corner_hz, duration):
-    lowest = max(LOWEST_OCTAVE_HZ, 1.0 / (2.0 * duration))
+    lowest = max(_LOWEST_OCTAVE_HZ, 1.0 / (2.0 * duration))
     octaves = max(1, min(14, int(math.ceil(math.log2(corner_hz / lowest))) + 1))
     return corner_hz / (2.0 ** np.arange(octaves))
 
