@@ -339,10 +339,11 @@ def _spectrum_arrays(spectrum):
 def kk_residual(spectrum):
     """Dispersion-vs-absorption consistency of a sampled spectrum.
 
-    Reconstructs Re(chi) from Im(chi) with a zero-padded discrete Hilbert
-    transform and returns the max-norm relative residual over the central
-    half of the grid.  Preconditions: uniform grid of at least 64 points
-    with the absorption decayed below 1 percent of its peak at both edges.
+    Reconstructs Re(chi) from Im(chi) with a real-input (``rfft``/``irfft``)
+    discrete Hilbert transform, zero-padded to four times the grid, and
+    returns the max-norm relative residual over the central half of the
+    grid.  Preconditions: uniform grid of at least 64 points with the
+    absorption decayed below 1 percent of its peak at both edges.
     """
     detunings, chi = _spectrum_arrays(spectrum)
     if detunings.size < 64:
@@ -363,11 +364,12 @@ def kk_residual(spectrum):
         )
     n = absorption.size
     padded = _KK_PAD_FACTOR * n
-    # analytic signal: keep DC and Nyquist, double positive, zero negative
-    transform = np.zeros(padded, dtype=complex)
-    transform[: padded // 2 + 1] = np.fft.rfft(absorption, padded)
-    transform[1 : (padded + 1) // 2] *= 2.0
-    reconstructed = -np.imag(np.fft.ifft(transform)[:n])
+    # -H[y] <-> i sgn(f) Y; DC and Nyquist (padded is even) carry no sign
+    transform = np.fft.rfft(absorption, padded)
+    transform[0] = 0.0
+    transform[-1] = 0.0
+    transform *= 1j
+    reconstructed = np.fft.irfft(transform, padded)[:n]
     lo, hi = n // 4, n - n // 4
     scale = float(np.max(np.abs(dispersion[lo:hi])))
     worst = float(np.max(np.abs(dispersion[lo:hi] - reconstructed[lo:hi])))

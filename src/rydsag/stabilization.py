@@ -10,6 +10,7 @@ actuator units (rad/m of momentum offset).
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass
 
@@ -278,11 +279,11 @@ def simulate_closed_loop_detailed(
         raise _diverged(pid)
     saturated_run = int(runs[-1])
 
-    # closed half: scalar steps over lists, with the plant inlined
+    # closed half: scalar steps into float64 buffers, with the plant inlined
     kp, ki, kd, setpoint = pid.kp, pid.ki, pid.kd, pid.setpoint
     exp = math.exp
     gain = 2.0 / _SQRTPI
-    closed_eta, closed_u = [], []
+    closed_eta, closed_u = array.array("d"), array.array("d")
     push_eta, push_u = closed_eta.append, closed_u.append
     integrator = 0.0
     previous_error = 0.0
@@ -309,8 +310,8 @@ def simulate_closed_loop_detailed(
         u = u if u < hi else hi
         previous_error = error
         push_u(u)
-    eta = np.concatenate((open_eta, closed_eta))
-    control = np.concatenate((np.zeros(split), closed_u))
+    eta = np.concatenate((open_eta, np.frombuffer(closed_eta)))
+    control = np.concatenate((np.zeros(split), np.frombuffer(closed_u)))
     ts = TimeSeries(fs=fs, samples=eta)
     return LoopTrace(ts=ts, pid_output=control, disturbance=disturbance)
 

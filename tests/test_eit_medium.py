@@ -1,6 +1,7 @@
 """Ladder-medium susceptibility against an explicit steady-state solve."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -158,6 +159,45 @@ def test_kk_residual_matches_scipy_hilbert():
         )
         # the residual is normalized by max|Re(chi)|, so this is 1e-12 of max|y|
         assert abs(kk_residual(spectrum) - residual) <= 1e-12
+
+
+def _complex_ifft_residual(spectrum):
+    """The residual as kk_residual computed it through a complex analytic signal."""
+    n = len(spectrum)
+    absorption = np.imag(spectrum.chi)
+    dispersion = np.real(spectrum.chi)
+    padded = 4 * n
+    transform = np.zeros(padded, dtype=complex)
+    transform[: padded // 2 + 1] = np.fft.rfft(absorption, padded)
+    transform[1 : (padded + 1) // 2] *= 2.0
+    reconstructed = -np.imag(np.fft.ifft(transform)[:n])
+    lo, hi = n // 4, n - n // 4
+    return np.max(np.abs(dispersion[lo:hi] - reconstructed[lo:hi])) / np.max(
+        np.abs(dispersion[lo:hi])
+    )
+
+
+@pytest.mark.parametrize("omw", [0.0, 2.0 * math.pi * 8e6, 2.0 * math.pi * 30e6])
+@pytest.mark.parametrize("span, points", [(40.0, 64), (40.0, 4096), (80.0, 6000)])
+def test_kk_residual_matches_complex_analytic_signal(omw, span, points):
+    medium = params(omega_mw=omw)
+    spectrum = susceptibility_spectrum(medium, detuning_grid(medium, span, points))
+    expected = _complex_ifft_residual(spectrum)
+    assert abs(kk_residual(spectrum) - expected) <= 1e-12 * expected
+
+
+def test_kk_residual_peaks_below_three_padded_arrays():
+    medium = params(omega_mw=2.0 * math.pi * 8e6)
+    spectrum = susceptibility_spectrum(medium, detuning_grid(medium, 40.0, 65536))
+    kk_residual(spectrum)  # the first FFT of a size sets up its plan
+    tracemalloc.start()
+    try:
+        kk_residual(spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a complex analytic signal and its complex ifft peaked near 4.5 of them
+    assert peak <= 3 * 8 * (4 * len(spectrum))
 
 
 def test_kk_grid_policy_requires_decayed_edges():

@@ -381,6 +381,9 @@ def _assert_matches_scalar_loop(pid, drift, duration, loop_on_at, seed=0):
     # run carries across loop_on_at; 50 and 49 make a run of 99
     (PidParams(output_limits=(0.0, 10.0), kp=0.0, ki=0.0), 0.011, 0.005, "raised"),
     (PidParams(output_limits=(0.0, 10.0), kp=0.0, ki=0.0), 0.0099, 0.005, "ran"),
+    # a closed half of 3 samples, and one of 55 000
+    (PidParams(), 2.0, 2.0 - 3.0e-4, "ran"),
+    (PidParams(), 6.0, 0.5, "ran"),
 ])
 def test_loop_is_bit_equal_to_scalar_loop(pid, duration, loop_on_at, outcome):
     assert _assert_matches_scalar_loop(pid, DriftModel(), duration, loop_on_at) == outcome
