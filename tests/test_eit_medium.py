@@ -189,7 +189,7 @@ def test_kk_residual_matches_complex_analytic_signal(omw, span, points):
 def test_kk_residual_peaks_below_three_padded_arrays():
     medium = params(omega_mw=2.0 * math.pi * 8e6)
     spectrum = susceptibility_spectrum(medium, detuning_grid(medium, 40.0, 65536))
-    kk_residual(spectrum)  # the first FFT of a size sets up its plan
+    kk_residual(spectrum)  # loads numpy.fft and plans this size before tracing
     tracemalloc.start()
     try:
         kk_residual(spectrum)
