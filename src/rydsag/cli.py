@@ -349,10 +349,22 @@ def _loop_beam(block):
 
 def _run_spectrum(config, models, out_dir, seed):
     medium = models["medium"]
-    grid = detuning_grid(
+    spectrum = susceptibility_spectrum(medium, detuning_grid(
         medium, config["grid"]["span_linewidths"], config["grid"]["points"]
-    )
-    spectrum = susceptibility_spectrum(medium, grid)
+    ))
+    # the checks run before the columns exist, so that the columns reuse
+    # the heap their transforms free
+    notes = []
+    try:
+        residual = kk_residual(spectrum)
+    except GridPolicyError as exc:
+        residual = math.nan
+        notes.append(str(exc))
+    try:
+        f_at = at_splitting(spectrum)
+    except UnresolvedSplittingError as exc:
+        f_at = math.nan
+        notes.append(str(exc))
     pair = phase_and_absorption(spectrum.chi, medium)
     columns = (
         spectrum.delta_p / (2.0 * math.pi),
@@ -367,17 +379,6 @@ def _run_spectrum(config, models, out_dir, seed):
         ("delta_p_hz", "re_chi", "im_chi", "delta_phi_rad", "delta_beta"),
         columns,
     )
-    notes = []
-    try:
-        residual = kk_residual(spectrum)
-    except GridPolicyError as exc:
-        residual = math.nan
-        notes.append(str(exc))
-    try:
-        f_at = at_splitting(spectrum)
-    except UnresolvedSplittingError as exc:
-        f_at = math.nan
-        notes.append(str(exc))
     report_path = os.path.join(out_dir, "report.json")
     write_json(
         report_path,

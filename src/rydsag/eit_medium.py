@@ -50,6 +50,9 @@ GH_RTOL = 1e-6
 KK_EDGE_FRACTION = 0.01
 _KK_PAD_FACTOR = 4
 
+# the block size of the detector chain and the CSV writer
+_BLOCK = 16_384
+
 # Probe drive above this fraction of the intermediate-state decay rate
 # leaves the weak-probe regime the model assumes.
 _WEAK_PROBE_FRACTION = 0.2
@@ -231,7 +234,9 @@ def susceptibility_spectrum(params, grid):
     """Susceptibility sampled on a strictly increasing detuning grid.
 
     Returns a ``Spectrum`` holding a copy of the grid and the matching
-    complex susceptibility array.
+    complex susceptibility array.  Without Doppler averaging chi is
+    evaluated _BLOCK points at a time, so the resolvent's temporaries stay
+    block-sized on any grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -241,7 +246,9 @@ def susceptibility_spectrum(params, grid):
     if params.doppler_enabled:
         chi = np.array([doppler_average(params, dp) for dp in grid])
     else:
-        chi = _chi_values(params, grid)
+        chi = np.empty(grid.size, dtype=complex)
+        for start in range(0, grid.size, _BLOCK):
+            chi[start:start + _BLOCK] = _chi_values(params, grid[start:start + _BLOCK])
     return Spectrum(delta_p=grid.copy(), chi=chi)
 
 

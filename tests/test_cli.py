@@ -314,6 +314,38 @@ def test_heterodyne_pool_has_a_worker_per_usable_cpu_up_to_the_amplitudes(
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "8" / name).read_bytes()
 
 
+def test_spectrum_checks_run_before_the_csv_and_keep_their_note_order(
+    tmp_path, capsys, monkeypatch
+):
+    # the KK check runs before the CSV columns exist, so its transforms
+    # free heap that the columns then reuse
+    out_dir = tmp_path / "o"
+    csv_existed = []
+    kk_residual = cli.kk_residual
+
+    def spy(spectrum):
+        csv_existed.append((out_dir / "spectrum.csv").exists())
+        return kk_residual(spectrum)
+
+    monkeypatch.setattr(cli, "kk_residual", spy)
+    # a 1.5-linewidth span leaves absorption at the edges and no microwave
+    # drive leaves one transparency dip, so both checks fail
+    cfg = write_config(
+        tmp_path,
+        {"experiment": "spectrum", "grid": {"span_linewidths": 1.5, "points": 512}},
+    )
+    code, _ = run_cli(capsys, "simulate", cfg, "--output-dir", str(out_dir))
+    assert code == 0
+    assert csv_existed == [False]
+    assert (out_dir / "spectrum.csv").exists()
+    report = json.loads((out_dir / "report.json").read_text())
+    notes = report["notes"]
+    assert len(notes) == 2
+    assert notes[0].startswith("absorption has not decayed at the grid edges")
+    assert notes[1].startswith("expected two transparency dips")
+    assert report["kk_residual"] == report["at_splitting_hz"] == "undefined"
+
+
 def test_runtime_failure_reports_error_json(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -378,3 +378,27 @@ def test_spectrum_points_carry_grid():
     assert np.all(spectrum.chi.imag >= 0.0)
     np.testing.assert_array_equal(spectrum.delta_p, grid)
     np.testing.assert_array_equal(spectrum.chi, susceptibility(medium, grid))
+
+
+@pytest.mark.parametrize("omw", [0.0, 2.0 * math.pi * 8e6])
+@pytest.mark.parametrize("points", [16, 16_383, 16_384, 16_385, 2 * 16_384 + 7])
+def test_blocked_spectrum_is_bit_equal_to_whole_grid(omw, points):
+    # chi is evaluated 16 384 points at a time; no block edge may move a value
+    medium = params(omega_mw=omw)
+    grid = detuning_grid(medium, 40.0, points)
+    spectrum = susceptibility_spectrum(medium, grid)
+    assert np.array_equal(spectrum.chi, eit_medium._chi_values(medium, grid))
+    assert np.array_equal(spectrum.delta_p, grid)
+
+
+def test_spectrum_memory_stays_near_its_outputs():
+    # whole-grid evaluation peaked near 5 times delta_p plus chi
+    medium = params(omega_mw=2.0 * math.pi * 8e6)
+    grid = detuning_grid(medium, 40.0, 2**18)
+    tracemalloc.start()
+    try:
+        spectrum = susceptibility_spectrum(medium, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (spectrum.delta_p.nbytes + spectrum.chi.nbytes)
