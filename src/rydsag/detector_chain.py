@@ -110,7 +110,9 @@ class TimeSeries:
         object.__setattr__(self, "samples", samples)
 
     def times(self):
-        return np.arange(self.samples.size) / self.fs
+        t = np.arange(self.samples.size, dtype=float)
+        t /= self.fs
+        return t
 
 
 # ---------------------------------------------------------------------------

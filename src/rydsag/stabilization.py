@@ -10,13 +10,12 @@ actuator units (rad/m of momentum offset).
 
 from __future__ import annotations
 
-import array
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector_chain import TimeSeries, one_pole
+from .detector_chain import BLOCK, TimeSeries, one_pole
 from .errors import (
     DomainError,
     InstabilityError,
@@ -168,39 +167,58 @@ def burn_in_samples(corner_hz, fs, duration):
     return 5.0 * fs / (2.0 * math.pi * _octave_poles(corner_hz, duration)[-1])
 
 
-def _one_over_f(rng, n, fs, corner_hz, duration):
-    """Unit-RMS 1/f-shaped noise from octave-spaced one-pole filters."""
+def _one_over_f(rng, out, amplitude, fs, corner_hz, duration):
+    """Write ``amplitude`` times unit-RMS 1/f-shaped noise from octave-spaced
+    one-pole filters into the zeroed ``out``; returns the white buffer, burn
+    samples longer than ``out``, that every octave was drawn into."""
     poles = _octave_poles(corner_hz, duration)
     burn = int(math.ceil(burn_in_samples(corner_hz, fs, duration)))
-    total = np.zeros(n)
+    white = np.empty(out.size + burn)
     for pole in poles:
         a = math.exp(-2.0 * math.pi * pole / fs)
-        white = rng.standard_normal(n + burn)
+        rng.standard_normal(out=white)
         # input gain for unit output variance: var(y) = gain^2 / (1 - a^2)
         white *= math.sqrt((1.0 - a) * (1.0 + a))
-        total += one_pole(white, a)[burn:]
-    return total / math.sqrt(poles.size)
+        out += one_pole(white, a)[burn:]
+    out /= math.sqrt(poles.size)
+    out *= amplitude
+    return white
 
 
 def synthesize_drift(drift, n, fs, seed):
     """Deterministic disturbance record of the drift model, in rad/m.
 
-    Amplitudes near the float limit can sum past it; such a record is a
-    ``DomainError``, not a warning and a non-finite disturbance.
+    The components are built one at a time in a single scratch buffer and
+    added into the record.  Amplitudes near the float limit can sum past
+    it; such a record is a ``DomainError``, not a warning and a non-finite
+    disturbance.
     """
     rng = np.random.default_rng(seed)
-    t = np.arange(n) / fs
     out = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
         if drift.one_over_f_amplitude > 0.0:
-            out += drift.one_over_f_amplitude * _one_over_f(
-                rng, n, fs, drift.corner_hz, n / fs
-            )
+            scratch = _one_over_f(
+                rng, out, drift.one_over_f_amplitude, fs, drift.corner_hz, n / fs
+            )[:n]
+            # the record is a sum onto zeros, where an underflowed -0.0
+            # reads 0.0
+            out += 0.0
+        else:
+            scratch = np.empty(n)
         if drift.white_amplitude > 0.0:
-            out += drift.white_amplitude * rng.standard_normal(n)
-        for freq, amp in drift.sinusoids:
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            out += amp * np.sin(2.0 * math.pi * freq * t + phase)
+            rng.standard_normal(out=scratch)
+            scratch *= drift.white_amplitude
+            out += scratch
+        if drift.sinusoids:
+            t = np.arange(n, dtype=float)
+            t /= fs
+            for freq, amp in drift.sinusoids:
+                phase = rng.uniform(0.0, 2.0 * math.pi)
+                np.multiply(2.0 * math.pi * freq, t, out=scratch)
+                scratch += phase
+                np.sin(scratch, out=scratch)
+                scratch *= amp
+                out += scratch
     if not np.isfinite(out).all():
         raise DomainError(
             "drift amplitudes sum past the float range; reduce the drift amplitudes"
@@ -250,6 +268,10 @@ def simulate_closed_loop_detailed(
     n = int(round(duration * fs))
     if n < 1:
         raise InvalidParameterError("duration x sample_rate rounds to no samples")
+    # allocated before the drift, the traces are mapped on their own rather
+    # than carved from the heap that the drift's scratch buffers free
+    eta = np.empty(n)
+    control = np.zeros(n)
     disturbance = synthesize_drift(drift, n, fs, seed)
     on_index = int(round(loop_on_at * fs))
     lo, hi = pid.output_limits
@@ -257,61 +279,67 @@ def simulate_closed_loop_detailed(
     sin_f = math.sin(phi_f)
     cos_f = math.cos(phi_f)
     w = beam.w
+    gain = 2.0 / _SQRTPI
     # the plant sees |k| <= max|disturbance| + max|u|; bound its 2 (k w)^2 once
-    reach = (float(np.max(np.abs(disturbance))) + max(abs(lo), abs(hi))) * w
+    largest = float(max(disturbance.max(), -disturbance.min()))
+    reach = (largest + max(abs(lo), abs(hi))) * w
     if not math.isfinite(2.0 * reach * reach):
         raise DomainError(
             f"drift reaches a momentum offset of {reach / w:.3g} rad/m, where "
             "the plant's (k w)^2 overflows; reduce the drift amplitudes"
         )
 
-    # open half: u stays 0, so the plant runs on whole arrays (+ 0.0 turns
-    # -0.0 into 0.0, as disturbance + u does); math.exp, not np.exp, keeps
-    # the damping term bit-equal to the closed half's scalar steps
+    # open half: u stays 0, so the plant runs on BLOCK samples at a time
+    # (+ 0.0 turns -0.0 into 0.0, as disturbance + u does); math.exp, not
+    # np.exp, keeps the damping term bit-equal to the closed half's steps
     split = min(on_index, n)
-    kw = (disturbance[:split] + 0.0) * w
-    damping = np.array(list(map(math.exp, (-2.0 * kw * kw).tolist())))
-    open_eta = 2.0 / _SQRTPI * dawsn(_SQRT2 * kw) * sin_f / (1.0 - damping * cos_f)
-    # every open sample is saturated when the limits exclude u = 0
-    saturated = (np.abs(open_eta) > 1.0) | (lo >= 0.0 or hi <= 0.0)
-    runs = np.diff(np.concatenate(([-1], np.flatnonzero(~saturated), [split]))) - 1
-    if runs.max() >= _INSTABILITY_RUN:
-        raise _diverged(pid)
-    saturated_run = int(runs[-1])
+    saturated_run = 0
+    for start in range(0, split, BLOCK):
+        stop = min(start + BLOCK, split)
+        kw = (disturbance[start:stop] + 0.0) * w
+        damping = np.fromiter(map(math.exp, (-2.0 * kw * kw).tolist()), float, stop - start)
+        block = eta[start:stop]
+        block[:] = gain * dawsn(_SQRT2 * kw) * sin_f / (1.0 - damping * cos_f)
+        # every open sample is saturated when the limits exclude u = 0; the
+        # run carried in stands just before the block's first sample
+        saturated = (np.abs(block) > 1.0) | (lo >= 0.0 or hi <= 0.0)
+        free = np.flatnonzero(~saturated)
+        runs = np.diff(free, prepend=-1 - saturated_run, append=stop - start) - 1
+        if runs.max() >= _INSTABILITY_RUN:
+            raise _diverged(pid)
+        saturated_run = int(runs[-1])
 
-    # closed half: scalar steps into float64 buffers, with the plant inlined
+    # closed half: scalar steps, with the plant inlined, written straight
+    # into the traces
     kp, ki, kd, setpoint = pid.kp, pid.ki, pid.kd, pid.setpoint
     exp = math.exp
-    gain = 2.0 / _SQRTPI
-    closed_eta, closed_u = array.array("d"), array.array("d")
-    push_eta, push_u = closed_eta.append, closed_u.append
+    eta_out, control_out = memoryview(eta), memoryview(control)
     integrator = 0.0
     previous_error = 0.0
     u = 0.0
-    for offset in disturbance[split:].tolist():
-        kw = (offset + u) * w
-        value = gain * float(dawsn(_SQRT2 * kw)) * sin_f / (1.0 - exp(-2.0 * kw * kw) * cos_f)
-        push_eta(value)
-        if abs(value) > 1.0 or u <= lo or u >= hi:
-            saturated_run += 1
-            if saturated_run >= _INSTABILITY_RUN:
-                raise _diverged(pid)
-        else:
-            saturated_run = 0
-        error = setpoint - value
-        candidate = integrator + ki * error * dt
-        proportional = kp * error
-        derivative = kd * (error - previous_error) / dt
-        raw = proportional + candidate + derivative
-        if lo <= raw <= hi:
-            integrator = candidate  # integrate only while unclamped
-        u = proportional + integrator + derivative
-        u = u if u > lo else lo
-        u = u if u < hi else hi
-        previous_error = error
-        push_u(u)
-    eta = np.concatenate((open_eta, np.frombuffer(closed_eta)))
-    control = np.concatenate((np.zeros(split), np.frombuffer(closed_u)))
+    for start in range(split, n, BLOCK):
+        for i, offset in enumerate(disturbance[start : start + BLOCK].tolist(), start):
+            kw = (offset + u) * w
+            value = gain * float(dawsn(_SQRT2 * kw)) * sin_f / (1.0 - exp(-2.0 * kw * kw) * cos_f)
+            eta_out[i] = value
+            if abs(value) > 1.0 or u <= lo or u >= hi:
+                saturated_run += 1
+                if saturated_run >= _INSTABILITY_RUN:
+                    raise _diverged(pid)
+            else:
+                saturated_run = 0
+            error = setpoint - value
+            candidate = integrator + ki * error * dt
+            proportional = kp * error
+            derivative = kd * (error - previous_error) / dt
+            raw = proportional + candidate + derivative
+            if lo <= raw <= hi:
+                integrator = candidate  # integrate only while unclamped
+            u = proportional + integrator + derivative
+            u = u if u > lo else lo
+            u = u if u < hi else hi
+            previous_error = error
+            control_out[i] = u
     ts = TimeSeries(fs=fs, samples=eta)
     return LoopTrace(ts=ts, pid_output=control, disturbance=disturbance)
 

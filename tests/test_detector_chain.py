@@ -301,6 +301,14 @@ def test_detector_params_validation():
 def test_timeseries_times():
     ts = TimeSeries(fs=10.0, samples=np.zeros(5))
     assert np.array_equal(ts.times(), np.arange(5) / 10.0)
+    # the float range divided in place is bit-equal to the integer range
+    # divided into a new array
+    for fs in (1.0e4, 3.0e6, 7.0, 1.0 / 3.0):
+        for n in (1, 2, 16_385, 600_001):
+            times = TimeSeries(fs=fs, samples=np.zeros(n)).times()
+            want = np.arange(n) / fs
+            assert times.dtype == want.dtype and times.shape == want.shape
+            assert np.array_equal(times.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Feedback loop: plant linearity, drift synthesis, suppression statistics."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from rydsag.stabilization import (
     suppression_report,
     synthesize_drift,
 )
-from rydsag.detector_chain import TimeSeries
+from rydsag.detector_chain import TimeSeries, one_pole
 from rydsag.weak_pointer import BeamPointer, closed_icr
 
 PHI_F = 0.2
@@ -384,6 +385,10 @@ def _assert_matches_scalar_loop(pid, drift, duration, loop_on_at, seed=0):
     # a closed half of 3 samples, and one of 55 000
     (PidParams(), 2.0, 2.0 - 3.0e-4, "ran"),
     (PidParams(), 6.0, 0.5, "ran"),
+    # open and closed halves of 16 384 and 16 385 samples: one block, and
+    # one block and a sample
+    (PidParams(), 3.2769, 1.6384, "ran"),
+    (PidParams(), 3.2769, 1.6385, "ran"),
 ])
 def test_loop_is_bit_equal_to_scalar_loop(pid, duration, loop_on_at, outcome):
     assert _assert_matches_scalar_loop(pid, DriftModel(), duration, loop_on_at) == outcome
@@ -400,3 +405,103 @@ def test_loop_keeps_signed_zero_of_scalar_loop(monkeypatch):
         assert _assert_matches_scalar_loop(
             PidParams(), DriftModel(), 0.4, loop_on_at) == "ran"
 
+
+
+def _peak_bytes(fn):
+    """Result of fn() and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loop_memory_stays_near_its_traces(monkeypatch):
+    # the loop fills eta and the actuator trace in place and reads the
+    # disturbance a block at a time, so it holds the three traces, 3 * 8n
+    # bytes, and about 1 MB of blocks in flight; the float lists of the two
+    # halves made it 6.1 times 8n (a closed half alone 7.1, an open one 10.0)
+    n = 200_000
+    record = synthesize_drift(DriftModel(), n, 1.0e4, seed=0)
+    monkeypatch.setattr(
+        stabilization, "synthesize_drift", lambda drift, n, fs, seed: record[:n].copy())
+    simulate_closed_loop_detailed(PidParams(), DriftModel(), 0.2, 0.1, seed=0)
+    trace, peak = _peak_bytes(lambda: simulate_closed_loop_detailed(
+        PidParams(), DriftModel(), 20.0, 10.0, seed=0))
+    assert trace.ts.samples.size == n
+    assert peak <= 4.5 * 8 * n
+
+
+def test_drift_memory_stays_near_its_buffers():
+    # the record, the white buffer of n + burn samples that every octave is
+    # drawn into, and one_pole's filtered copy of it, plus a little
+    n, fs = 200_000, 1.0e4
+    burn = math.ceil(stabilization.burn_in_samples(DriftModel().corner_hz, fs, n / fs))
+    synthesize_drift(DriftModel(), 1000, fs, seed=0)
+    _, peak = _peak_bytes(lambda: synthesize_drift(DriftModel(), n, fs, seed=0))
+    assert peak <= 1.1 * 8 * (n + 2 * (n + burn))
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness of the drift against the whole-array synthesis it replaced
+
+
+def _reference_one_over_f(rng, n, fs, corner_hz, duration):
+    """Unit-RMS 1/f-shaped noise from octave-spaced one-pole filters."""
+    poles = stabilization._octave_poles(corner_hz, duration)
+    burn = int(math.ceil(stabilization.burn_in_samples(corner_hz, fs, duration)))
+    total = np.zeros(n)
+    for pole in poles:
+        a = math.exp(-2.0 * math.pi * pole / fs)
+        white = rng.standard_normal(n + burn)
+        # input gain for unit output variance: var(y) = gain^2 / (1 - a^2)
+        white *= math.sqrt((1.0 - a) * (1.0 + a))
+        total += one_pole(white, a)[burn:]
+    return total / math.sqrt(poles.size)
+
+
+def _reference_synthesize_drift(drift, n, fs, seed):
+    """The drift synthesis with a fresh array per octave and component,
+    kept as the oracle of the in-place one."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / fs
+    out = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if drift.one_over_f_amplitude > 0.0:
+            out += drift.one_over_f_amplitude * _reference_one_over_f(
+                rng, n, fs, drift.corner_hz, n / fs
+            )
+        if drift.white_amplitude > 0.0:
+            out += drift.white_amplitude * rng.standard_normal(n)
+        for freq, amp in drift.sinusoids:
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            out += amp * np.sin(2.0 * math.pi * freq * t + phase)
+    return out
+
+
+_DRIFTS = {
+    "default": DriftModel(),
+    "one_over_f": DriftModel(white_amplitude=0.0, sinusoids=()),
+    "white": DriftModel(one_over_f_amplitude=0.0, sinusoids=()),
+    "sinusoids": DriftModel(one_over_f_amplitude=0.0, white_amplitude=0.0),
+    "zero": DriftModel(one_over_f_amplitude=0.0, white_amplitude=0.0, sinusoids=()),
+}
+
+
+@pytest.mark.parametrize("n", [1, 16_383, 16_384, 16_385, 600_000])
+@pytest.mark.parametrize("name", list(_DRIFTS))
+def test_drift_is_bit_equal_to_whole_array_synthesis(name, n):
+    got = synthesize_drift(_DRIFTS[name], n, 1.0e4, seed=5)
+    want = _reference_synthesize_drift(_DRIFTS[name], n, 1.0e4, seed=5)
+    assert got.shape == want.shape == (n,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_drift_of_fourteen_octaves_is_bit_equal_to_whole_array_synthesis():
+    drift = DriftModel(corner_hz=1.0e4, sinusoids=((3.0e3, 0.05),))
+    n, fs = 50_000, 1.0e4
+    assert stabilization._octave_poles(drift.corner_hz, n / fs).size == 14
+    got = synthesize_drift(drift, n, fs, seed=9)
+    want = _reference_synthesize_drift(drift, n, fs, seed=9)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
