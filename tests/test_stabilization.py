@@ -406,7 +406,6 @@ def test_loop_keeps_signed_zero_of_scalar_loop(monkeypatch):
             PidParams(), DriftModel(), 0.4, loop_on_at) == "ran"
 
 
-
 def _peak_bytes(fn):
     """Result of fn() and the peak of memory traced while it ran."""
     tracemalloc.start()
