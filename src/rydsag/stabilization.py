@@ -188,7 +188,7 @@ def _one_over_f(rng, out, amplitude, fs, corner_hz, duration):
 def synthesize_drift(drift, n, fs, seed):
     """Deterministic disturbance record of the drift model, in rad/m.
 
-    The components are built one at a time in a single scratch buffer and
+    The components are built one at a time in a single reused buffer and
     added into the record.  Amplitudes near the float limit can sum past
     it; such a record is a ``DomainError``, not a warning and a non-finite
     disturbance.
@@ -197,28 +197,28 @@ def synthesize_drift(drift, n, fs, seed):
     out = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
         if drift.one_over_f_amplitude > 0.0:
-            scratch = _one_over_f(
+            buffer = _one_over_f(
                 rng, out, drift.one_over_f_amplitude, fs, drift.corner_hz, n / fs
             )[:n]
             # the record is a sum onto zeros, where an underflowed -0.0
             # reads 0.0
             out += 0.0
         else:
-            scratch = np.empty(n)
+            buffer = np.empty(n)
         if drift.white_amplitude > 0.0:
-            rng.standard_normal(out=scratch)
-            scratch *= drift.white_amplitude
-            out += scratch
+            rng.standard_normal(out=buffer)
+            buffer *= drift.white_amplitude
+            out += buffer
         if drift.sinusoids:
             t = np.arange(n, dtype=float)
             t /= fs
             for freq, amp in drift.sinusoids:
                 phase = rng.uniform(0.0, 2.0 * math.pi)
-                np.multiply(2.0 * math.pi * freq, t, out=scratch)
-                scratch += phase
-                np.sin(scratch, out=scratch)
-                scratch *= amp
-                out += scratch
+                np.multiply(2.0 * math.pi * freq, t, out=buffer)
+                buffer += phase
+                np.sin(buffer, out=buffer)
+                buffer *= amp
+                out += buffer
     if not np.isfinite(out).all():
         raise DomainError(
             "drift amplitudes sum past the float range; reduce the drift amplitudes"
@@ -269,7 +269,7 @@ def simulate_closed_loop_detailed(
     if n < 1:
         raise InvalidParameterError("duration x sample_rate rounds to no samples")
     # allocated before the drift, the traces are mapped on their own rather
-    # than carved from the heap that the drift's scratch buffers free
+    # than carved from the heap that the drift's temporary buffers free
     eta = np.empty(n)
     control = np.zeros(n)
     disturbance = synthesize_drift(drift, n, fs, seed)
