@@ -430,11 +430,15 @@ def _run_stabilize(config, models, out_dir, seed):
         beam=models["loop"],
     )
     std_open, std_closed, ratio = suppression_report(trace.ts, loop["loop_on_at"])
+    # no output holds the disturbance: freed here, its memory takes the
+    # time column
+    ts, pid_output = trace.ts, trace.pid_output
+    del trace
     csv_path = os.path.join(out_dir, "timeseries.csv")
     write_csv(
         csv_path,
         ("t_s", "eta_con", "pid_output"),
-        (trace.ts.times(), trace.ts.samples, trace.pid_output),
+        (ts.times(), ts.samples, pid_output),
     )
     report_path = os.path.join(out_dir, "report.json")
     phase_dev_rad = equivalent_phase_deviation(

@@ -149,37 +149,39 @@ def _noise_sigma(power, det, fs):
 
 
 def one_pole(c, a, y0=0.0):
-    """Solution of the one-pole recursion y[n] = a * y[n-1] + c[n], 0 <= a < 1.
+    """Solution of the one-pole recursion y[n] = a * y[n-1] + c[n], 0 <= a < 1,
+    written over ``c`` when it is a float64 array (and returned).
 
     ``y0`` is the state before the first sample.  The record is laid out
-    row by row as blocks of about sqrt(n)/8 samples.  Each row's dot
-    product with the powers of ``a`` gives the block's end value from zero
-    entry state, one scalar pass over the blocks turns these into each
-    block's true entry state, and the recursion then runs along the
-    columns, vectorized across the blocks.  The result differs from the
-    sequential recursion only by rounding; no BLAS call is made, so it
-    does not depend on the BLAS build or its threads.
+    row by row as blocks of about sqrt(n)/8 samples, the last one short.
+    Each full row's dot product with the powers of ``a`` gives the block's
+    end value from zero entry state, one scalar pass over the blocks turns
+    these into each block's true entry state, and the recursion then runs
+    along the columns, vectorized across the blocks.  The result differs
+    from the sequential recursion only by rounding; no BLAS call is made,
+    so it does not depend on the BLAS build or its threads.
     """
-    c = np.asarray(c, dtype=float)
-    n = c.size
+    y = np.asarray(c, dtype=float)
+    n = y.size
     # sqrt(n)/8 balances the per-call cost of the column steps against the
     # scalar pass over the blocks; an odd width keeps the column stride off
     # a power of two, where cache-set conflicts slow the strided columns
     width = math.isqrt(n // 64) | 1
-    blocks = -(-n // width)
-    flat = np.empty(blocks * width)
-    flat[:n] = c
-    flat[n:] = 0.0
-    y = flat.reshape(blocks, width)
-    ends = np.einsum("ij,j->i", y, np.power(a, np.arange(width - 1, -1, -1))).tolist()
+    # every block but the last needs its end value
+    full = (n - 1) // width
+    rows = y[: full * width].reshape(full, width)
+    ends = np.einsum("ij,j->i", rows, np.power(a, np.arange(width - 1, -1, -1))).tolist()
     decay = a**width
     entry = [y0]
-    for end in ends[:-1]:
+    for end in ends:
         entry.append(end + decay * entry[-1])
-    y[:, 0] += a * np.array(entry)
+    # column j holds y[j::width], the short last block's samples included
+    # while j is below its length
+    y[::width] += a * np.array(entry)
     for j in range(1, width):
-        y[:, j] += a * y[:, j - 1]
-    return flat[:n]
+        column = y[j::width]
+        column += a * y[j - 1 :: width][: column.size]
+    return y
 
 
 def _bandwidth_filter(x, det, fs):

@@ -355,8 +355,8 @@ def kk_residual(spectrum):
     detunings, chi = _spectrum_arrays(spectrum)
     if detunings.size < 64:
         raise GridPolicyError("Hilbert-transform check needs at least 64 samples")
-    steps = np.diff(detunings)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+    step = detunings[1] - detunings[0]
+    if not np.allclose(np.diff(detunings), step, rtol=1e-9, atol=0.0):
         raise GridPolicyError("Hilbert-transform check needs a uniform grid")
     absorption = np.imag(chi)
     dispersion = np.real(chi)
@@ -376,7 +376,8 @@ def kk_residual(spectrum):
     transform[0] = 0.0
     transform[-1] = 0.0
     transform *= 1j
-    reconstructed = np.fft.irfft(transform, padded)[:n]
+    reconstructed = np.fft.irfft(transform, padded, out=np.empty(padded))[:n]
+    del transform
     lo, hi = n // 4, n - n // 4
     scale = float(np.max(np.abs(dispersion[lo:hi])))
     worst = float(np.max(np.abs(dispersion[lo:hi] - reconstructed[lo:hi])))

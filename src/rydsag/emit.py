@@ -79,33 +79,40 @@ def write_csv(path, header, columns):
 def _csv_rows(block):
     """The bytes of one block of rows, each cell followed by ',' or LF.
 
-    Every column becomes a fixed-width byte table and a cell length. The
-    tables sit side by side with one spare byte per cell for its
-    separator, and the block is compacted by cell length; a NUL inside a
-    string cell is data, so padding is never told apart by its value.
+    Every column is formatted straight into its fixed-width field of one
+    byte table, which has one spare byte per cell for its separator, and
+    the table is compacted by cell length; a NUL inside a string cell is
+    data, so padding is never told apart by its value.
     """
-    tables = [
-        _float_cells(part) if part.dtype.kind == "f" else _text_cells(part)
-        for part in block
-    ]
+    texts = [None if part.dtype.kind == "f" else _text_cells(part) for part in block]
+    widths = [_FLOAT_WIDTH if text is None else text[0].shape[1] for text in texts]
     rows = block[0].shape[0]
-    width = sum(cells.shape[1] + 1 for cells, _ in tables)
-    buffer = np.empty((rows, width), np.uint8)
-    keep = np.empty((rows, width), bool)
-    row_starts = np.arange(0, rows * width, width)
+    buffer = np.empty((rows, sum(widths) + len(widths)), np.uint8)
+    lengths = []
     start = 0
-    for index, (cells, length) in enumerate(tables):
-        stop = start + cells.shape[1]
-        buffer[:, start:stop] = cells
-        separator = b"\n" if index == len(tables) - 1 else b","
-        buffer.reshape(-1)[row_starts + start + length] = ord(separator)
-        # row L of `prefix` keeps a cell's first L bytes and its separator
-        span = stop + 1 - start
-        prefix = np.arange(span) <= np.arange(span)[:, None]
-        rows_of_prefix = prefix.view(np.dtype((np.void, span)))
-        keep[:, start:stop + 1] = rows_of_prefix[length].view(bool).reshape(rows, span)
-        start = stop + 1
-    return buffer[keep].tobytes()
+    for part, text, width in zip(block, texts, widths):
+        cells = buffer[:, start:start + width]
+        if text is None:
+            lengths.append(_float_cells(part, cells))
+        else:
+            cells[...] = text[0]
+            lengths.append(text[1])
+        start += width + 1
+    del texts
+    # the mask is built once every column's formatting temporaries are gone
+    keep = np.empty(buffer.shape, bool)
+    every_row = np.arange(rows)
+    start = 0
+    for index, (width, length) in enumerate(zip(widths, lengths)):
+        separator = b"\n" if index == len(widths) - 1 else b","
+        buffer[every_row, start + length] = ord(separator)
+        # a cell keeps its first `length` bytes and its separator
+        np.less_equal(
+            np.arange(width + 1), length[:, None], out=keep[:, start:start + width + 1]
+        )
+        start += width + 1
+    del lengths, every_row
+    return buffer[keep]
 
 
 def _text_cells(values):
@@ -123,8 +130,9 @@ _EXP_LO, _EXP_HI = -14, 31
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
-def _float_cells(values):
-    """``'%.9g'`` of each float as (rows x 16 bytes, lengths), exact.
+def _float_cells(values, cells):
+    """Write ``'%.9g'`` of each float into ``cells`` (rows x 16 bytes), exact;
+    returns the lengths.
 
     A finite normal nonzero |x| with decimal exponent e is printed from
     the integer m = round(|x| * 10**(8 - e)) in [1e8, 1e9). The fast
@@ -144,28 +152,33 @@ def _float_cells(values):
     m = 1e9 carries to m = 1e8 at exponent e + 1. None of this depends
     on log10 being exact: a wrong e leaves s outside [1e8, 1e9).
 
-    m's digits are read from a 3-digit ASCII table, and its trailing
-    zeros are counted. The exponent, the number of digits kept and the
-    sign select a row of the layout table (``_float_layout``), which
-    holds the row's constant bytes and where each digit goes. ±0 has
-    rows of its own. Every other value (non-finite, subnormal, outside
-    the exponent range, within 1e-6 of a tie) is formatted by ``'%.9g'``
-    itself.
+    m's nine digits, as byte values 0..9 from a 3-digit table, make a
+    little-endian 128-bit number held in two uint64 words, and its
+    trailing zeros are counted. The exponent, the number of digits kept
+    and the sign select a row of the layout table (``_float_layout``):
+    the row's constant bytes, with '0' where a digit goes, and how many
+    leading digits stand before the decimal point and how far the digits
+    move. A byte is opened after those leading digits, the digits are
+    shifted into place and or-ed onto the constant bytes; the trailing
+    zeros of m are zero bytes, so they change nothing where they land.
+    ±0 has rows of its own. Every other value (non-finite, subnormal,
+    outside the exponent range, within 1e-6 of a tie) is formatted by
+    ``'%.9g'`` itself.
     """
     layout = _float_layout()
     # as in '%': a longdouble beyond the double range is inf, a signaling NaN nan
     with np.errstate(over="ignore", invalid="ignore"):
         x = values.astype(np.float64, copy=False)
-    rows = x.shape[0]
     magnitude = np.abs(x)
     normal = (magnitude >= _SMALLEST_NORMAL) & (magnitude < np.inf)
-    magnitude = np.where(normal, magnitude, 1.0)
+    magnitude[~normal] = 1.0
     exponent = np.floor(np.log10(magnitude)).astype(np.intp)
     scaled = _scale(magnitude, exponent, layout.pow10)
     off = np.flatnonzero((scaled < 1e8) | (scaled >= 1e9))
     if off.size:
         exponent[off] += np.where(scaled[off] >= 1e9, 1, -1)
         scaled[off] = _scale(magnitude[off], exponent[off], layout.pow10)
+    del magnitude
     mantissa = np.rint(scaled)
     fast = (
         normal
@@ -174,36 +187,66 @@ def _float_cells(values):
         & (scaled < 1e9)
         & (np.abs(scaled - mantissa) < 0.5 - 1e-6)
     )
-    mantissa = np.where(fast, mantissa, 1e8).astype(np.int32)
+    del scaled
+    mantissa = np.where(fast, mantissa, 0.0).astype(np.int32)
     carry = mantissa == 10**9
     mantissa[carry] = 10**8
     exponent += carry
     high, low = np.divmod(mantissa, 1000)
     high, middle = np.divmod(high, 1000)
-    digits = np.empty((rows, 3), np.uint32)
-    digits[:, 0] = layout.three[high]
-    digits[:, 1] = layout.three[middle]
-    digits[:, 2] = layout.three[low]
+    del mantissa
     trailing = layout.trailing[low] + (low == 0) * (
         layout.trailing[middle] + (middle == 0) * layout.trailing[high]
     )
     row = (np.clip(exponent, _EXP_LO, _EXP_HI) - _EXP_LO) * 18 + (8 - trailing) * 2
     row += np.signbit(x)
-    zero = x == 0.0
-    row[zero] = layout.length.size - 2 + np.signbit(x[zero])
-    source = layout.source[row].view(np.uint8).reshape(rows, _FLOAT_WIDTH)
-    source = np.add(source, np.arange(0, 12 * rows, 12)[:, None])
-    cells = layout.const[row].view(np.uint8).reshape(rows, _FLOAT_WIDTH)
-    cells |= digits.view(np.uint8).reshape(-1)[source]
+    del exponent, trailing
+    slow = ~fast
+    row[slow] = layout.length.size - 2 + np.signbit(x[slow])
+    # digits 1..8 in the low word, digit 9 in the high word; a value off
+    # the fast path has m = 0, no digits
+    top = layout.three[low]
+    digits = layout.three[high]
+    digits |= top << np.uint64(48)
+    top >>= np.uint64(16)
+    part = layout.three[middle]
+    part <<= np.uint64(24)
+    digits |= part
+    del high, middle, low
+    # open the byte after the leading digits: digits = head | rest << 8
+    head = layout.head[row]
+    head &= digits
+    digits ^= head
+    np.right_shift(digits, np.uint64(56), out=part)
+    digits <<= np.uint64(8)
+    digits |= head
+    head_top = layout.head_top[row]
+    head_top &= top
+    top ^= head_top
+    top <<= np.uint64(8)
+    top |= head_top
+    top |= part
+    del head, head_top
+    # shift both words into place and or them onto the constant bytes
+    # (the spill into the high word takes two shifts, so none reaches 64 bits)
+    words = cells.view("<u8")
+    np.right_shift(digits, np.uint64(8), out=part)
+    part >>= layout.spill[row]
+    top <<= layout.shift[row]
+    top |= part
+    np.bitwise_or(top, layout.const_top[row], out=words[:, 1])
+    digits <<= layout.shift[row]
+    np.bitwise_or(digits, layout.const[row], out=words[:, 0])
     lengths = layout.length[row]
-    slow = np.flatnonzero(~(fast | zero))
+    slow &= ~(x == 0.0)
+    slow = np.flatnonzero(slow)
     if slow.size:
         text = [("%.9g" % value).encode("ascii") for value in x[slow].tolist()]
         cells[slow] = np.array(text, dtype=f"S{_FLOAT_WIDTH}").view(np.uint8).reshape(
             slow.size, _FLOAT_WIDTH
         )
         lengths[slow] = list(map(len, text))
-    return cells, lengths
+    return lengths
 
 
 def _scale(magnitude, exponent, pow10):
@@ -217,7 +260,6 @@ def _scale(magnitude, exponent, pow10):
 def _float_layout():
     """Read-only lookup tables of the fast ``'%.9g'`` path, built on first
     use (see ``_float_cells``)."""
-    three = [f"{v:03d}" for v in range(1000)]
     # One row per (exponent, digits kept, sign), in _float_cells' order,
     # printed by '%.9g' itself from the distinct digits 1..9; then ±0.
     text = [
@@ -234,17 +276,27 @@ def _float_layout():
         & (table <= ord("9"))
         & (np.arange(_FLOAT_WIDTH) < mantissa_end)
     )
-    # byte offsets of the nine digits in _float_cells' per-value triple of
-    # 3-digit groups, each a NUL-terminated uint32; offset 3 is always NUL
-    digit_source = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10], np.uint8)
-    source = np.where(is_digit, digit_source[np.clip(table - ord("1"), 0, 8)], 3)
-    cell = np.dtype((np.void, _FLOAT_WIDTH))
+    # the first digit's byte, and the digits before a decimal point that
+    # follows it (all nine where none does)
+    first = [max(t.find("1"), 0) for t in text]
+    leading = [
+        t.find(".", start) - start if "." in t[start:] else 9
+        for t, start in zip(text, first)
+    ]
+    head = [(1 << 8 * count) - 1 for count in leading]
+    words = np.where(is_digit, ord("0"), table).astype(np.uint8).view("<u8")
     layout = types.SimpleNamespace(
         pow10=np.array([float(10**k) for k in range(23)]),
-        three=np.frombuffer("\0".join(three + [""]).encode("ascii"), np.uint32),
-        trailing=np.array([3 - len(t.rstrip("0")) for t in three], np.intp),
-        const=np.where(is_digit, 0, table).astype(np.uint8).view(cell).ravel(),
-        source=source.astype(np.uint8).view(cell).ravel(),
+        three=np.array(
+            [v // 100 | v // 10 % 10 << 8 | v % 10 << 16 for v in range(1000)], np.uint64
+        ),
+        trailing=np.array([3 - len(f"{v:03d}".rstrip("0")) for v in range(1000)], np.intp),
+        const=words[:, 0].astype(np.uint64),
+        const_top=words[:, 1].astype(np.uint64),
+        head=np.array([mask & (2**64 - 1) for mask in head], np.uint64),
+        head_top=np.array([mask >> 64 for mask in head], np.uint64),
+        shift=np.array([8 * start for start in first], np.uint64),
+        spill=np.array([56 - 8 * start for start in first], np.uint64),
         length=np.array(list(map(len, text)), np.intp),
     )
     for array in vars(layout).values():

@@ -170,7 +170,7 @@ def burn_in_samples(corner_hz, fs, duration):
 def _one_over_f(rng, out, amplitude, fs, corner_hz, duration):
     """Write ``amplitude`` times unit-RMS 1/f-shaped noise from octave-spaced
     one-pole filters into the zeroed ``out``; returns the white buffer, burn
-    samples longer than ``out``, that every octave was drawn into."""
+    samples longer than ``out``, that every octave was drawn and filtered in."""
     poles = _octave_poles(corner_hz, duration)
     burn = int(math.ceil(burn_in_samples(corner_hz, fs, duration)))
     white = np.empty(out.size + burn)
@@ -179,7 +179,8 @@ def _one_over_f(rng, out, amplitude, fs, corner_hz, duration):
         rng.standard_normal(out=white)
         # input gain for unit output variance: var(y) = gain^2 / (1 - a^2)
         white *= math.sqrt((1.0 - a) * (1.0 + a))
-        out += one_pole(white, a)[burn:]
+        one_pole(white, a)
+        out += white[burn:]
     out /= math.sqrt(poles.size)
     out *= amplitude
     return white
@@ -189,9 +190,9 @@ def synthesize_drift(drift, n, fs, seed):
     """Deterministic disturbance record of the drift model, in rad/m.
 
     The components are built one at a time in a single reused buffer and
-    added into the record.  Amplitudes near the float limit can sum past
-    it; such a record is a ``DomainError``, not a warning and a non-finite
-    disturbance.
+    added into the record, the sinusoids ``BLOCK`` samples at a time.
+    Amplitudes near the float limit can sum past it; such a record is a
+    ``DomainError``, not a warning and a non-finite disturbance.
     """
     rng = np.random.default_rng(seed)
     out = np.zeros(n)
@@ -210,15 +211,17 @@ def synthesize_drift(drift, n, fs, seed):
             buffer *= drift.white_amplitude
             out += buffer
         if drift.sinusoids:
-            t = np.arange(n, dtype=float)
-            t /= fs
-            for freq, amp in drift.sinusoids:
-                phase = rng.uniform(0.0, 2.0 * math.pi)
-                np.multiply(2.0 * math.pi * freq, t, out=buffer)
-                buffer += phase
-                np.sin(buffer, out=buffer)
-                buffer *= amp
-                out += buffer
+            phases = [rng.uniform(0.0, 2.0 * math.pi) for _ in drift.sinusoids]
+            for start in range(0, n, BLOCK):
+                t = np.arange(start, min(start + BLOCK, n), dtype=float)
+                t /= fs
+                line = buffer[: t.size]
+                for (freq, amp), phase in zip(drift.sinusoids, phases):
+                    np.multiply(2.0 * math.pi * freq, t, out=line)
+                    line += phase
+                    np.sin(line, out=line)
+                    line *= amp
+                    out[start : start + t.size] += line
     if not np.isfinite(out).all():
         raise DomainError(
             "drift amplitudes sum past the float range; reduce the drift amplitudes"

@@ -7,11 +7,12 @@ import pathlib
 import subprocess
 import sys
 import warnings
+import weakref
 
 import pytest
 
 import rydsag
-from rydsag import cli
+from rydsag import cli, stabilization
 from rydsag.cli import EXPERIMENTS, MAX_GRID_POINTS, load_config, main
 from rydsag.errors import ConfigError
 
@@ -344,6 +345,35 @@ def test_spectrum_checks_run_before_the_csv_and_keep_their_note_order(
     assert notes[0].startswith("absorption has not decayed at the grid edges")
     assert notes[1].startswith("expected two transparency dips")
     assert report["kk_residual"] == report["at_splitting_hz"] == "undefined"
+
+
+def test_stabilize_frees_the_disturbance_before_the_csv(tmp_path, capsys, monkeypatch):
+    # no output holds the disturbance, so the time column and the CSV
+    # blocks reuse its memory
+    records = []
+    synthesize_drift = stabilization.synthesize_drift
+
+    def keep_weakref(*args):
+        record = synthesize_drift(*args)
+        records.append(weakref.ref(record))
+        return record
+
+    alive_at_write = []
+    write_csv = cli.write_csv
+
+    def spy(path, header, columns):
+        alive_at_write.append([ref() is not None for ref in records])
+        return write_csv(path, header, columns)
+
+    monkeypatch.setattr(stabilization, "synthesize_drift", keep_weakref)
+    monkeypatch.setattr(cli, "write_csv", spy)
+    cfg = write_config(
+        tmp_path,
+        {"experiment": "stabilize", "loop": {"duration": 0.4, "loop_on_at": 0.2}},
+    )
+    code, _ = run_cli(capsys, "simulate", cfg, "--output-dir", str(tmp_path / "o"))
+    assert code == 0
+    assert alive_at_write == [[False]]
 
 
 def test_runtime_failure_reports_error_json(tmp_path, capsys):

@@ -203,6 +203,42 @@ def test_one_pole_matches_lfilter(n, a, y0):
     assert_matches_oracle(one_pole((1.0 - a) * x, a, y0), reference)
 
 
+def _reference_one_pole(c, a, y0=0.0):
+    """one_pole as it filtered a zero-padded copy of its input, kept as the
+    oracle of the in-place one."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    width = math.isqrt(n // 64) | 1
+    blocks = -(-n // width)
+    flat = np.empty(blocks * width)
+    flat[:n] = c
+    flat[n:] = 0.0
+    y = flat.reshape(blocks, width)
+    ends = np.einsum("ij,j->i", y, np.power(a, np.arange(width - 1, -1, -1))).tolist()
+    decay = a**width
+    entry = [y0]
+    for end in ends[:-1]:
+        entry.append(end + decay * entry[-1])
+    y[:, 0] += a * np.array(entry)
+    for j in range(1, width):
+        y[:, j] += a * y[:, j - 1]
+    return flat[:n]
+
+
+# rows of width 1 below 576 samples, a short last row of 3 to 108 samples,
+# a full one at 763 000, the 60 s drift's white buffer of n + burn samples
+@pytest.mark.parametrize(
+    "n", [1, 63, 64, 65, 16_383, 16_384, 16_385, 200_001, 762_999, 763_000])
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.939, 0.99997])
+def test_in_place_one_pole_is_bit_equal_to_padded_copy(n, a):
+    c = np.random.default_rng(n).standard_normal(n)
+    want = _reference_one_pole(c, a, y0=0.5)
+    got = one_pole(c, a, y0=0.5)
+    assert np.shares_memory(got, c)
+    assert got.shape == want.shape == (n,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_psd_validation():
     series = TimeSeries(fs=1e5, samples=np.zeros(1000))
     with pytest.raises(InvalidParameterError):

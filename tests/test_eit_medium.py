@@ -200,6 +200,23 @@ def test_kk_residual_peaks_below_three_padded_arrays():
     assert peak <= 3 * 8 * (4 * len(spectrum))
 
 
+def test_kk_residual_peaks_at_two_padded_arrays():
+    # the padded input and its transform, then the transform and the
+    # reconstruction, which irfft writes into its own array; the transform
+    # is freed before the residual, and the grid's steps before the FFTs
+    # (2.5 arrays while the steps and the transform stayed)
+    medium = params(omega_mw=2.0 * math.pi * 8e6)
+    spectrum = susceptibility_spectrum(medium, detuning_grid(medium, 40.0, 65536))
+    kk_residual(spectrum)
+    tracemalloc.start()
+    try:
+        kk_residual(spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 8 * (4 * len(spectrum))
+
+
 def test_kk_grid_policy_requires_decayed_edges():
     medium = params()
     narrow = susceptibility_spectrum(medium, detuning_grid(medium, 1.5, 512))

@@ -442,6 +442,18 @@ def test_drift_memory_stays_near_its_buffers():
     assert peak <= 1.1 * 8 * (n + 2 * (n + burn))
 
 
+def test_drift_filters_its_white_buffer_in_place():
+    # one_pole filters the white buffer where it lies, and the sinusoids
+    # take their time base a block at a time: the record and the white
+    # buffer, plus the filter's block states; a padded copy per octave made
+    # it 1.6 times this bound
+    n, fs = 200_000, 1.0e4
+    burn = math.ceil(stabilization.burn_in_samples(DriftModel().corner_hz, fs, n / fs))
+    synthesize_drift(DriftModel(), 1000, fs, seed=0)
+    _, peak = _peak_bytes(lambda: synthesize_drift(DriftModel(), n, fs, seed=0))
+    assert peak <= 1.1 * 8 * (2 * n + burn)
+
+
 # ---------------------------------------------------------------------------
 # bit-exactness of the drift against the whole-array synthesis it replaced
 
