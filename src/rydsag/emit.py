@@ -238,7 +238,7 @@ def _float_cells(values, cells):
     digits <<= layout.shift[row]
     np.bitwise_or(digits, layout.const[row], out=words[:, 0])
     lengths = layout.length[row]
-    slow &= ~(x == 0.0)
+    slow &= x != 0.0
     slow = np.flatnonzero(slow)
     if slow.size:
         text = [("%.9g" % value).encode("ascii") for value in x[slow].tolist()]
