@@ -16,7 +16,7 @@ The heterodyne sweep evaluates its points on a thread pool, one thread
 per usable CPU up to the number of swept amplitudes.  Each point draws
 from its own child seed, so the output bytes do not depend on the pool;
 peak memory grows with it, since each thread holds its own detected
-record of about two record lengths (README.md gives measured times and
+record of about one record length (README.md gives measured times and
 memory).
 
 Output directory precedence: --output-dir flag, then the

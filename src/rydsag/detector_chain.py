@@ -12,6 +12,7 @@ powers expensive, as a real weak-value readout finds.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,9 +28,13 @@ MAX_SAMPLES = 100_000_000
 # The chain works through a record BLOCK samples at a time, and psd
 # transforms CHUNK segments at a time, so that no temporary is near the
 # size of a record: 128 KiB blocks and, at 2048-sample segments, 0.5 MiB
-# chunks.  A record with two channels then peaks at about two records.
+# chunks.  A record then peaks at about one record length, or two where
+# the bandwidth filter changes a two-channel record.
 BLOCK = 16_384
 CHUNK = 32
+# numpy's pairwise summation adds at most this many values in one leaf,
+# and psd averages its segments in the same order
+PAIRWISE_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -140,12 +145,12 @@ def _noise_sigma(power, det, fs):
     deviation depends on the clean power only.
     """
     nyquist = 0.5 * fs
-    shot_var = 2.0 * det.photon_energy * np.clip(power, 0.0, None) * nyquist
-    nep_var = det.nep**2 * nyquist
-    dark_var = (
-        2.0 * constants.e * det.dark_current * nyquist / det.responsivity**2
-    )
-    return np.sqrt(shot_var + nep_var + dark_var)
+    var = np.clip(power, 0.0, None)  # the shot-noise variance, then the sum
+    var *= 2.0 * det.photon_energy
+    var *= nyquist
+    var += det.nep**2 * nyquist
+    var += 2.0 * constants.e * det.dark_current * nyquist / det.responsivity**2
+    return np.sqrt(var, out=var)
 
 
 def one_pole(c, a, y0=0.0):
@@ -184,22 +189,41 @@ def one_pole(c, a, y0=0.0):
     return y
 
 
+def _pole(det, fs):
+    """Pole of the single-pole low-pass at the detector bandwidth."""
+    return math.exp(-2.0 * math.pi * det.bandwidth / fs)
+
+
+def _passes_through(x, a, before):
+    """Whether every step y[i] = a * y[i-1] + x[i] over block x, entered
+    with y = ``before``, returns x[i] exactly."""
+    if x[0] + a * before != x[0]:
+        return False
+    steps = a * x[:-1]
+    steps += x[1:]
+    return np.array_equal(steps, x[1:])
+
+
 def _bandwidth_filter(x, det, fs):
-    """Single-pole low-pass at the detector bandwidth, settled at x[0]."""
-    a = math.exp(-2.0 * math.pi * det.bandwidth / fs)
+    """Single-pole low-pass at the detector bandwidth, settled at x[0].
+
+    A record that the filter changes is filtered in place.
+    """
+    a = _pole(det, fs)
     # far above the sample rate the pole rounds away: skip the filter only
     # when every step of the recursion provably returns its input, checked
     # a block at a time
     if a == 0.0 or (
         1.0 - a == 1.0
-        and x[0] + a * x[0] == x[0]
         and all(
-            np.array_equal(x[i + 1 : j + 1] + a * x[i:j], x[i + 1 : j + 1])
-            for i, j in _blocks(x.size - 1, 1)
+            _passes_through(x[i:j], a, x[i - 1] if i else x[0])
+            for i, j in _blocks(x.size, 1)
         )
     ):
         return x
-    return one_pole((1.0 - a) * x, a, y0=x[0])
+    y0 = x[0]
+    x *= 1.0 - a
+    return one_pole(x, a, y0=y0)
 
 
 def _blocks(n, period):
@@ -294,13 +318,26 @@ def sample_timeseries(clean, det, fs, duration, seed):
             f"got shape {powers[0].shape}"
         )
 
-    # record = noise * sigma + (factor * power + line), one block at a time;
-    # the last channel's draws come last in the stream, so its noise is
-    # drawn block by block and its record takes over the factor's buffer,
-    # each block once no channel needs its factor any more
-    blocks = _blocks(n, period)
-    reps = max(BLOCK // period, 1)
     rng = np.random.default_rng(seed)
+    first = rng.bit_generator.state
+    samples = _readout(rng, powers, det, fs, n, stream=True)
+    if samples is None:  # the filter changes the streamed channel
+        rng.bit_generator.state = first
+        samples = _readout(rng, powers, det, fs, n, stream=False)
+    return TimeSeries(fs=fs, samples=samples)
+
+
+def _readout(rng, powers, det, fs, n, stream):
+    """Readout samples of the channels drawn from rng, or None.
+
+    The left channel's record takes over the RIN factor's buffer, and the
+    right channel draws the factor again from a copy of the generator.
+    With ``stream`` set and a pole that rounds away, the right channel is
+    never stored: each block is checked against the filter, clamped and
+    read out into the left record, and None is returned at the first
+    block that the filter would change.
+    """
+    replay = copy.deepcopy(rng) if det.rin > 0.0 and len(powers) == 2 else None
     factor = None
     if det.rin > 0.0:
         factor = rng.standard_normal(n)
@@ -309,28 +346,63 @@ def sample_timeseries(clean, det, fs, duration, seed):
     phase = None
     if det.line_amp_w > 0.0 and det.line_freq_hz > 0.0:
         phase = rng.uniform(0.0, 2.0 * math.pi)
-    channels = []
-    for i, power in enumerate(powers):
-        sigma = np.tile(_noise_sigma(power, det, fs), reps)
-        power = np.tile(power, reps)
-        in_factor = factor is not None and i == len(powers) - 1
-        record = factor if in_factor else rng.standard_normal(n)
-        for start, stop in blocks:
-            at = start % period
-            block, p = record[start:stop], power[at : at + stop - start]
-            if in_factor:
-                common = np.multiply(block, p, out=block)
-                noise = rng.standard_normal(stop - start)
-            else:
-                noise = block
-                common = p if factor is None else factor[start:stop] * p
-            noise *= sigma[at : at + stop - start]
-            if phase is not None:
-                common = common + _line(det, phase, fs, start, stop, len(powers))
-            np.add(noise, common, out=block)
-        filtered = _bandwidth_filter(record, det, fs)
-        channels.append(np.clip(filtered, 0.0, None, out=filtered))
-    return TimeSeries(fs=fs, samples=channel_readout(channels))
+    left = np.empty(n) if factor is None else factor
+    for _ in _channel_blocks(rng, powers[0], det, fs, n, factor, phase, len(powers), left):
+        pass
+    left = _bandwidth_filter(left, det, fs)
+    np.clip(left, 0.0, None, out=left)
+    if len(powers) == 1:
+        return left
+    a = _pole(det, fs)
+    if not stream or (a != 0.0 and 1.0 - a != 1.0):
+        right = np.empty(n)
+        for _ in _channel_blocks(rng, powers[1], det, fs, n, replay, phase, 2, right):
+            pass
+        right = _bandwidth_filter(right, det, fs)
+        return channel_readout((left, np.clip(right, 0.0, None, out=right)))
+    before = None
+    for start, stop, x in _channel_blocks(rng, powers[1], det, fs, n, replay, phase, 2):
+        if a != 0.0 and not _passes_through(x, a, x[0] if before is None else before):
+            return None
+        before = x[-1]
+        channel_readout((left[start:stop], np.clip(x, 0.0, None, out=x)))
+    return left
+
+
+def _channel_blocks(rng, power, det, fs, n, factor, phase, channels, out=None):
+    """One channel's record, noise * sigma + (factor * power + line), as
+    (start, stop, samples) a block at a time.
+
+    The noise is drawn from rng a block at a time.  ``factor`` is the RIN
+    factor over the record, which the blocks overwrite, a generator that
+    draws it again a block at a time, or None.  The samples are written
+    into ``out`` where it is given, and into a new block otherwise.
+    """
+    period = power.size
+    sigma = _noise_sigma(power, det, fs)
+    reps = BLOCK // period
+    if reps > 1:
+        power, sigma = np.tile(power, reps), np.tile(sigma, reps)
+    for start, stop in _blocks(n, period):
+        at, size = start % period, stop - start
+        p = power[at : at + size]
+        if isinstance(factor, np.random.Generator):
+            common = factor.standard_normal(size)
+            common *= det.rin * math.sqrt(0.5 * fs)
+            common += 1.0
+            common *= p
+        elif factor is not None:
+            common = np.multiply(factor[start:stop], p, out=factor[start:stop])
+        else:
+            common = p
+        noise = rng.standard_normal(size)
+        noise *= sigma[at : at + size]
+        if phase is not None:
+            common = common + _line(det, phase, fs, start, stop, channels)
+        block = np.add(noise, common, out=noise if out is None else out[start:stop])
+        # hold no more than the block while the caller reads it
+        del common, noise
+        yield start, stop, block
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +436,41 @@ def psd(ts, segment_length, overlap=None):
     count = (samples.size - overlap) // hop
     segments = sliding_window_view(samples, segment_length)[::hop][:count]
     window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, segment_length + 1)[:-1])
-    # scaled in scipy's operation order, and laid out (frequency, segment)
-    # as scipy averages it, so the two agree bit for bit
+    # scaled in scipy's operation order, and averaged in the order in which
+    # scipy's mean adds a (frequency, segment) row, so the two agree bit
+    # for bit
     scale = window * (1.0 / np.sqrt(sum(window**2) / (1.0 / fs)))
-    density = np.empty((segment_length // 2 + 1, count))
-    for start in range(0, count, CHUNK):
-        chunk = segments[start : start + CHUNK]
+    density = _power_sum(segments, scale, 0, count)
+    density /= count
+    return np.fft.rfftfreq(segment_length, 1.0 / fs), density
+
+
+def _power_sum(segments, scale, start, stop):
+    """Sum of the one-sided power spectra of segments start:stop.
+
+    The segments are split as numpy's pairwise summation splits a row of
+    them, at half the count rounded down to a multiple of 8, down to
+    leaves of at most PAIRWISE_LEAF segments; each leaf's (frequency,
+    segment) tile is summed by np.add.reduce, and the leaf sums are added
+    in the tree's order, so the sum is bit-equal to the row sums of the
+    whole (frequency, segment) array.
+    """
+    count = stop - start
+    if count > PAIRWISE_LEAF:
+        half = count // 2
+        half -= half % 8
+        return _power_sum(segments, scale, start, start + half) + _power_sum(
+            segments, scale, start + half, stop)
+    segment_length = segments.shape[-1]
+    tile = np.empty((segment_length // 2 + 1, count))
+    for at in range(start, stop, CHUNK):
+        chunk = segments[at : min(at + CHUNK, stop)]
         chunk = chunk - chunk.mean(axis=-1, keepdims=True)
         chunk *= scale
         spectra = np.fft.rfft(chunk, axis=-1)
         del chunk  # free each chunk-sized intermediate before the next
-        power = np.square(spectra.real.T, out=density[:, start : start + CHUNK])
+        power = np.square(spectra.real.T, out=tile[:, at - start : at - start + CHUNK])
         power += np.square(spectra.imag.T)
         del spectra
-    density[1 : -1 if segment_length % 2 == 0 else None] *= 2.0
-    return np.fft.rfftfreq(segment_length, 1.0 / fs), density.mean(axis=-1)
+    tile[1 : -1 if segment_length % 2 == 0 else None] *= 2.0
+    return np.add.reduce(tile, axis=-1)

@@ -183,6 +183,10 @@ def _reference_psd(ts, segment_length, overlap=None):
         (100_000, 1023, 500),
         (CHUNK * 64, 128, None),  # one segment short of a chunk
         (4096, 4096, None),  # a single segment
+        # segment counts about the leaves of numpy's pairwise summation:
+        # below its unrolled 8, one leaf of 128, one segment over it, the
+        # split of 136 at 64, and the two-level trees of 257 and 1463
+        *[(64 * count, 64, 0) for count in (1, 7, 8, 128, 129, 136, 257, 1463)],
     ],
 )
 def test_chunked_psd_is_bit_equal_to_whole_record_psd(n, segment_length, overlap):
@@ -282,18 +286,21 @@ def test_bandwidth_filter_skips_only_an_exact_identity():
     assert np.array_equal(skipped, one_pole((1.0 - a) * x, a, y0=x[0]))
 
     # a zero sample after a nonzero one keeps a * x[n-1]: no skip, in the
-    # first block, on a block edge or at the last sample
+    # first block, on a block edge or at the last sample; a record that
+    # the filter changes is filtered in place, so it gets a copy
     for hole in (10, BLOCK, x.size - 1):
         holed = x.copy()
         holed[hole] = 0.0
-        filtered = _bandwidth_filter(holed, det, fs)
+        record = holed.copy()
+        filtered = _bandwidth_filter(record, det, fs)
+        assert np.shares_memory(filtered, record)
         assert filtered[hole] == a * holed[hole - 1] > 0.0
         assert np.array_equal(filtered, one_pole((1.0 - a) * holed, a, y0=holed[0]))
 
     # a bandwidth of fs/10 is a real low-pass
     slow = DetectorParams(bandwidth=fs / 10)
     b = math.exp(-2.0 * math.pi * slow.bandwidth / fs)
-    filtered = _bandwidth_filter(x, slow, fs)
+    filtered = _bandwidth_filter(x.copy(), slow, fs)
     assert not np.array_equal(filtered, x)
     assert np.array_equal(filtered, one_pole((1.0 - b) * x, b, y0=x[0]))
 
@@ -547,6 +554,32 @@ def test_heterodyne_records_equal_the_full_length_path(
     assert_same_bits(periodic, run())
 
 
+@pytest.mark.parametrize("rin", [0.0, 1e-6])
+@pytest.mark.parametrize(
+    "dark", [10, BLOCK, LONG - 1], ids=["first-block", "block-edge", "last-sample"])
+def test_streamed_channel_that_the_filter_changes_is_drawn_again(rin, dark):
+    # with no NEP or dark current a sample that gets no light is exactly 0,
+    # and the filter, whose pole rounds away, still carries a * x[i-1] into
+    # it: the right channel, read out a block at a time, fails the check
+    # there, and the record is drawn again with both channels stored
+    fs = 3.0e6
+    det = DetectorParams(nep=0.0, dark_current=0.0, rin=rin)
+    phase = 2.0 * math.pi * np.arange(LONG) / 20
+    clean = (80e-6 * (1.0 + 0.3 * np.sin(phase)), 60e-6 * (1.0 + 0.3 * np.cos(phase)))
+    for power in clean:
+        power[dark] = 0.0
+    reference = _reference_sample_timeseries(lambda t: clean, det, fs, LONG / fs, seed=1)
+    ts = sample_timeseries(clean, det, fs, LONG / fs, seed=1)
+    # the dark sample reads the contrast that the filter carries into it
+    assert ts.samples[dark] != 0.0
+    assert_same_bits(ts.samples, reference.samples)
+    # a generator passed as the seed ends in the same state either way
+    rng, again = np.random.default_rng(5), np.random.default_rng(5)
+    _reference_sample_timeseries(lambda t: clean, det, fs, LONG / fs, rng)
+    sample_timeseries(clean, det, fs, LONG / fs, again)
+    assert rng.standard_normal() == again.standard_normal()
+
+
 def _peak_bytes(fn):
     """Result of fn() and the peak of memory traced while it ran."""
     tracemalloc.start()
@@ -558,26 +591,42 @@ def _peak_bytes(fn):
 
 
 def test_periodic_chain_memory_stays_near_the_record_size():
-    # a 20-sample period with RIN: two channels hold the first channel's
-    # record and the RIN factor, whose buffer becomes the second channel's
-    # record, so the chain needs about 2 records; one channel needs about
-    # one, the factor's buffer; blocks and the finiteness check add a little
+    # a 20-sample period with RIN, at a rate where the bandwidth filter
+    # rounds away: the first channel's record takes over the RIN factor's
+    # buffer, and the second channel is read out into it a block at a time,
+    # so one or two channels need about one record; the tiled period,
+    # blocks and the finiteness check add a little
     fs = 3.0e6
     det = DetectorParams(rin=1e-7)
     n = 300_000
-    for channels, bound in ((2, 2.5), (1, 1.5)):
+    for channels, bound in ((2, 1.5), (1, 1.5)):
         clean = _periodic_channels(channels, 20)
         ts, peak = _peak_bytes(lambda: sample_timeseries(clean, det, fs, n / fs, seed=0))
         assert ts.samples.size == n
         assert peak <= bound * ts.samples.nbytes
 
 
+def test_full_length_chain_memory_stays_near_its_records():
+    # full-length clean powers, filtered at fs/10: the noise deviation is
+    # computed in place and the powers are read where they lie, so the two
+    # stored channels and a channel's deviation make about three records
+    fs = 1.0e6
+    n = 200_000
+    phase = 2.0 * math.pi * 1e3 * np.arange(n) / fs
+    clean = (80e-6 * (1.0 + 0.3 * np.sin(phase)), 60e-6 * (1.0 + 0.2 * np.cos(phase)))
+    det = DetectorParams(bandwidth=fs / 10)
+    with pytest.warns(RegimeWarning, match="bandwidth"):
+        ts, peak = _peak_bytes(lambda: sample_timeseries(clean, det, fs, n / fs, seed=0))
+    assert peak <= 3.5 * ts.samples.nbytes
+
+
 def test_psd_memory_stays_near_its_input():
-    # the (frequency, segment) density is about one record; the chunks of
-    # segments in flight add a little
+    # psd holds one (frequency, segment) tile of a pairwise-summation leaf,
+    # here 72 to 75 segments, 0.26 of the record, beside a chunk of 32
+    # segments and its spectra, 0.44 of the record
     series = TimeSeries(fs=3.0e6, samples=np.random.default_rng(0).standard_normal(300_000))
     _, peak = _peak_bytes(lambda: psd(series, 2048))
-    assert peak <= 2.0 * series.samples.nbytes
+    assert peak <= 0.8 * series.samples.nbytes
 
 
 def test_channels_of_unequal_or_excess_length_are_rejected():
