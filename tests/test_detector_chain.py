@@ -185,7 +185,7 @@ def _reference_psd(ts, segment_length, overlap=None):
         (4096, 4096, None),  # a single segment
         # segment counts about the leaves of numpy's pairwise summation:
         # below its unrolled 8, one leaf of 128, one segment over it, the
-        # split of 136 at 64, and the two-level trees of 257 and 1463
+        # split of 136 at 64, and the deeper trees of 257 and 1463
         *[(64 * count, 64, 0) for count in (1, 7, 8, 128, 129, 136, 257, 1463)],
     ],
 )
