@@ -29,7 +29,8 @@ MAX_SAMPLES = 100_000_000
 # transforms CHUNK segments at a time, so that no temporary is near the
 # size of a record: 128 KiB blocks and, at 2048-sample segments, 0.5 MiB
 # chunks.  A record then peaks at about one record length, or two where
-# the bandwidth filter changes a two-channel record.
+# the bandwidth filter changes a two-channel record.  The medium's
+# spectrum and the CSV writer work BLOCK points or rows at a time too.
 BLOCK = 16_384
 CHUNK = 32
 # numpy's pairwise summation adds at most this many values in one leaf,

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import constants
+from .detector_chain import BLOCK
 from .errors import (
     AccuracyError,
     GridPolicyError,
@@ -49,9 +50,6 @@ GH_RTOL = 1e-6
 # grid edges before the Hilbert-transform comparison is meaningful.
 KK_EDGE_FRACTION = 0.01
 _KK_PAD_FACTOR = 4
-
-# the block size of the detector chain and the CSV writer
-_BLOCK = 16_384
 
 # Probe drive above this fraction of the intermediate-state decay rate
 # leaves the weak-probe regime the model assumes.
@@ -235,7 +233,7 @@ def susceptibility_spectrum(params, grid):
 
     Returns a ``Spectrum`` holding a copy of the grid and the matching
     complex susceptibility array.  Without Doppler averaging chi is
-    evaluated _BLOCK points at a time, so the resolvent's temporaries stay
+    evaluated BLOCK points at a time, so the resolvent's temporaries stay
     block-sized on any grid.
     """
     grid = np.asarray(grid, dtype=float)
@@ -247,8 +245,8 @@ def susceptibility_spectrum(params, grid):
         chi = np.array([doppler_average(params, dp) for dp in grid])
     else:
         chi = np.empty(grid.size, dtype=complex)
-        for start in range(0, grid.size, _BLOCK):
-            chi[start:start + _BLOCK] = _chi_values(params, grid[start:start + _BLOCK])
+        for start in range(0, grid.size, BLOCK):
+            chi[start:start + BLOCK] = _chi_values(params, grid[start:start + BLOCK])
     return Spectrum(delta_p=grid.copy(), chi=chi)
 
 

@@ -15,6 +15,7 @@ import types
 
 import numpy as np
 
+from .detector_chain import BLOCK
 from .errors import InvalidParameterError
 
 UNDEFINED = "undefined"
@@ -44,17 +45,13 @@ def format_cell(value):
     raise InvalidParameterError(f"cannot format a {type(value).__name__} CSV cell")
 
 
-# Rows per block: a block's buffers stay near a megabyte.
-_BLOCK_ROWS = 16384
-
-
 def write_csv(path, header, columns):
     """Write a header and equal-length 1-D columns; returns the path.
 
     A column's type is its array dtype: a float column is written with
     ``'%.9g'`` (the same bytes as ``format_cell``), and any other column
     (bool, int, str) cell by cell by ``format_cell``. Rows are formatted
-    and written _BLOCK_ROWS at a time.
+    and written ``BLOCK`` at a time.
     """
     names = [format_cell(name) for name in header]
     arrays = [np.asarray(column) for column in columns]
@@ -70,57 +67,50 @@ def write_csv(path, header, columns):
     rows = lengths.pop() if lengths else 0
     with open(path, "wb") as handle:
         handle.write((",".join(names) + "\n").encode("utf-8"))
-        for start in range(0, rows, _BLOCK_ROWS):
-            block = [array[start:start + _BLOCK_ROWS] for array in arrays]
+        for start in range(0, rows, BLOCK):
+            block = [array[start:start + BLOCK] for array in arrays]
             handle.write(_csv_rows(block))
     return path
+
+
+# Pads each cell to its field's width; valid UTF-8 never holds this byte,
+# so a NUL inside a string cell stays data.
+_PAD = b"\xff"
 
 
 def _csv_rows(block):
     """The bytes of one block of rows, each cell followed by ',' or LF.
 
     Every column is formatted straight into its fixed-width field of one
-    byte table, which has one spare byte per cell for its separator, and
-    the table is compacted by cell length; a NUL inside a string cell is
-    data, so padding is never told apart by its value.
+    byte table, its text padded with 0xFF, and the spare byte after each
+    field holds the separator; deleting the pad leaves each cell's text
+    and its separator.
     """
     texts = [None if part.dtype.kind == "f" else _text_cells(part) for part in block]
-    widths = [_FLOAT_WIDTH if text is None else text[0].shape[1] for text in texts]
-    rows = block[0].shape[0]
-    buffer = np.empty((rows, sum(widths) + len(widths)), np.uint8)
-    lengths = []
+    widths = [_FLOAT_WIDTH if text is None else text.shape[1] for text in texts]
+    buffer = np.empty((block[0].shape[0], sum(widths) + len(widths)), np.uint8)
     start = 0
     for part, text, width in zip(block, texts, widths):
-        cells = buffer[:, start:start + width]
         if text is None:
-            lengths.append(_float_cells(part, cells))
+            _float_cells(part, buffer[:, start:start + width])
         else:
-            cells[...] = text[0]
-            lengths.append(text[1])
+            buffer[:, start:start + width] = text
+        buffer[:, start + width] = ord(",")
         start += width + 1
+    buffer[:, -1] = ord("\n")
     del texts
-    # the mask is built once every column's formatting temporaries are gone
-    keep = np.empty(buffer.shape, bool)
-    every_row = np.arange(rows)
-    start = 0
-    for index, (width, length) in enumerate(zip(widths, lengths)):
-        separator = b"\n" if index == len(widths) - 1 else b","
-        buffer[every_row, start + length] = ord(separator)
-        # a cell keeps its first `length` bytes and its separator
-        np.less_equal(
-            np.arange(width + 1), length[:, None], out=keep[:, start:start + width + 1]
-        )
-        start += width + 1
-    del lengths, every_row
-    return buffer[keep]
+    # the table is freed before its compacted copy is made
+    table = buffer.tobytes()
+    del buffer
+    return table.translate(None, _PAD)
 
 
 def _text_cells(values):
-    """``format_cell`` of each value as UTF-8: (rows x width bytes, lengths)."""
+    """``format_cell`` of each value as UTF-8 padded with 0xFF: rows x width bytes."""
     encoded = [format_cell(value).encode("utf-8") for value in values.tolist()]
-    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    cells = np.array(encoded, dtype=f"S{max(lengths.max(), 1)}")
-    return cells.view(np.uint8).reshape(len(encoded), -1), lengths
+    width = max(max(map(len, encoded)), 1)
+    cells = np.array([cell.ljust(width, _PAD) for cell in encoded], f"S{width}")
+    return cells.view(np.uint8).reshape(len(encoded), width)
 
 
 # Every '%.9g' of a double fits in 16 bytes: '-1.23456789e-100'.
@@ -131,8 +121,8 @@ _SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
 def _float_cells(values, cells):
-    """Write ``'%.9g'`` of each float into ``cells`` (rows x 16 bytes), exact;
-    returns the lengths.
+    """Write ``'%.9g'`` of each float into ``cells`` (rows x 16 bytes), exact,
+    padded with 0xFF.
 
     A finite normal nonzero |x| with decimal exponent e is printed from
     the integer m = round(|x| * 10**(8 - e)) in [1e8, 1e9). The fast
@@ -156,11 +146,12 @@ def _float_cells(values, cells):
     little-endian 128-bit number held in two uint64 words, and its
     trailing zeros are counted. The exponent, the number of digits kept
     and the sign select a row of the layout table (``_float_layout``):
-    the row's constant bytes, with '0' where a digit goes, and how many
-    leading digits stand before the decimal point and how far the digits
-    move. A byte is opened after those leading digits, the digits are
-    shifted into place and or-ed onto the constant bytes; the trailing
-    zeros of m are zero bytes, so they change nothing where they land.
+    the row's constant bytes, with '0' where a digit goes and the 0xFF
+    pad after the text, and how many leading digits stand before the
+    decimal point and how far the digits move. A byte is opened after
+    those leading digits, the digits are shifted into place and or-ed
+    onto the constant bytes; the trailing zeros of m are zero bytes, so
+    they change nothing where they land, the pad included.
     ±0 has rows of its own. Every other value (non-finite, subnormal,
     outside the exponent range, within 1e-6 of a tie) is formatted by
     ``'%.9g'`` itself.
@@ -192,8 +183,10 @@ def _float_cells(values, cells):
     carry = mantissa == 10**9
     mantissa[carry] = 10**8
     exponent += carry
-    high, low = np.divmod(mantissa, 1000)
-    high, middle = np.divmod(high, 1000)
+    middle = mantissa // 1000
+    low = mantissa - middle * 1000
+    high = middle // 1000
+    middle -= high * 1000
     del mantissa
     trailing = layout.trailing[low] + (low == 0) * (
         layout.trailing[middle] + (middle == 0) * layout.trailing[high]
@@ -202,7 +195,7 @@ def _float_cells(values, cells):
     row += np.signbit(x)
     del exponent, trailing
     slow = ~fast
-    row[slow] = layout.length.size - 2 + np.signbit(x[slow])
+    row[slow] = layout.const.size - 2 + np.signbit(x[slow])
     # digits 1..8 in the low word, digit 9 in the high word; a value off
     # the fast path has m = 0, no digits
     top = layout.three[low]
@@ -237,16 +230,16 @@ def _float_cells(values, cells):
     np.bitwise_or(top, layout.const_top[row], out=words[:, 1])
     digits <<= layout.shift[row]
     np.bitwise_or(digits, layout.const[row], out=words[:, 0])
-    lengths = layout.length[row]
     slow &= x != 0.0
     slow = np.flatnonzero(slow)
     if slow.size:
-        text = [("%.9g" % value).encode("ascii") for value in x[slow].tolist()]
-        cells[slow] = np.array(text, dtype=f"S{_FLOAT_WIDTH}").view(np.uint8).reshape(
+        text = [
+            ("%.9g" % value).encode("ascii").ljust(_FLOAT_WIDTH, _PAD)
+            for value in x[slow].tolist()
+        ]
+        cells[slow] = np.array(text, f"S{_FLOAT_WIDTH}").view(np.uint8).reshape(
             slow.size, _FLOAT_WIDTH
         )
-        lengths[slow] = list(map(len, text))
-    return lengths
 
 
 def _scale(magnitude, exponent, pow10):
@@ -268,7 +261,9 @@ def _float_layout():
         for kept in range(1, 10)
         for sign in ("", "-")
     ] + ["0", "-0"]
-    table = np.array([t.encode("ascii") for t in text], f"S{_FLOAT_WIDTH}")
+    table = np.array(
+        [t.encode("ascii").ljust(_FLOAT_WIDTH, _PAD) for t in text], f"S{_FLOAT_WIDTH}"
+    )
     table = table.view(np.uint8).reshape(len(text), _FLOAT_WIDTH)
     mantissa_end = np.array([len(t.partition("e")[0]) for t in text])[:, None]
     is_digit = (
@@ -297,7 +292,6 @@ def _float_layout():
         head_top=np.array([mask >> 64 for mask in head], np.uint64),
         shift=np.array([8 * start for start in first], np.uint64),
         spill=np.array([56 - 8 * start for start in first], np.uint64),
-        length=np.array(list(map(len, text)), np.intp),
     )
     for array in vars(layout).values():
         array.setflags(write=False)

@@ -13,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rydsag import cli, emit
+from rydsag.detector_chain import BLOCK
 from rydsag.emit import UNDEFINED, format_cell, sanitize, write_csv, write_json
 from rydsag.errors import InvalidParameterError
 
@@ -198,14 +199,15 @@ def test_write_csv_walks_every_row_of_the_float_layout(tmp_path, monkeypatch):
     # the fast path reaches every row but those of the top exponent with 2
     # or more digits: only a carry from below lands there, with m = 1e8
     top = (emit._EXP_HI - emit._EXP_LO) * 18
-    assert shift.rows == set(range(layout.length.size)) - set(range(top + 2, top + 18))
+    assert shift.rows == set(range(layout.const.size)) - set(range(top + 2, top + 18))
 
 
 def test_csv_block_of_three_float_columns_peaks_below_three_megabytes():
     # the columns are formatted straight into the block's byte table, which
-    # is compacted by a mask; a table per column and a 16-byte int64 gather
-    # index per cell made it 4.6 MB
-    rows = emit._BLOCK_ROWS
+    # is copied to bytes and compacted by deleting its 0xFF pad once the
+    # table is freed; a table per column and a 16-byte int64 gather index
+    # per cell made it 4.6 MB
+    rows = BLOCK
     rng = np.random.default_rng(5)
     block = [np.arange(rows) / 1.0e4, 1.0e-3 * rng.standard_normal(rows),
              rng.standard_normal(rows)]
@@ -229,6 +231,49 @@ def test_write_csv_string_cells_keep_nul_and_utf8(tmp_path):
     columns = [np.arange(5), text, [0.25, -1e-300, math.nan, 1e300, 7.0]]
     assert_matches_reference(tmp_path, ["i", "s", "f"], columns)
     assert b",a\x00b," in (tmp_path / "block.csv").read_bytes()
+
+
+def text_column(cells):
+    """A string column as an object array: a str array would drop trailing NULs."""
+    column = np.empty(len(cells), object)
+    column[:] = cells
+    return column
+
+
+# any text a CSV cell may hold: no separator, quote, line break or surrogate
+CSV_TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters=',"\r\n'))
+EDGE_CELLS = ["\x00", "end\x00", "\u00ff", "\U0010ffff", ""]
+
+
+@st.composite
+def mixed_columns(draw):
+    rows = draw(st.integers(min_value=1, max_value=30))
+    kinds = draw(st.lists(st.sampled_from(["float", "text"]), min_size=1, max_size=5))
+    return [
+        text_column(draw(st.lists(CSV_TEXT, min_size=rows, max_size=rows)))
+        if kind == "text"
+        else np.array(draw(st.lists(st.floats(), min_size=rows, max_size=rows)))
+        for kind in kinds
+    ]
+
+
+@given(mixed_columns())
+@example([text_column(["\x00"]), np.array([1.5])])
+@example([np.array([-0.0, 2.0]), text_column(["trailing\x00", "\x00\x00"])])
+@example([text_column(["\u00ff"]), np.array([math.nan]), text_column(["\u00ff\u00ff"])])
+@example([text_column(["\U0010ffff", "a\U0010ffff"]), np.array([1e300, 5e-324])])
+@example([text_column(["", ""]), np.array([0.25, -7.0]), text_column([""] * 2)])
+@example(
+    [
+        np.arange(BLOCK + 1) / 7.0,
+        text_column((EDGE_CELLS * (BLOCK // len(EDGE_CELLS) + 1))[: BLOCK + 1]),
+    ]
+)
+def test_write_csv_mixed_float_and_text_columns_match_reference(tmp_path_factory, columns):
+    # a pad byte sits between each cell's text and its separator; no text
+    # cell, NULs and U+00FF included, may lose or gain a byte to it
+    header = [f"c{index}" for index in range(len(columns))]
+    assert_matches_reference(tmp_path_factory.mktemp("mixed"), header, columns)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
