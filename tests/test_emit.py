@@ -235,9 +235,7 @@ def test_write_csv_string_cells_keep_nul_and_utf8(tmp_path):
 
 def text_column(cells):
     """A string column as an object array: a str array would drop trailing NULs."""
-    column = np.empty(len(cells), object)
-    column[:] = cells
-    return column
+    return np.array(cells, dtype=object)
 
 
 # any text a CSV cell may hold: no separator, quote, line break or surrogate
