@@ -51,10 +51,12 @@ def write_csv(path, header, columns):
     A column's type is its array dtype: a float column is written with
     ``'%.9g'`` (the same bytes as ``format_cell``), and any other column
     (bool, int, str) cell by cell by ``format_cell``. Rows are formatted
-    and written ``BLOCK`` at a time.
+    and written ``BLOCK`` at a time. A list of strings is kept as an
+    object array, so its cells keep trailing NULs; a numpy str array has
+    already lost them, since its trailing NULs are padding.
     """
     names = [format_cell(name) for name in header]
-    arrays = [np.asarray(column) for column in columns]
+    arrays = [_column_array(column) for column in columns]
     if len(arrays) != len(names):
         raise InvalidParameterError(
             f"{len(arrays)} columns do not match header width {len(names)}"
@@ -71,6 +73,14 @@ def write_csv(path, header, columns):
             block = [array[start:start + BLOCK] for array in arrays]
             handle.write(_csv_rows(block))
     return path
+
+
+def _column_array(column):
+    """The column as an array; a list of strings as an object array."""
+    array = np.asarray(column)
+    if array.dtype.kind == "U" and not isinstance(column, np.ndarray):
+        array = np.array(column, dtype=object)
+    return array
 
 
 # Pads each cell to its field's width; valid UTF-8 never holds this byte,

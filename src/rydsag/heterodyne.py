@@ -5,9 +5,10 @@ signal tone at a nearby frequency beats against it, so the total drive
 amplitude oscillates at the difference frequency.  The medium converts
 that amplitude modulation into probe phase and absorption, which is read
 out either as transmitted power (amplitude scheme) or through the
-balanced which-path pointer contrast (dispersion scheme).  Field
-sensitivity comes from the beat line rising out of the detected noise
-floor as the signal field grows.
+which-path pointer contrast at the pointer's analyzer angle
+``pointer.post.angle`` (dispersion scheme; the CLI sets the balanced
+angle pi/4).  Field sensitivity comes from the beat line rising out of
+the detected noise floor as the signal field grows.
 
 The 150 kHz beat is far below every linewidth of the medium, so the
 drive amplitude is mapped through the steady-state susceptibility sample
@@ -50,7 +51,7 @@ from .errors import (
     RegimeWarning,
     UnresolvedSplittingError,
 )
-from .weak_pointer import closed_icr, closed_p_post
+from .weak_pointer import closed_readout
 
 _TWO_PI = 2.0 * math.pi
 
@@ -283,25 +284,20 @@ def _require_stationary(medium):
 
 
 def _check_pointer(config, pointer):
-    if config.readout != "dispersion":
-        return
-    if pointer is None:
+    if config.readout == "dispersion" and pointer is None:
         raise InvalidParameterError("dispersion readout needs a pointer setup")
-    if pointer.post.angle != math.pi / 4:
-        raise InvalidParameterError(
-            "the time-resolved chain evaluates the balanced-analyzer closed "
-            "form; set the post-selection angle to pi/4"
-        )
 
 
 def _observable(config, medium, pointer, delta_p, omega_mw):
-    """Readout observable: pointer contrast or power transmission."""
+    """Readout observable: pointer contrast at ``pointer.post.angle``, or
+    power transmission."""
     chi = _chi_values(medium, delta_p, omega_mw=omega_mw)
     pair = phase_and_absorption(chi, medium)
     if config.readout == "dispersion":
-        return closed_icr(
-            pair.delta_phi, pair.delta_beta, pointer.coupling.k, pointer.beam.w
-        )
+        return closed_readout(
+            pair.delta_phi, pair.delta_beta, pointer.post.angle,
+            pointer.coupling.k, pointer.beam.w,
+        )[1]
     return np.exp(2.0 * pair.delta_beta)
 
 
@@ -351,9 +347,10 @@ def run_beat_experiment(
     """Detected record of the superheterodyne beat for one signal amplitude.
 
     ``e_signal`` (V/m) defaults to the first entry of ``config.e_signal``.
-    Dispersion readout returns the pointer-contrast record, amplitude
-    readout the transmitted-power record in watts.  A detector of None
-    gives the clean (noise-free) record.  The operating point is
+    Dispersion readout returns the pointer-contrast record, read through
+    ``closed_readout`` at the analyzer angle ``pointer.post.angle``;
+    amplitude readout the transmitted-power record in watts.  A detector
+    of None gives the clean (noise-free) record.  The operating point is
     recomputed unless one is supplied.
     """
     if e_signal is None:
@@ -389,10 +386,10 @@ def run_beat_experiment(
     if config.readout == "amplitude":
         clean = (transmitted,)
     else:
-        k = pointer.coupling.k
-        w = pointer.beam.w
-        detected = transmitted * closed_p_post(phi, beta, k, w)
-        eta = closed_icr(phi, beta, k, w)
+        _, eta, p_post = closed_readout(
+            phi, beta, pointer.post.angle, pointer.coupling.k, pointer.beam.w
+        )
+        detected = transmitted * p_post
         clean = (0.5 * detected * (1.0 + eta), 0.5 * detected * (1.0 - eta))
     if detector is None:
         return TimeSeries(fs=config.fs, samples=np.resize(channel_readout(clean), n))

@@ -22,7 +22,7 @@ from .errors import (
     InvalidParameterError,
     OrthogonalPostselectionError,
 )
-from .weak_pointer import BeamPointer, closed_icr
+from .weak_pointer import BeamPointer, closed_readout
 
 _SQRTPI = math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -114,8 +114,9 @@ def plant_response(k_offset, phi_f, beam):
     """Which-path pointer contrast at a given actuator momentum offset.
 
     Evaluates the exact closed form of the auxiliary pointer with
-    preparation phase phi_f (oracle-checked in the test suite); odd in
-    k_offset and zero at the balanced point.
+    preparation phase phi_f at the balanced analyzer angle pi/4
+    (oracle-checked in the test suite); odd in k_offset and zero at the
+    balanced point.
     """
     if not math.isfinite(phi_f):
         raise InvalidParameterError(f"phi_f must be finite, got {phi_f!r}")
@@ -123,7 +124,7 @@ def plant_response(k_offset, phi_f, beam):
         raise OrthogonalPostselectionError(
             "stabilization port is dark at phi_f = n*pi; no error signal"
         )
-    return float(closed_icr(phi_f, 0.0, k_offset, beam.w))
+    return float(closed_readout(phi_f, 0.0, math.pi / 4, k_offset, beam.w)[1])
 
 
 def _check_phi_f(phi_f):

@@ -158,22 +158,6 @@ class PointerReadout:
 
 
 # ---------------------------------------------------------------------------
-# special function
-
-
-def scaled_erfi(z):
-    """exp(-z^2) * erfi(z), overflow-free for any real z (vectorized).
-
-    Equals 2/sqrt(pi) times the Dawson function; used by the closed pointer
-    forms so large actuator excursions stay finite.
-    """
-    # imported here so that only the runs that evaluate it load scipy.special
-    from scipy.special import dawsn
-
-    return 2.0 / _SQRTPI * dawsn(z)
-
-
-# ---------------------------------------------------------------------------
 # state algebra
 
 
@@ -195,11 +179,15 @@ def _interference(delta_phi, delta_beta, angle):
     |ch|^2 + |sv|^2 - 2 |ch conj(sv)| cos(theta - 2 k x) equals
     imbalance + 4 cross sin^2((theta - 2 k x)/2), a sum of nonnegative
     terms, so deep destructive interference is computed without
-    cancellation.
+    cancellation.  With h = cos(angle) e^{dbeta} and v = sin(angle)
+    e^{-dbeta} the arm moduli are h and v over the state norm and the
+    phase is delta_phi itself, so everything is elementwise real
+    arithmetic: an element's bits do not depend on the array around it.
     """
-    ch, sv = _arm_amplitudes(delta_phi, delta_beta, angle)
-    cross = ch * np.conj(sv)
-    return (np.abs(ch) - np.abs(sv)) ** 2, np.abs(cross), np.angle(cross)
+    norm2 = 2.0 * np.cosh(2.0 * delta_beta)
+    h = np.cos(angle) * np.exp(delta_beta)
+    v = np.sin(angle) * np.exp(-delta_beta)
+    return (h - v) ** 2 / norm2, h * v / norm2, delta_phi
 
 
 def weak_value(pre, post):
@@ -278,43 +266,23 @@ def closed_readout(delta_phi, delta_beta, angle, k, w):
     return centroid, eta, p_post
 
 
-# The symmetric analyzer (angle = pi/4) in the cosh/cos form.  The
-# heterodyne and stabilization records are computed with these, and their
-# output bytes depend on this exact arithmetic.
+# closed_readout at the symmetric analyzer angle pi/4, under the names that
+# perfbench/check.py's pointer invariant imports
 
 
 def closed_p_post(delta_phi, delta_beta, k, w):
     """Post-selection probability, symmetric analyzer, any delta_beta."""
-    kw2 = np.square(np.multiply(k, w))
-    cosh2b = np.cosh(2.0 * np.asarray(delta_beta, dtype=float))
-    return (cosh2b - np.exp(-2.0 * kw2) * np.cos(delta_phi)) / (2.0 * cosh2b)
+    return closed_readout(delta_phi, delta_beta, math.pi / 4, k, w)[2]
 
 
 def closed_centroid(delta_phi, delta_beta, k, w):
     """Beam centroid in meters, symmetric analyzer, any delta_beta."""
-    kw2 = np.square(np.multiply(k, w))
-    damp = np.exp(-2.0 * kw2)
-    den = np.cosh(2.0 * np.asarray(delta_beta, dtype=float)) - damp * np.cos(delta_phi)
-    _guard_closed_denominator(den, delta_beta)
-    return -2.0 * np.multiply(k, np.square(w)) * damp * np.sin(delta_phi) / den
+    return closed_readout(delta_phi, delta_beta, math.pi / 4, k, w)[0]
 
 
 def closed_icr(delta_phi, delta_beta, k, w):
     """Left/right intensity contrast, symmetric analyzer, any delta_beta."""
-    kw = np.multiply(k, w)
-    den = np.cosh(2.0 * np.asarray(delta_beta, dtype=float)) - np.exp(
-        -2.0 * np.square(kw)
-    ) * np.cos(delta_phi)
-    _guard_closed_denominator(den, delta_beta)
-    return scaled_erfi(math.sqrt(2.0) * kw) * np.sin(delta_phi) / den
-
-
-def _guard_closed_denominator(den, delta_beta):
-    floor = 2.0 * np.cosh(2.0 * np.asarray(delta_beta, dtype=float))
-    if np.any(den < ORTHOGONAL_POWER_FLOOR * floor):
-        raise OrthogonalPostselectionError(
-            "post-selected power below 1e-30 of input; pointer readout undefined"
-        )
+    return closed_readout(delta_phi, delta_beta, math.pi / 4, k, w)[1]
 
 
 def centroid_exact(pre, post, coupling, beam):

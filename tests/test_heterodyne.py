@@ -34,8 +34,7 @@ from rydsag.weak_pointer import (
     PointerSetup,
     PostSelection,
     WeakCoupling,
-    closed_icr,
-    closed_p_post,
+    closed_readout,
 )
 
 # thin-vapor medium: keeps the absorption small enough that the
@@ -126,14 +125,21 @@ def test_operating_point_rejects_doppler_medium():
         operating_point(config(), replace(MEDIUM, doppler_enabled=True), POINTER)
 
 
-def test_dispersion_requires_symmetric_analyzer():
-    skewed = PointerSetup(
-        post=PostSelection(math.pi / 3),
-        coupling=WeakCoupling(10.0),
-        beam=BeamPointer.centered(1.0e-3),
-    )
-    with pytest.raises(InvalidParameterError):
-        operating_point(config(), MEDIUM, skewed)
+def test_dispersion_runs_at_a_tilted_analyzer():
+    # the tilted analyzer angle of the mpmath references in test_weak_pointer
+    tilted = replace(POINTER, post=PostSelection(math.pi / 4 - 0.003))
+    cfg = config()
+    e_signal = cfg.e_signal[-1]
+    operating = operating_point(cfg, MEDIUM, tilted)
+    ts = run_beat_experiment(cfg, MEDIUM, tilted, None, 0, e_signal, operating)
+    direct = _direct_record(cfg, e_signal, operating, tilted)
+    p = cfg.beat_period
+    assert np.array_equal(ts.samples, np.resize(direct[:p], direct.size))
+    balanced = run_beat_experiment(cfg, MEDIUM, POINTER, None, 0, e_signal, operating)
+    assert not np.array_equal(ts.samples, balanced.samples)
+    noisy = run_beat_experiment(
+        cfg, MEDIUM, tilted, DetectorParams(), 0, e_signal, operating)
+    assert np.all(np.isfinite(noisy.samples))
 
 
 def test_clean_record_beats_at_150khz():
@@ -153,7 +159,7 @@ def test_record_over_the_sample_cap_is_rejected(detector):
         run_beat_experiment(cfg, MEDIUM, POINTER, detector, seed=0)
 
 
-def _direct_record(cfg, e_signal, operating):
+def _direct_record(cfg, e_signal, operating, pointer=POINTER):
     """Clean record with the channel model evaluated at every sample."""
     t = np.arange(int(round(cfg.fs * cfg.integration_time))) / cfg.fs
     drive = instantaneous_rabi(cfg, t, e_signal)
@@ -162,9 +168,11 @@ def _direct_record(cfg, e_signal, operating):
     transmitted = cfg.probe_power * np.exp(2.0 * pair.delta_beta)
     if cfg.readout == "amplitude":
         return transmitted
-    k, w = POINTER.coupling.k, POINTER.beam.w
-    detected = transmitted * closed_p_post(pair.delta_phi, pair.delta_beta, k, w)
-    eta = closed_icr(pair.delta_phi, pair.delta_beta, k, w)
+    _, eta, p_post = closed_readout(
+        pair.delta_phi, pair.delta_beta, pointer.post.angle,
+        pointer.coupling.k, pointer.beam.w,
+    )
+    detected = transmitted * p_post
     return channel_readout((0.5 * detected * (1.0 + eta), 0.5 * detected * (1.0 - eta)))
 
 

@@ -21,7 +21,6 @@ from rydsag.weak_pointer import (
     icr_approx,
     icr_exact,
     quadrature_oracle,
-    scaled_erfi,
     weak_value,
 )
 
@@ -75,7 +74,8 @@ TILTED_MPMATH_CASES = [
      -5.1269522994805712e-5, 0.040909888144975215, 0.00038969820921352746),
 ]
 
-# erfi(z) from mpmath; the closed forms reach it as exp(z^2) scaled_erfi(z)
+# erfi(z) from mpmath; at delta_phi = pi/2, delta_beta = 0 and the balanced
+# analyzer, closed_readout's eta is exp(-z^2) erfi(z) with z = b / sqrt 2
 ERFI_REFERENCES = [
     (0.3, 0.34894933875893618),
     (1.0, 1.6504257587975429),
@@ -155,18 +155,44 @@ def test_exact_wrappers_agree_with_closed_forms():
         closed_icr(0.02, 0.0, 30.0, beam.w), rel=1e-12)
 
 
+def _eta_at_quarter_wave(z, w=1.0e-3):
+    """closed_readout's eta at delta_phi = pi/2 for b / sqrt 2 = z."""
+    return closed_readout(math.pi / 2, 0.0, math.pi / 4, z / math.sqrt(2.0) / w, w)[1]
+
+
 @pytest.mark.parametrize("z,ref", ERFI_REFERENCES)
 def test_erfi_reference_values(z, ref):
-    assert math.exp(z * z) * scaled_erfi(z) == pytest.approx(ref, rel=1e-13)
-    assert math.exp(z * z) * scaled_erfi(-z) == pytest.approx(-ref, rel=1e-13)
+    assert math.exp(z * z) * _eta_at_quarter_wave(z) == pytest.approx(ref, rel=1e-13)
+    assert math.exp(z * z) * _eta_at_quarter_wave(-z) == pytest.approx(-ref, rel=1e-13)
 
 
-def test_scaled_erfi_stays_finite_for_large_argument():
+def test_closed_readout_eta_stays_finite_for_large_argument():
     # exp(-z^2) * erfi(z) -> 1/(sqrt(pi) z) asymptotically
     z = 9.0
-    value = scaled_erfi(z)
+    value = _eta_at_quarter_wave(z)
     assert math.isfinite(value)
     assert value == pytest.approx(1.0 / (math.sqrt(math.pi) * z), rel=1e-2)
+
+
+@pytest.mark.parametrize("angle", [math.pi / 4, math.pi / 4 - 0.003])
+def test_closed_readout_is_length_independent(angle):
+    # the heterodyne chain evaluates one beat period and repeats it, so a
+    # short call must give the bits of the same elements in a long one
+    rng = np.random.default_rng(5)
+    dphi = rng.uniform(-1.0, 1.0, 25_000)
+    dbeta = rng.uniform(-0.1, 0.1, 25_000)
+    long = closed_readout(dphi, dbeta, angle, 10.0, 1.0e-3)
+    short = closed_readout(dphi[:20], dbeta[:20], angle, 10.0, 1.0e-3)
+    for whole, part in zip(long, short):
+        assert np.array_equal(whole[:20], part)
+
+
+def test_quarter_wave_views_are_closed_readout():
+    dphi = np.array([1.0e-6, 2.0e-3, 0.4, -1.0])
+    readout = closed_readout(dphi, 0.03, math.pi / 4, 10.0, 1.0e-3)
+    views = (closed_centroid, closed_icr, closed_p_post)
+    for view, value in zip(views, readout):
+        assert np.array_equal(view(dphi, 0.03, 10.0, 1.0e-3), value)
 
 
 def test_weak_value_pure_imaginary_at_quarter_pi():
