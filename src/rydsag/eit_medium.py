@@ -207,23 +207,20 @@ def _chi_prefactor(params):
     return params.density * params.dipole_probe**2 / (constants.epsilon_0 * constants.hbar)
 
 
-def _chi_values(params, delta_p, velocity=0.0, omega_mw=None):
-    """Susceptibility, vectorized, probe-amplitude independent."""
-    return (
+def susceptibility(params, delta_p, velocity=0.0, omega_mw=None):
+    """Complex probe susceptibility of a single velocity class.
+
+    Vectorized over any one of delta_p, velocity and omega_mw (None reads
+    params.omega_mw); a 0-d result is a Python complex.  The weak-probe
+    coherence is linear in the probe field, so the probe amplitude cancels
+    and chi is well defined even as omega_p -> 0.
+    """
+    chi = (
         _chi_prefactor(params)
         * 1j
         * _resolvent_ratio(params, delta_p, velocity, omega_mw)
     )
-
-
-def susceptibility(params, delta_p):
-    """Complex probe susceptibility of a single velocity class.
-
-    The weak-probe coherence is linear in the probe field, so the probe
-    amplitude cancels and chi is well defined even as omega_p -> 0.
-    """
-    chi = _chi_values(params, delta_p)
-    if np.ndim(delta_p) == 0:
+    if np.ndim(chi) == 0:
         return complex(chi)
     return chi
 
@@ -246,7 +243,7 @@ def susceptibility_spectrum(params, grid):
     else:
         chi = np.empty(grid.size, dtype=complex)
         for start in range(0, grid.size, BLOCK):
-            chi[start:start + BLOCK] = _chi_values(params, grid[start:start + BLOCK])
+            chi[start:start + BLOCK] = susceptibility(params, grid[start:start + BLOCK])
     return Spectrum(delta_p=grid.copy(), chi=chi)
 
 
@@ -279,7 +276,7 @@ def doppler_average(params, delta_p):
     n = GH_NODES_START
     while n <= GH_NODES_MAX:
         nodes, weights = _gauss_hermite(n)
-        values = _chi_values(params, float(delta_p), velocity=u * nodes)
+        values = susceptibility(params, float(delta_p), velocity=u * nodes)
         current = complex(np.dot(weights, values) / math.sqrt(math.pi))
         if previous is not None and abs(current - previous) <= GH_RTOL * abs(current):
             return current
@@ -436,17 +433,18 @@ def field_from_at_splitting(f_at, dipole_mw):
     return constants.h * f_at / dipole_mw
 
 
-def splitting_vs_drive(params, omega_mw_values):
+def splitting_vs_drive(params, omega_mw_values, points=8192):
     """at_splitting swept over microwave drive amplitudes.
 
-    Every drive is read on one grid of 8192 points over 40 linewidths.
-    Returns a list of (omega_mw, f_at or None); None marks drives whose
-    transparency window did not resolve into two dips.
+    Each drive is read on a grid of ``points`` points over 40 linewidths,
+    or over 3 omega_mw where that is wider, so a strong drive's dips stay
+    inside the grid.  Returns a list of (omega_mw, f_at or None); None
+    marks drives whose transparency window did not resolve into two dips.
     """
     results = []
-    grid = detuning_grid(params, 40.0, 8192)
     for omega in omega_mw_values:
         swept = replace(params, omega_mw=float(omega))
+        grid = detuning_grid(params, max(40.0, 3.0 * omega / params.gamma_2), points)
         try:
             f_at = at_splitting(susceptibility_spectrum(swept, grid))
         except UnresolvedSplittingError:

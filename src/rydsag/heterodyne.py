@@ -10,13 +10,17 @@ which-path pointer contrast at the pointer's analyzer angle
 angle pi/4).  Field sensitivity comes from the beat line rising out of
 the detected noise floor as the signal field grows.
 
-The 150 kHz beat is far below every linewidth of the medium, so the
-drive amplitude is mapped through the steady-state susceptibility sample
-by sample (adiabatic following).  The sampled drive repeats exactly after
-``HeterodyneConfig.beat_period`` samples, so the clean channel model is
-evaluated over one beat period only: the detector chain repeats those
-channels across the record, and the noiseless record repeats their
-readout.
+The model assumes adiabatic following: each drive sample is mapped
+through the steady-state susceptibility.  At the operating point of
+``configs/heterodyne.json`` the medium's slowest pole is at 2 pi * 200 kHz,
+so against a first-order solve of the coherences' dynamics the model
+overstates the 150 kHz beat line by 1.08 dB (dispersion) and 1.94 dB
+(amplitude); see ROADMAP item 10.
+
+The sampled drive repeats exactly after ``HeterodyneConfig.beat_period``
+samples, so the clean channel model is evaluated over one beat period
+only: the detector chain repeats those channels across the record, and
+the noiseless record repeats their readout.
 """
 
 from __future__ import annotations
@@ -36,21 +40,15 @@ from .detector_chain import (
     sample_timeseries,
 )
 from .eit_medium import (
-    _chi_values,
     _refine_extremum,
-    at_splitting,
     detuning_grid,
     field_from_at_splitting,
     phase_and_absorption,
     rabi_from_field,
-    susceptibility_spectrum,
+    splitting_vs_drive,
+    susceptibility,
 )
-from .errors import (
-    FitFailureError,
-    InvalidParameterError,
-    RegimeWarning,
-    UnresolvedSplittingError,
-)
+from .errors import FitFailureError, InvalidParameterError, RegimeWarning
 from .weak_pointer import closed_readout
 
 _TWO_PI = 2.0 * math.pi
@@ -171,9 +169,6 @@ class OperatingPoint:
 
     delta_p: float
     slope: float
-    bias: float
-    delta_phi: float
-    delta_beta: float
 
 
 @dataclass(frozen=True)
@@ -291,7 +286,7 @@ def _check_pointer(config, pointer):
 def _observable(config, medium, pointer, delta_p, omega_mw):
     """Readout observable: pointer contrast at ``pointer.post.angle``, or
     power transmission."""
-    chi = _chi_values(medium, delta_p, omega_mw=omega_mw)
+    chi = susceptibility(medium, delta_p, omega_mw=omega_mw)
     pair = phase_and_absorption(chi, medium)
     if config.readout == "dispersion":
         return closed_readout(
@@ -326,15 +321,7 @@ def operating_point(config, medium, pointer=None):
         float(_observable(config, medium, pointer, best, config.omega_local + h))
         - float(_observable(config, medium, pointer, best, config.omega_local - h))
     ) / (2.0 * h)
-    chi = _chi_values(medium, best, omega_mw=config.omega_local)
-    pair = phase_and_absorption(chi, medium)
-    return OperatingPoint(
-        delta_p=best,
-        slope=slope,
-        bias=float(_observable(config, medium, pointer, best, config.omega_local)),
-        delta_phi=pair.delta_phi,
-        delta_beta=pair.delta_beta,
-    )
+    return OperatingPoint(delta_p=best, slope=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +366,7 @@ def run_beat_experiment(
 
     t = np.arange(min(config.beat_period, n)) / config.fs
     drive = instantaneous_rabi(config, t, e_signal)
-    chi = _chi_values(medium, operating.delta_p, omega_mw=drive)
+    chi = susceptibility(medium, operating.delta_p, omega_mw=drive)
     pair = phase_and_absorption(chi, medium)
     phi, beta = pair.delta_phi, pair.delta_beta
     transmitted = config.probe_power * np.exp(2.0 * beta)
@@ -518,10 +505,10 @@ def calibration_curve(
 
     Each input power maps to a field through the horn factor (V/m per
     root watt), drives the medium, and is read back from the
-    transparency-dip separation, so the fitted slope reproduces the horn
-    factor when the chain is consistent.  Unresolved splittings (zero or
-    weak drive) stay in the table flagged but leave the fit.  Positive
-    input powers must span at least a decade.
+    transparency-dip separation by ``splitting_vs_drive``, so the fitted
+    slope reproduces the horn factor when the chain is consistent.
+    Unresolved splittings (zero or weak drive) stay in the table flagged
+    but leave the fit.  Positive input powers must span at least a decade.
     """
     powers = [float(p) for p in p_in_watts]
     if len(powers) < 2:
@@ -534,34 +521,24 @@ def calibration_curve(
     if len(positive) < 2 or max(positive) < 10.0 * min(positive):
         raise InvalidParameterError("input powers must span at least one decade")
 
+    fields = [horn_factor * math.sqrt(power) for power in powers]
+    sweep = splitting_vs_drive(
+        medium, [rabi_from_field(e_applied, dipole_mw) for e_applied in fields], points
+    )
     entries = []
-    for power in powers:
-        e_applied = horn_factor * math.sqrt(power)
-        omega = rabi_from_field(e_applied, dipole_mw)
-        span = max(40.0, 3.0 * omega / medium.gamma_2)
-        grid = detuning_grid(medium, span, points)
-        swept = replace(medium, omega_mw=omega)
-        try:
-            f_at = at_splitting(susceptibility_spectrum(swept, grid))
-            entries.append(
-                CalibrationEntry(
-                    power_w=power,
-                    e_applied=e_applied,
-                    f_at_hz=f_at,
-                    e_recovered=field_from_at_splitting(f_at, dipole_mw),
-                    resolved=True,
-                )
+    for power, e_applied, (_, f_at) in zip(powers, fields, sweep):
+        resolved = f_at is not None
+        entries.append(
+            CalibrationEntry(
+                power_w=power,
+                e_applied=e_applied,
+                f_at_hz=f_at if resolved else math.nan,
+                e_recovered=(
+                    field_from_at_splitting(f_at, dipole_mw) if resolved else math.nan
+                ),
+                resolved=resolved,
             )
-        except UnresolvedSplittingError:
-            entries.append(
-                CalibrationEntry(
-                    power_w=power,
-                    e_applied=e_applied,
-                    f_at_hz=math.nan,
-                    e_recovered=math.nan,
-                    resolved=False,
-                )
-            )
+        )
 
     resolved = [entry for entry in entries if entry.resolved]
     if len(resolved) < 2:

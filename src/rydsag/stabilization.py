@@ -16,13 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector_chain import BLOCK, TimeSeries, one_pole
-from .errors import (
-    DomainError,
-    InstabilityError,
-    InvalidParameterError,
-    OrthogonalPostselectionError,
-)
-from .weak_pointer import BeamPointer, closed_readout
+from .errors import DomainError, InstabilityError, InvalidParameterError
+from .weak_pointer import BeamPointer
 
 _SQRTPI = math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -108,23 +103,6 @@ class LoopTrace:
     ts: TimeSeries
     pid_output: np.ndarray
     disturbance: np.ndarray
-
-
-def plant_response(k_offset, phi_f, beam):
-    """Which-path pointer contrast at a given actuator momentum offset.
-
-    Evaluates the exact closed form of the auxiliary pointer with
-    preparation phase phi_f at the balanced analyzer angle pi/4
-    (oracle-checked in the test suite); odd in k_offset and zero at the
-    balanced point.
-    """
-    if not math.isfinite(phi_f):
-        raise InvalidParameterError(f"phi_f must be finite, got {phi_f!r}")
-    if math.sin(phi_f) == 0.0:
-        raise OrthogonalPostselectionError(
-            "stabilization port is dark at phi_f = n*pi; no error signal"
-        )
-    return float(closed_readout(phi_f, 0.0, math.pi / 4, k_offset, beam.w)[1])
 
 
 def _check_phi_f(phi_f):

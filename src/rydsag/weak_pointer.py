@@ -285,14 +285,6 @@ def closed_icr(delta_phi, delta_beta, k, w):
     return closed_readout(delta_phi, delta_beta, math.pi / 4, k, w)[1]
 
 
-def centroid_exact(pre, post, coupling, beam):
-    """Exact post-selected beam centroid in meters (closed_readout)."""
-    _warn_coupling_regime(coupling, beam)
-    return float(
-        closed_readout(pre.delta_phi, pre.delta_beta, post.angle, coupling.k, beam.w)[0]
-    )
-
-
 def centroid_approx(delta_phi, coupling):
     """First-order centroid -delta_phi / k of the weak-value regime."""
     _check_finite(delta_phi=delta_phi)
@@ -305,14 +297,6 @@ def centroid_approx(delta_phi, coupling):
             stacklevel=2,
         )
     return -delta_phi / coupling.k
-
-
-def icr_exact(pre, post, coupling, beam):
-    """Exact intensity-contrast ratio, left minus right over total (closed_readout)."""
-    _warn_coupling_regime(coupling, beam)
-    return float(
-        closed_readout(pre.delta_phi, pre.delta_beta, post.angle, coupling.k, beam.w)[1]
-    )
 
 
 def icr_approx(delta_phi, coupling, beam):
@@ -328,15 +312,6 @@ def icr_approx(delta_phi, coupling, beam):
             stacklevel=2,
         )
     return math.sqrt(2.0 / math.pi) * delta_phi / kw
-
-
-def _warn_coupling_regime(coupling, beam):
-    if (coupling.k * beam.w) ** 2 > 0.5:
-        warnings.warn(
-            "k^2 w^2 is not small; pointer leaves the weak-coupling regime",
-            RegimeWarning,
-            stacklevel=3,
-        )
 
 
 # ---------------------------------------------------------------------------

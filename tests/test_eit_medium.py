@@ -278,6 +278,15 @@ def test_splitting_vs_drive_transition_and_monotonicity():
     assert all(b >= a for a, b in zip(resolved, resolved[1:]))
 
 
+def test_strong_drive_splitting_resolves():
+    # past 3 omega_mw / gamma_2 = 40 the grid widens with the drive; a fixed
+    # 40-linewidth grid leaves these dips outside it
+    drives = [2.0 * math.pi * f * 1e6 for f in (250.0, 300.0)]
+    for omega, f_at in splitting_vs_drive(params(), drives):
+        assert f_at is not None
+        assert f_at == pytest.approx(omega / (2.0 * math.pi), rel=0.02)
+
+
 def test_asymmetry_flips_once_through_zero_coupling_detuning():
     medium = params(omega_mw=2.0 * math.pi * 8e6)
     detunings = 2.0 * math.pi * np.linspace(-2e6, 2e6, 9)
@@ -404,7 +413,7 @@ def test_blocked_spectrum_is_bit_equal_to_whole_grid(omw, points):
     medium = params(omega_mw=omw)
     grid = detuning_grid(medium, 40.0, points)
     spectrum = susceptibility_spectrum(medium, grid)
-    assert np.array_equal(spectrum.chi, eit_medium._chi_values(medium, grid))
+    assert np.array_equal(spectrum.chi, susceptibility(medium, grid))
     assert np.array_equal(spectrum.delta_p, grid)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rydsag.detector_chain import DetectorParams, TimeSeries, channel_readout
-from rydsag.eit_medium import LadderSystemParams, _chi_values, phase_and_absorption
+from rydsag.eit_medium import LadderSystemParams, phase_and_absorption, susceptibility
 from rydsag.errors import (
     FitFailureError,
     InvalidParameterError,
@@ -164,7 +164,7 @@ def _direct_record(cfg, e_signal, operating, pointer=POINTER):
     t = np.arange(int(round(cfg.fs * cfg.integration_time))) / cfg.fs
     drive = instantaneous_rabi(cfg, t, e_signal)
     pair = phase_and_absorption(
-        _chi_values(MEDIUM, operating.delta_p, omega_mw=drive), MEDIUM)
+        susceptibility(MEDIUM, operating.delta_p, omega_mw=drive), MEDIUM)
     transmitted = cfg.probe_power * np.exp(2.0 * pair.delta_beta)
     if cfg.readout == "amplitude":
         return transmitted

@@ -9,52 +9,71 @@ import pytest
 from scipy import special
 
 from rydsag import stabilization
-from rydsag.errors import (
-    DomainError,
-    InstabilityError,
-    InvalidParameterError,
-    OrthogonalPostselectionError,
-)
+from rydsag.errors import DomainError, InstabilityError, InvalidParameterError
 from rydsag.stabilization import (
     DriftModel,
     PidParams,
     equivalent_phase_deviation,
     plant_gain,
-    plant_response,
     simulate_closed_loop_detailed,
     suppression_report,
     synthesize_drift,
 )
 from rydsag.detector_chain import TimeSeries, one_pole
-from rydsag.weak_pointer import BeamPointer, closed_icr
+from rydsag.weak_pointer import (
+    BeamPointer,
+    PostSelection,
+    PreSelection,
+    WeakCoupling,
+    closed_readout,
+    quadrature_oracle,
+)
 
 PHI_F = 0.2
 BEAM = BeamPointer.centered(1.0e-3)
 
 
 def test_plant_response_zero_at_balance():
-    assert plant_response(0.0, PHI_F, BEAM) == 0.0
+    assert closed_readout(PHI_F, 0.0, math.pi / 4, 0.0, BEAM.w)[1] == 0.0
 
 
 def test_plant_response_is_the_pointer_contrast():
-    k = 5.0
-    assert plant_response(k, PHI_F, BEAM) == pytest.approx(
-        closed_icr(PHI_F, 0.0, k, BEAM.w), rel=1e-12)
+    # the plant is the which-path pointer's contrast at the balanced
+    # analyzer, judged by the quadrature oracle; at k w <= 1e-6 the oracle's
+    # left - right difference cancels, so the kicks stay well above that
+    for phi_f in (0.2, 1.0):
+        for k in (-3.0, 1.0, 5.0, 200.0):
+            oracle = quadrature_oracle(
+                PreSelection(phi_f), PostSelection(), WeakCoupling(k), BEAM)
+            plant = closed_readout(phi_f, 0.0, math.pi / 4, k, BEAM.w)[1]
+            assert plant == pytest.approx(oracle.eta, rel=1e-12)
 
 
 def test_plant_response_odd_and_linear_near_balance():
+    def plant(k):
+        return closed_readout(PHI_F, 0.0, math.pi / 4, k, BEAM.w)[1]
+
     k = 1.0
-    up = plant_response(k, PHI_F, BEAM)
-    down = plant_response(-k, PHI_F, BEAM)
-    assert down == pytest.approx(-up, rel=1e-12)
+    assert plant(-k) == pytest.approx(-plant(k), rel=1e-12)
     # within 1% of the tangent over +-10% of the linearization scale
     g = plant_gain(PHI_F, BEAM)
-    k_lin = 0.1 / (g / abs(plant_response(1e-3, PHI_F, BEAM) / 1e-3))  # sanity
+    k_lin = 0.1 / (g / abs(plant(1e-3) / 1e-3))  # sanity
     for k_off in np.linspace(-k_lin, k_lin, 7):
         if k_off == 0.0:
             continue
-        assert plant_response(k_off, PHI_F, BEAM) == pytest.approx(
-            g * k_off, rel=1e-2)
+        assert plant(k_off) == pytest.approx(g * k_off, rel=1e-2)
+
+
+@pytest.mark.parametrize("phi_f", [0.2, 1.0])
+def test_loop_record_is_the_pointer_contrast(phi_f):
+    # the loop inlines its plant; each sample must be the pointer contrast
+    # at the offset that sample saw, the drift plus the previous output
+    trace = simulate_closed_loop_detailed(
+        PidParams(), DriftModel(), 2.0, 1.0, seed=0, phi_f=phi_f)
+    applied = np.concatenate(([0.0], trace.pid_output[:-1]))
+    _, eta, _ = closed_readout(
+        phi_f, 0.0, math.pi / 4, trace.disturbance + applied, BEAM.w)
+    np.testing.assert_allclose(trace.ts.samples, eta, rtol=1e-12, atol=0.0)
 
 
 def test_plant_gain_closed_form():
@@ -73,17 +92,6 @@ def test_phi_f_without_a_plant_is_refused(phi_f):
     with pytest.raises(InvalidParameterError, match="phi_f"):
         simulate_closed_loop_detailed(
             PidParams(), DriftModel(), 0.2, 0.1, seed=0, phi_f=phi_f)
-
-
-def test_plant_response_orthogonal_guard():
-    with pytest.raises(OrthogonalPostselectionError):
-        plant_response(1.0, 0.0, BEAM)
-    # sin(inf) is a math domain error, not a dark port
-    with pytest.raises(InvalidParameterError, match="phi_f"):
-        plant_response(1.0, math.inf, BEAM)
-    # float(pi) is not an exact zero of sin; the response is astronomically
-    # suppressed rather than rejected
-    assert abs(plant_response(1.0, math.pi, BEAM)) < 1e-12
 
 
 def test_synthesize_drift_deterministic_and_sized():
@@ -294,7 +302,7 @@ _INSTABILITY_RUN = stabilization._INSTABILITY_RUN
 
 
 def _plant_eta(phi_f_sin, phi_f_cos, k, w):
-    """Scalar fast path of plant_response for the simulation loop."""
+    """The loop's plant, the pointer contrast at pi/4, one offset at a time."""
     kw = k * w
     z = _SQRT2 * kw
     den = 1.0 - math.exp(-2.0 * kw * kw) * phi_f_cos

@@ -13,13 +13,11 @@ from rydsag.weak_pointer import (
     PreSelection,
     WeakCoupling,
     centroid_approx,
-    centroid_exact,
     closed_centroid,
     closed_icr,
     closed_p_post,
     closed_readout,
     icr_approx,
-    icr_exact,
     quadrature_oracle,
     weak_value,
 )
@@ -114,12 +112,6 @@ def test_closed_readout_matches_mpmath_tilted(
         dphi, dbeta, angle, k, w, centroid, eta, p_post):
     readout = closed_readout(dphi, dbeta, angle, k, w)
     assert readout == pytest.approx((centroid, eta, p_post), rel=1e-12)
-    pre, post = PreSelection(dphi, dbeta), PostSelection(angle)
-    beam = BeamPointer.centered(w)
-    assert centroid_exact(pre, post, WeakCoupling(k), beam) == pytest.approx(
-        centroid, rel=1e-12)
-    assert icr_exact(pre, post, WeakCoupling(k), beam) == pytest.approx(
-        eta, rel=1e-12)
 
 
 def test_closed_readout_broadcasts_like_scalar_calls():
@@ -142,17 +134,6 @@ def test_closed_readout_without_kick_is_centered():
 def test_closed_readout_orthogonal_guard():
     with pytest.raises(OrthogonalPostselectionError):
         closed_readout(0.0, 0.0, math.pi / 4, 0.0, 1.0e-3)
-
-
-def test_exact_wrappers_agree_with_closed_forms():
-    pre = PreSelection(0.02, 0.0)
-    post = PostSelection()
-    coupling = WeakCoupling(30.0)
-    beam = default_beam()
-    assert centroid_exact(pre, post, coupling, beam) == pytest.approx(
-        closed_centroid(0.02, 0.0, 30.0, beam.w), rel=1e-12)
-    assert icr_exact(pre, post, coupling, beam) == pytest.approx(
-        closed_icr(0.02, 0.0, 30.0, beam.w), rel=1e-12)
 
 
 def _eta_at_quarter_wave(z, w=1.0e-3):
@@ -219,9 +200,7 @@ def test_weak_value_orthogonal_guard():
 def test_approximations_near_exact_in_weak_regime():
     coupling = WeakCoupling(10.0)
     beam = default_beam()  # k w = 0.01
-    pre = PreSelection(1.0e-3, 0.0)
-    exact_c = centroid_exact(pre, PostSelection(), coupling, beam)
-    exact_e = icr_exact(pre, PostSelection(), coupling, beam)
+    exact_c, exact_e, _ = closed_readout(1.0e-3, 0.0, math.pi / 4, coupling.k, beam.w)
     assert centroid_approx(1.0e-3, coupling) == pytest.approx(exact_c, rel=1e-2)
     assert icr_approx(1.0e-3, coupling, beam) == pytest.approx(exact_e, rel=1e-2)
 
