@@ -42,7 +42,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .detector_chain import DetectorParams
+from .detector_chain import MAX_GRID_POINTS, DetectorParams
 from .eit_medium import (
     LadderSystemParams,
     at_splitting,
@@ -91,11 +91,6 @@ OUTPUT_DIR_ENV = "RYDSAG_OUTPUT_DIR"
 
 _V_PER_M_PER_V_PER_CM = 100.0
 
-# Largest grid or record a config may ask for: 2**21 float64 samples are
-# 16 MiB per array, twice the largest record in use (a 2**20-point
-# spectrum; a 60 s loop is 600 000 samples) and far below what exhausts
-# memory.
-MAX_GRID_POINTS = 2**21
 _GRID_POINT_FIELDS = (
     ("grid", "points"),
     ("pointer", "points"),

@@ -23,13 +23,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import constants
 from .errors import InvalidParameterError, RegimeWarning
 
-MAX_SAMPLES = 100_000_000
-
+# Largest grid or record a run may ask for: 2**21 float64 samples are
+# 16 MiB per array, twice the largest record in use (a 2**20-point
+# spectrum; a 60 s loop is 600 000 samples) and far below what exhausts
+# memory.
+MAX_GRID_POINTS = 2**21
 # The chain works through a record BLOCK samples at a time, and psd
 # transforms CHUNK segments at a time, so that no temporary is near the
 # size of a record: 128 KiB blocks and, at 2048-sample segments, 0.5 MiB
 # chunks.  A record then peaks at about one record length, or two where
-# the bandwidth filter changes a two-channel record.  The medium's
+# the bandwidth filter low-passes a two-channel record.  The medium's
 # spectrum and the CSV writer work BLOCK points or rows at a time too.
 BLOCK = 16_384
 CHUNK = 32
@@ -133,8 +136,8 @@ def _sample_count(fs, duration):
     n = int(round(fs * duration))
     if n < 1:
         raise InvalidParameterError("duration too short for one sample")
-    if n > MAX_SAMPLES:
-        raise InvalidParameterError(f"{n} samples exceed the {MAX_SAMPLES} cap")
+    if n > MAX_GRID_POINTS:
+        raise InvalidParameterError(f"{n} samples exceed the {MAX_GRID_POINTS} cap")
     return n
 
 
@@ -191,36 +194,24 @@ def one_pole(c, a, y0=0.0):
 
 
 def _pole(det, fs):
-    """Pole of the single-pole low-pass at the detector bandwidth."""
-    return math.exp(-2.0 * math.pi * det.bandwidth / fs)
+    """Pole a of the single-pole low-pass at the detector bandwidth.
 
-
-def _passes_through(x, a, before):
-    """Whether every step y[i] = a * y[i-1] + x[i] over block x, entered
-    with y = ``before``, returns x[i] exactly."""
-    if x[0] + a * before != x[0]:
-        return False
-    steps = a * x[:-1]
-    steps += x[1:]
-    return np.array_equal(steps, x[1:])
+    Far above the sample rate the pole rounds away: where 1 - a == 1, the
+    filter's memory a * y[n-1] is below one ulp of y[n-1], and the pole is
+    0.0, a filter that returns its input.
+    """
+    a = math.exp(-2.0 * math.pi * det.bandwidth / fs)
+    return 0.0 if 1.0 - a == 1.0 else a
 
 
 def _bandwidth_filter(x, det, fs):
     """Single-pole low-pass at the detector bandwidth, settled at x[0].
 
-    A record that the filter changes is filtered in place.
+    x is filtered in place, or returned as it is where the pole rounds
+    away.
     """
     a = _pole(det, fs)
-    # far above the sample rate the pole rounds away: skip the filter only
-    # when every step of the recursion provably returns its input, checked
-    # a block at a time
-    if a == 0.0 or (
-        1.0 - a == 1.0
-        and all(
-            _passes_through(x[i:j], a, x[i - 1] if i else x[0])
-            for i, j in _blocks(x.size, 1)
-        )
-    ):
+    if a == 0.0:
         return x
     y0 = x[0]
     x *= 1.0 - a
@@ -293,6 +284,12 @@ def sample_timeseries(clean, det, fs, duration, seed):
     bandwidth, clamps negative powers, and reads out through
     channel_readout.  Reproducible from the seed: the RIN factor is drawn
     first, then the line's phase, then each channel's noise in turn.
+
+    Each record is drawn once.  The left channel's record takes over the
+    RIN factor's buffer, and the right channel draws the factor again from
+    a copy of the generator.  Where the filter's pole rounds away (see
+    _pole), the right channel is never stored: each block is clamped and
+    read out into the left record as it is drawn.
     """
     n = _sample_count(fs, duration)
     if fs > 2.0 * det.bandwidth:
@@ -320,24 +317,6 @@ def sample_timeseries(clean, det, fs, duration, seed):
         )
 
     rng = np.random.default_rng(seed)
-    first = rng.bit_generator.state
-    samples = _readout(rng, powers, det, fs, n, stream=True)
-    if samples is None:  # the filter changes the streamed channel
-        rng.bit_generator.state = first
-        samples = _readout(rng, powers, det, fs, n, stream=False)
-    return TimeSeries(fs=fs, samples=samples)
-
-
-def _readout(rng, powers, det, fs, n, stream):
-    """Readout samples of the channels drawn from rng, or None.
-
-    The left channel's record takes over the RIN factor's buffer, and the
-    right channel draws the factor again from a copy of the generator.
-    With ``stream`` set and a pole that rounds away, the right channel is
-    never stored: each block is checked against the filter, clamped and
-    read out into the left record, and None is returned at the first
-    block that the filter would change.
-    """
     replay = copy.deepcopy(rng) if det.rin > 0.0 and len(powers) == 2 else None
     factor = None
     if det.rin > 0.0:
@@ -352,22 +331,17 @@ def _readout(rng, powers, det, fs, n, stream):
         pass
     left = _bandwidth_filter(left, det, fs)
     np.clip(left, 0.0, None, out=left)
-    if len(powers) == 1:
-        return left
-    a = _pole(det, fs)
-    if not stream or (a != 0.0 and 1.0 - a != 1.0):
+    if len(powers) == 2 and _pole(det, fs) > 0.0:
+        # a real low-pass needs the whole right record
         right = np.empty(n)
         for _ in _channel_blocks(rng, powers[1], det, fs, n, replay, phase, 2, right):
             pass
         right = _bandwidth_filter(right, det, fs)
-        return channel_readout((left, np.clip(right, 0.0, None, out=right)))
-    before = None
-    for start, stop, x in _channel_blocks(rng, powers[1], det, fs, n, replay, phase, 2):
-        if a != 0.0 and not _passes_through(x, a, x[0] if before is None else before):
-            return None
-        before = x[-1]
-        channel_readout((left[start:stop], np.clip(x, 0.0, None, out=x)))
-    return left
+        channel_readout((left, np.clip(right, 0.0, None, out=right)))
+    elif len(powers) == 2:
+        for start, stop, x in _channel_blocks(rng, powers[1], det, fs, n, replay, phase, 2):
+            channel_readout((left[start:stop], np.clip(x, 0.0, None, out=x)))
+    return TimeSeries(fs=fs, samples=left)
 
 
 def _channel_blocks(rng, power, det, fs, n, factor, phase, channels, out=None):

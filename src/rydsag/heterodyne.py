@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .detector_chain import (
-    MAX_SAMPLES,
+    MAX_GRID_POINTS,
     TimeSeries,
     channel_readout,
     psd,
@@ -164,14 +164,6 @@ class HeterodyneConfig:
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    """Probe detuning of maximum drive-to-readout slope."""
-
-    delta_p: float
-    slope: float
-
-
-@dataclass(frozen=True)
 class BeatMetrics:
     """Spectral figures of one detected record."""
 
@@ -297,7 +289,7 @@ def _observable(config, medium, pointer, delta_p, omega_mw):
 
 
 def operating_point(config, medium, pointer=None):
-    """Probe detuning maximizing the drive-amplitude response.
+    """Probe detuning (rad/s) maximizing the drive-amplitude response.
 
     Sweeps the probe over 1501 points across the dressed spectrum (at
     least 6 linewidths, and 3 local-tone Rabi frequencies), takes the central
@@ -314,14 +306,8 @@ def operating_point(config, medium, pointer=None):
     magnitude = np.abs(upper - lower) / (2.0 * h)
     index = int(np.argmax(magnitude))
     if 0 < index < grid.size - 1:
-        best = float(_refine_extremum(grid, magnitude, index))
-    else:
-        best = float(grid[index])
-    slope = (
-        float(_observable(config, medium, pointer, best, config.omega_local + h))
-        - float(_observable(config, medium, pointer, best, config.omega_local - h))
-    ) / (2.0 * h)
-    return OperatingPoint(delta_p=best, slope=slope)
+        return float(_refine_extremum(grid, magnitude, index))
+    return float(grid[index])
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +315,7 @@ def operating_point(config, medium, pointer=None):
 
 
 def run_beat_experiment(
-    config, medium, pointer, detector, seed, e_signal=None, operating=None
+    config, medium, pointer, detector, seed, e_signal=None, delta_p=None
 ):
     """Detected record of the superheterodyne beat for one signal amplitude.
 
@@ -337,8 +323,8 @@ def run_beat_experiment(
     Dispersion readout returns the pointer-contrast record, read through
     ``closed_readout`` at the analyzer angle ``pointer.post.angle``;
     amplitude readout the transmitted-power record in watts.  A detector
-    of None gives the clean (noise-free) record.  The operating point is
-    recomputed unless one is supplied.
+    of None gives the clean (noise-free) record.  The probe detuning
+    ``delta_p`` defaults to ``operating_point``'s.
     """
     if e_signal is None:
         e_signal = config.e_signal[0]
@@ -359,14 +345,14 @@ def run_beat_experiment(
             stacklevel=2,
         )
     n = int(round(config.fs * config.integration_time))
-    if n > MAX_SAMPLES:
-        raise InvalidParameterError(f"{n} samples exceed the {MAX_SAMPLES} cap")
-    if operating is None:
-        operating = operating_point(config, medium, pointer)
+    if n > MAX_GRID_POINTS:
+        raise InvalidParameterError(f"{n} samples exceed the {MAX_GRID_POINTS} cap")
+    if delta_p is None:
+        delta_p = operating_point(config, medium, pointer)
 
     t = np.arange(min(config.beat_period, n)) / config.fs
     drive = instantaneous_rabi(config, t, e_signal)
-    chi = susceptibility(medium, operating.delta_p, omega_mw=drive)
+    chi = susceptibility(medium, delta_p, omega_mw=drive)
     pair = phase_and_absorption(chi, medium)
     phi, beta = pair.delta_phi, pair.delta_beta
     transmitted = config.probe_power * np.exp(2.0 * beta)
@@ -426,13 +412,13 @@ def sensitivity_sweep(config, medium, pointer, detector, seed, map_fn=map):
     reproducible and order-independent under parallel evaluation;
     ``map_fn`` may be an executor map for concurrent sweep points.
     """
-    operating = operating_point(config, medium, pointer)
+    delta_p = operating_point(config, medium, pointer)
     children = np.random.SeedSequence(seed).spawn(len(config.e_signal))
 
     def one_point(job):
         e_signal, child = job
         ts = run_beat_experiment(
-            config, medium, pointer, detector, child, e_signal, operating
+            config, medium, pointer, detector, child, e_signal, delta_p
         )
         metrics = beat_metrics(ts, config.delta_f)
         beat_db = (

@@ -16,7 +16,7 @@ from rydsag import heterodyne
 from rydsag.detector_chain import (
     BLOCK,
     CHUNK,
-    MAX_SAMPLES,
+    MAX_GRID_POINTS,
     DetectorParams,
     TimeSeries,
     _bandwidth_filter,
@@ -270,32 +270,43 @@ def test_low_bandwidth_filter_attenuates_high_frequency():
     assert tone_power(narrow) < 0.2 * tone_power(wide)
 
 
-def test_bandwidth_filter_skips_only_an_exact_identity():
-    # the shipped detector at the shipped heterodyne rate (20 samples per
-    # 150 kHz beat) has a pole of about 1.8e-23, which rounds away
-    det = DetectorParams()
+def test_bandwidth_filter_skips_a_pole_that_rounds_away():
     fs = 3.0e6
     t = np.arange(150_000) / fs
     power = 175e-6 * (1.0 + 0.01 * np.sin(2 * math.pi * 150e3 * t))
     noise = np.random.default_rng(4).standard_normal(power.size)
-    x = power + noise * _noise_sigma(power, det, fs)
-    a = math.exp(-2.0 * math.pi * det.bandwidth / fs)
-    assert 0.0 < a < 1e-22
-    skipped = _bandwidth_filter(x, det, fs)
-    assert skipped is x
-    assert np.array_equal(skipped, one_pole((1.0 - a) * x, a, y0=x[0]))
+    x = power + noise * _noise_sigma(power, DetectorParams(), fs)
+    # zero samples after nonzero ones: in the first block, on a block edge
+    # and at the last sample
+    holes = [10, BLOCK, x.size - 1]
+    x[holes] = 0.0
 
-    # a zero sample after a nonzero one keeps a * x[n-1]: no skip, in the
-    # first block, on a block edge or at the last sample; a record that
-    # the filter changes is filtered in place, so it gets a copy
-    for hole in (10, BLOCK, x.size - 1):
-        holed = x.copy()
-        holed[hole] = 0.0
-        record = holed.copy()
-        filtered = _bandwidth_filter(record, det, fs)
-        assert np.shares_memory(filtered, record)
-        assert filtered[hole] == a * holed[hole - 1] > 0.0
-        assert np.array_equal(filtered, one_pole((1.0 - a) * holed, a, y0=holed[0]))
+    def pole(det):
+        return math.exp(-2.0 * math.pi * det.bandwidth / fs)
+
+    def detector(a):
+        """Detector whose bandwidth puts the pole at about a."""
+        return DetectorParams(bandwidth=-math.log(a) * fs / (2.0 * math.pi))
+
+    # the shipped detector at the shipped heterodyne rate (20 samples per
+    # 150 kHz beat), a pole of about 1.8e-23, and a pole just below 2**-54:
+    # 1 - a rounds to 1, and the record is returned as it is, holes included
+    for det in (DetectorParams(), detector(2.0**-54.5)):
+        assert 0.0 < pole(det) < 2.0**-54 and 1.0 - pole(det) == 1.0
+        record = x.copy()
+        assert _bandwidth_filter(record, det, fs) is record
+        assert_same_bits(record, x)
+
+    # between 2**-54 and 2**-53, 1 - a does not round to 1: the record is
+    # filtered in place, and each hole takes a * y[n-1]
+    det = detector(2.0**-53.5)
+    a = pole(det)
+    assert 2.0**-54 < a < 2.0**-53 and 1.0 - a != 1.0
+    record = x.copy()
+    filtered = _bandwidth_filter(record, det, fs)
+    assert np.shares_memory(filtered, record)
+    assert_same_bits(filtered, one_pole((1.0 - a) * x, a, y0=x[0]))
+    assert np.all(filtered[holes] > 0.0)
 
     # a bandwidth of fs/10 is a real low-pass
     slow = DetectorParams(bandwidth=fs / 10)
@@ -307,8 +318,10 @@ def test_bandwidth_filter_skips_only_an_exact_identity():
 
 def test_sample_count_guard():
     det = DetectorParams()
-    with pytest.raises(InvalidParameterError):
-        sample_timeseries((1e-6,), det, 1e9, MAX_SAMPLES, seed=0)
+    # one sample over the cap
+    assert _sample_count(1e6, MAX_GRID_POINTS / 1e6) == MAX_GRID_POINTS
+    with pytest.raises(InvalidParameterError, match="samples exceed the"):
+        sample_timeseries((1e-6,), det, 1e6, (MAX_GRID_POINTS + 1) / 1e6, seed=0)
     with pytest.raises(InvalidParameterError):
         sample_timeseries((1e-6,), det, -1.0, 1.0, seed=0)
     # a bare array, a third channel or a callable is not a channel tuple
@@ -538,11 +551,11 @@ def test_heterodyne_records_equal_the_full_length_path(
     cfg = HeterodyneConfig(
         integration_time=0.002, readout=readout, sample_rate=sample_rate)
     det = DetectorParams(rin=1e-7, line_freq_hz=20e3, line_amp_w=1e-9)
-    operating = heterodyne.operating_point(cfg, MEDIUM, POINTER)
+    delta_p = heterodyne.operating_point(cfg, MEDIUM, POINTER)
 
     def run():
         return run_beat_experiment(
-            cfg, MEDIUM, POINTER, det, 5, cfg.e_signal[-1], operating).samples
+            cfg, MEDIUM, POINTER, det, 5, cfg.e_signal[-1], delta_p).samples
 
     periodic = run()
     monkeypatch.setattr(
@@ -557,11 +570,10 @@ def test_heterodyne_records_equal_the_full_length_path(
 @pytest.mark.parametrize("rin", [0.0, 1e-6])
 @pytest.mark.parametrize(
     "dark", [10, BLOCK, LONG - 1], ids=["first-block", "block-edge", "last-sample"])
-def test_streamed_channel_that_the_filter_changes_is_drawn_again(rin, dark):
-    # with no NEP or dark current a sample that gets no light is exactly 0,
-    # and the filter, whose pole rounds away, still carries a * x[i-1] into
-    # it: the right channel, read out a block at a time, fails the check
-    # there, and the record is drawn again with both channels stored
+def test_dark_sample_of_a_streamed_record_reads_zero(rin, dark):
+    # with no NEP or dark current a sample that gets no light is exactly 0;
+    # the pole rounds away, so the filter carries nothing into it, and the
+    # right channel is streamed into the left record
     fs = 3.0e6
     det = DetectorParams(nep=0.0, dark_current=0.0, rin=rin)
     phase = 2.0 * math.pi * np.arange(LONG) / 20
@@ -570,8 +582,7 @@ def test_streamed_channel_that_the_filter_changes_is_drawn_again(rin, dark):
         power[dark] = 0.0
     reference = _reference_sample_timeseries(lambda t: clean, det, fs, LONG / fs, seed=1)
     ts = sample_timeseries(clean, det, fs, LONG / fs, seed=1)
-    # the dark sample reads the contrast that the filter carries into it
-    assert ts.samples[dark] != 0.0
+    assert ts.samples[dark] == 0.0
     assert_same_bits(ts.samples, reference.samples)
     # a generator passed as the seed ends in the same state either way
     rng, again = np.random.default_rng(5), np.random.default_rng(5)

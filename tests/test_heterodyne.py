@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rydsag.detector_chain import DetectorParams, TimeSeries, channel_readout
+from rydsag.detector_chain import MAX_GRID_POINTS, DetectorParams, TimeSeries, channel_readout
 from rydsag.eit_medium import LadderSystemParams, phase_and_absorption, susceptibility
 from rydsag.errors import (
     FitFailureError,
@@ -105,7 +105,7 @@ def test_operating_point_has_locally_maximal_slope():
     from rydsag.heterodyne import _observable
 
     cfg = config()
-    op = operating_point(cfg, MEDIUM, POINTER)
+    delta_p = operating_point(cfg, MEDIUM, POINTER)
     gamma = MEDIUM.gamma_2
     h = 1e-3 * cfg.omega_local
 
@@ -114,10 +114,9 @@ def test_operating_point_has_locally_maximal_slope():
         down = _observable(cfg, MEDIUM, POINTER, dp, cfg.omega_local - h)
         return abs((up - down) / (2.0 * h))
 
-    center = slope_at(op.delta_p)
-    assert abs(center - abs(op.slope)) / center < 1e-9
+    center = slope_at(delta_p)
     for offset in (-gamma / 20.0, gamma / 20.0):
-        assert slope_at(op.delta_p + offset) <= center * 1.01
+        assert slope_at(delta_p + offset) <= center * 1.01
 
 
 def test_operating_point_rejects_doppler_medium():
@@ -130,15 +129,15 @@ def test_dispersion_runs_at_a_tilted_analyzer():
     tilted = replace(POINTER, post=PostSelection(math.pi / 4 - 0.003))
     cfg = config()
     e_signal = cfg.e_signal[-1]
-    operating = operating_point(cfg, MEDIUM, tilted)
-    ts = run_beat_experiment(cfg, MEDIUM, tilted, None, 0, e_signal, operating)
-    direct = _direct_record(cfg, e_signal, operating, tilted)
+    delta_p = operating_point(cfg, MEDIUM, tilted)
+    ts = run_beat_experiment(cfg, MEDIUM, tilted, None, 0, e_signal, delta_p)
+    direct = _direct_record(cfg, e_signal, delta_p, tilted)
     p = cfg.beat_period
     assert np.array_equal(ts.samples, np.resize(direct[:p], direct.size))
-    balanced = run_beat_experiment(cfg, MEDIUM, POINTER, None, 0, e_signal, operating)
+    balanced = run_beat_experiment(cfg, MEDIUM, POINTER, None, 0, e_signal, delta_p)
     assert not np.array_equal(ts.samples, balanced.samples)
     noisy = run_beat_experiment(
-        cfg, MEDIUM, tilted, DetectorParams(), 0, e_signal, operating)
+        cfg, MEDIUM, tilted, DetectorParams(), 0, e_signal, delta_p)
     assert np.all(np.isfinite(noisy.samples))
 
 
@@ -152,19 +151,21 @@ def test_clean_record_beats_at_150khz():
 
 @pytest.mark.parametrize("detector", [None, DetectorParams()])
 def test_record_over_the_sample_cap_is_rejected(detector):
-    # 1000 s at 3 MHz: the clean path would otherwise ask np.resize for 3e9
-    # samples and raise MemoryError
-    cfg = config(integration_time=1000.0)
-    with pytest.raises(InvalidParameterError, match="samples exceed the"):
-        run_beat_experiment(cfg, MEDIUM, POINTER, detector, seed=0)
+    # one sample over the cap, and 1000 s at 3 MHz, where the clean path
+    # would otherwise ask np.resize for 3e9 samples and raise MemoryError
+    for samples in (MAX_GRID_POINTS + 1, 3_000_000_000):
+        cfg = config(integration_time=samples / config().fs)
+        assert round(cfg.fs * cfg.integration_time) == samples
+        with pytest.raises(InvalidParameterError, match="samples exceed the"):
+            run_beat_experiment(cfg, MEDIUM, POINTER, detector, seed=0)
 
 
-def _direct_record(cfg, e_signal, operating, pointer=POINTER):
+def _direct_record(cfg, e_signal, delta_p, pointer=POINTER):
     """Clean record with the channel model evaluated at every sample."""
     t = np.arange(int(round(cfg.fs * cfg.integration_time))) / cfg.fs
     drive = instantaneous_rabi(cfg, t, e_signal)
     pair = phase_and_absorption(
-        susceptibility(MEDIUM, operating.delta_p, omega_mw=drive), MEDIUM)
+        susceptibility(MEDIUM, delta_p, omega_mw=drive), MEDIUM)
     transmitted = cfg.probe_power * np.exp(2.0 * pair.delta_beta)
     if cfg.readout == "amplitude":
         return transmitted
@@ -178,9 +179,9 @@ def _direct_record(cfg, e_signal, operating, pointer=POINTER):
 
 def _clean_and_direct(cfg):
     e_signal = cfg.e_signal[-1]
-    operating = operating_point(cfg, MEDIUM, POINTER)
-    ts = run_beat_experiment(cfg, MEDIUM, POINTER, None, 0, e_signal, operating)
-    return ts.samples, _direct_record(cfg, e_signal, operating)
+    delta_p = operating_point(cfg, MEDIUM, POINTER)
+    ts = run_beat_experiment(cfg, MEDIUM, POINTER, None, 0, e_signal, delta_p)
+    return ts.samples, _direct_record(cfg, e_signal, delta_p)
 
 
 @pytest.mark.parametrize("readout", READOUT_SCHEMES)
@@ -242,13 +243,13 @@ def test_signal_stronger_than_local_oscillator_rejected():
     from scipy.constants import hbar
 
     cfg = config()
-    op = operating_point(cfg, MEDIUM, POINTER)
+    delta_p = operating_point(cfg, MEDIUM, POINTER)
     e_too_big = 1.000001 * cfg.omega_local * hbar / cfg.dipole_mw
     with pytest.raises(InvalidParameterError):
-        run_beat_experiment(cfg, MEDIUM, POINTER, None, 0, e_too_big, operating=op)
+        run_beat_experiment(cfg, MEDIUM, POINTER, None, 0, e_too_big, delta_p=delta_p)
     with pytest.warns(RegimeWarning):
         run_beat_experiment(
-            cfg, MEDIUM, POINTER, None, 0, 0.6 * e_too_big, operating=op)
+            cfg, MEDIUM, POINTER, None, 0, 0.6 * e_too_big, delta_p=delta_p)
 
 
 def test_beat_metrics_synthetic_tone():
