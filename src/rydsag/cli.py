@@ -360,13 +360,13 @@ def _run_spectrum(config, models, out_dir, seed):
     except UnresolvedSplittingError as exc:
         f_at = math.nan
         notes.append(str(exc))
-    pair = phase_and_absorption(spectrum.chi, medium)
+    delta_phi, delta_beta = phase_and_absorption(spectrum.chi, medium)
     columns = (
         spectrum.delta_p / (2.0 * math.pi),
         spectrum.chi.real,
         spectrum.chi.imag,
-        pair.delta_phi,
-        pair.delta_beta,
+        delta_phi,
+        delta_beta,
     )
     csv_path = os.path.join(out_dir, "spectrum.csv")
     write_csv(
@@ -454,51 +454,38 @@ def _run_stabilize(config, models, out_dir, seed):
     return [csv_path, report_path]
 
 
-def _points_payload(points):
-    return [
-        {
-            "e_vpercm": p.e_signal / _V_PER_M_PER_V_PER_CM,
-            "beat_db": p.beat_db,
-            "snr_db": p.snr_db,
-            "peak_freq_hz": p.peak_freq_hz,
-        }
-        for p in points
-    ]
-
-
-def _noise_floor_db(points):
-    floors = [p.floor_density for p in points if p.floor_density > 0.0]
-    if not floors:
+def _noise_floor_db(sweep):
+    floors = sweep.floor_density[sweep.floor_density > 0.0]
+    if not floors.size:
         return math.nan
     return 10.0 * math.log10(float(np.median(floors)))
 
 
-def _scheme_files(out_dir, scheme, points, fit):
+def _scheme_files(out_dir, scheme, sweep, fit):
+    points = {
+        "e_vpercm": sweep.e_signal / _V_PER_M_PER_V_PER_CM,
+        "beat_db": sweep.beat_db,
+        "snr_db": sweep.snr_db,
+        "peak_freq_hz": sweep.peak_freq_hz,
+    }
     json_path = os.path.join(out_dir, f"sensitivity_{scheme}.json")
     write_json(
         json_path,
         {
             "scheme": scheme,
-            "points": _points_payload(points),
+            "points": [dict(zip(points, row)) for row in zip(*points.values())],
             "e_min_vpercm": fit.e_min / _V_PER_M_PER_V_PER_CM,
             "fit": {
                 "slope": fit.slope_db_per_db,
                 "r2": fit.r_squared,
                 "intercept_db": fit.intercept_db,
             },
-            "noise_floor_db": _noise_floor_db(points),
+            "noise_floor_db": _noise_floor_db(sweep),
         },
     )
     csv_path = os.path.join(out_dir, f"sweep_{scheme}.csv")
-    write_csv(
-        csv_path,
-        ("e_vpercm", "beat_db", "snr_db"),
-        (
-            [p.e_signal / _V_PER_M_PER_V_PER_CM for p in points],
-            [p.beat_db for p in points],
-            [p.snr_db for p in points],
-        ),
-    )
+    header = ("e_vpercm", "beat_db", "snr_db")
+    write_csv(csv_path, header, [points[name] for name in header])
     return [json_path, csv_path]
 
 
@@ -558,10 +545,13 @@ def _run_calibrate(config, models, out_dir, seed):
         points=block["points"],
     )
     header = ("power_w", "e_applied_vperm", "f_at_hz", "e_recovered_vperm", "resolved")
-    columns = [
-        [getattr(e, name) for e in result.entries]
-        for name in ("power_w", "e_applied", "f_at_hz", "e_recovered", "resolved")
-    ]
+    columns = (
+        result.power_w,
+        result.e_applied,
+        result.f_at_hz,
+        result.e_recovered,
+        result.resolved,
+    )
     csv_path = os.path.join(out_dir, "calibration.csv")
     write_csv(csv_path, header, columns)
     json_path = os.path.join(out_dir, "calibration.json")

@@ -160,17 +160,6 @@ class Spectrum:
         return self.delta_p.size
 
 
-@dataclass(frozen=True)
-class PhaseAbsorptionPair:
-    """Single-pass probe phase shift and log-amplitude change (radians).
-
-    Scalars for a scalar susceptibility, arrays of its shape otherwise.
-    """
-
-    delta_phi: float
-    delta_beta: float
-
-
 # ---------------------------------------------------------------------------
 # steady state
 
@@ -291,8 +280,10 @@ def doppler_average(params, delta_p):
 def phase_and_absorption(chi, params):
     """Map susceptibility values onto the interferometer pair.
 
-    Vectorized; warns once per call if any |chi| leaves the thin-medium
-    regime.
+    Returns (delta_phi, delta_beta), the single-pass probe phase shift and
+    log-amplitude change in radians: floats for a scalar susceptibility,
+    arrays of its shape otherwise.  Warns once per call if any |chi|
+    leaves the thin-medium regime.
     """
     chi = np.asarray(chi)
     if np.any(np.abs(chi) > 0.1):
@@ -305,8 +296,8 @@ def phase_and_absorption(chi, params):
     delta_phi = factor * np.real(chi)
     delta_beta = -factor * np.imag(chi)
     if chi.ndim == 0:
-        return PhaseAbsorptionPair(float(delta_phi), float(delta_beta))
-    return PhaseAbsorptionPair(delta_phi, delta_beta)
+        return float(delta_phi), float(delta_beta)
+    return delta_phi, delta_beta
 
 
 def rabi_from_field(e_field, dipole):
@@ -425,10 +416,13 @@ def at_splitting(spectrum):
 
 
 def field_from_at_splitting(f_at, dipole_mw):
-    """Microwave field amplitude E = h f_AT / dipole in V/m."""
+    """Microwave field amplitude E = h f_AT / dipole in V/m.
+
+    Vectorized over f_at; a NaN splitting gives a NaN field.
+    """
     if dipole_mw <= 0.0:
         raise InvalidParameterError(f"dipole_mw must be > 0, got {dipole_mw!r}")
-    if f_at < 0.0:
+    if np.any(np.less(f_at, 0.0)):
         raise InvalidParameterError(f"f_at must be >= 0, got {f_at!r}")
     return constants.h * f_at / dipole_mw
 
@@ -438,16 +432,16 @@ def splitting_vs_drive(params, omega_mw_values, points=8192):
 
     Each drive is read on a grid of ``points`` points over 40 linewidths,
     or over 3 omega_mw where that is wider, so a strong drive's dips stay
-    inside the grid.  Returns a list of (omega_mw, f_at or None); None
-    marks drives whose transparency window did not resolve into two dips.
+    inside the grid.  Returns an array of f_at in Hz, one per drive, NaN
+    where the transparency window did not resolve into two dips.
     """
-    results = []
-    for omega in omega_mw_values:
-        swept = replace(params, omega_mw=float(omega))
+    omegas = np.asarray(omega_mw_values, dtype=float)
+    f_at = np.full(omegas.shape, math.nan)
+    for index, omega in enumerate(omegas.tolist()):
+        swept = replace(params, omega_mw=omega)
         grid = detuning_grid(params, max(40.0, 3.0 * omega / params.gamma_2), points)
         try:
-            f_at = at_splitting(susceptibility_spectrum(swept, grid))
+            f_at[index] = at_splitting(susceptibility_spectrum(swept, grid))
         except UnresolvedSplittingError:
-            f_at = None
-        results.append((float(omega), f_at))
-    return results
+            continue  # the drive keeps its NaN
+    return f_at

@@ -174,15 +174,18 @@ class BeatMetrics:
     bin_width_hz: float
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Beat detection result for one signal amplitude."""
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Beat detection results of a sensitivity sweep, as float64 columns
+    with one entry per signal amplitude: the amplitude in V/m, the SNR and
+    the beat line power in dB, the line's frequency in Hz and the noise
+    floor density."""
 
-    e_signal: float
-    snr_db: float
-    beat_db: float
-    peak_freq_hz: float
-    floor_density: float
+    e_signal: np.ndarray
+    snr_db: np.ndarray
+    beat_db: np.ndarray
+    peak_freq_hz: np.ndarray
+    floor_density: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -195,39 +198,41 @@ class SensitivityResult:
     r_squared: float
 
 
-@dataclass(frozen=True)
-class CalibrationEntry:
-    """One input power of the traceable splitting calibration."""
-
-    power_w: float
-    e_applied: float
-    f_at_hz: float
-    e_recovered: float
-    resolved: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationResult:
-    """Through-origin fit of recovered field against root input power."""
+    """Calibration table and its through-origin fit of recovered field
+    against root input power.
 
-    entries: tuple
+    The table is five columns with one entry per input power: the power in
+    W, the applied and recovered fields in V/m, the splitting in Hz and
+    whether it resolved.  ``f_at_hz`` and ``e_recovered`` are NaN where it
+    did not.
+    """
+
+    power_w: np.ndarray
+    e_applied: np.ndarray
+    f_at_hz: np.ndarray
+    e_recovered: np.ndarray
+    resolved: np.ndarray
     slope: float
     r_squared: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonResult:
     """Matched-noise comparison of the two readout schemes.
 
-    ``delta_min_field_db`` uses the 20 log10 field-amplitude convention
-    and ``delta_min_field_db_power`` the 10 log10 power convention; both
-    are positive when the dispersion scheme reaches smaller fields.
+    ``points_dispersion`` and ``points_amplitude`` are the two ``Sweep``
+    records.  ``delta_min_field_db`` uses the 20 log10 field-amplitude
+    convention and ``delta_min_field_db_power`` the 10 log10 power
+    convention; both are positive when the dispersion scheme reaches
+    smaller fields.
     """
 
     dispersion: SensitivityResult
     amplitude: SensitivityResult
-    points_dispersion: tuple
-    points_amplitude: tuple
+    points_dispersion: Sweep
+    points_amplitude: Sweep
     delta_sensitivity_db: float
     delta_min_field_db: float
     delta_min_field_db_power: float
@@ -279,13 +284,12 @@ def _observable(config, medium, pointer, delta_p, omega_mw):
     """Readout observable: pointer contrast at ``pointer.post.angle``, or
     power transmission."""
     chi = susceptibility(medium, delta_p, omega_mw=omega_mw)
-    pair = phase_and_absorption(chi, medium)
+    phi, beta = phase_and_absorption(chi, medium)
     if config.readout == "dispersion":
         return closed_readout(
-            pair.delta_phi, pair.delta_beta, pointer.post.angle,
-            pointer.coupling.k, pointer.beam.w,
+            phi, beta, pointer.post.angle, pointer.coupling.k, pointer.beam.w
         )[1]
-    return np.exp(2.0 * pair.delta_beta)
+    return np.exp(2.0 * beta)
 
 
 def operating_point(config, medium, pointer=None):
@@ -353,8 +357,7 @@ def run_beat_experiment(
     t = np.arange(min(config.beat_period, n)) / config.fs
     drive = instantaneous_rabi(config, t, e_signal)
     chi = susceptibility(medium, delta_p, omega_mw=drive)
-    pair = phase_and_absorption(chi, medium)
-    phi, beta = pair.delta_phi, pair.delta_beta
+    phi, beta = phase_and_absorption(chi, medium)
     transmitted = config.probe_power * np.exp(2.0 * beta)
     if config.readout == "amplitude":
         clean = (transmitted,)
@@ -406,7 +409,8 @@ def beat_metrics(ts, delta_f):
 
 
 def sensitivity_sweep(config, medium, pointer, detector, seed, map_fn=map):
-    """Beat detection swept over the configured signal amplitudes.
+    """Beat detection swept over the configured signal amplitudes, as a
+    ``Sweep``.
 
     Each amplitude gets an independent child seed, so the sweep is
     reproducible and order-independent under parallel evaluation;
@@ -426,33 +430,32 @@ def sensitivity_sweep(config, medium, pointer, detector, seed, map_fn=map):
             if metrics.line_power > 0.0
             else -math.inf
         )
-        return SweepPoint(
-            e_signal=e_signal,
-            snr_db=metrics.snr_db,
-            beat_db=beat_db,
-            peak_freq_hz=metrics.peak_freq_hz,
-            floor_density=metrics.floor_density,
+        return (
+            e_signal, metrics.snr_db, beat_db, metrics.peak_freq_hz,
+            metrics.floor_density,
         )
 
-    return list(map_fn(one_point, zip(config.e_signal, children)))
+    rows = list(map_fn(one_point, zip(config.e_signal, children)))
+    return Sweep(*(np.array(column, dtype=float) for column in zip(*rows)))
 
 
-def min_detectable_field(points):
+def min_detectable_field(sweep):
     """Field amplitude whose beat would just reach the noise floor.
 
-    Fits SNR in dB against 10 log10(E) over the points above 0 dB; the beat
-    line power grows as the field squared, so the expected slope is 2 dB
-    per dB.  The crossing of the fit with 0 dB gives the minimum detectable
-    field in V/m.
+    Fits a ``Sweep``'s SNR in dB against 10 log10(E) over the amplitudes
+    above 0 dB; the beat line power grows as the field squared, so the
+    expected slope is 2 dB per dB.  The crossing of the fit with 0 dB
+    gives the minimum detectable field in V/m.
     """
-    usable = [p for p in points if math.isfinite(p.snr_db) and p.snr_db > 0.0]
-    if len(usable) < _MIN_FIT_POINTS:
+    usable = np.isfinite(sweep.snr_db) & (sweep.snr_db > 0.0)
+    count = int(np.count_nonzero(usable))
+    if count < _MIN_FIT_POINTS:
         raise FitFailureError(
             f"need at least {_MIN_FIT_POINTS} sweep points above the noise floor, "
-            f"got {len(usable)}"
+            f"got {count}"
         )
-    x = np.array([10.0 * math.log10(p.e_signal) for p in usable])
-    y = np.array([p.snr_db for p in usable])
+    x = np.array([10.0 * math.log10(e) for e in sweep.e_signal[usable].tolist()])
+    y = sweep.snr_db[usable]
     slope, intercept = np.polyfit(x, y, 1)
     predicted = slope * x + intercept
     ss_res = float(np.sum((y - predicted) ** 2))
@@ -494,52 +497,49 @@ def calibration_curve(
     transparency-dip separation by ``splitting_vs_drive``, so the fitted
     slope reproduces the horn factor when the chain is consistent.
     Unresolved splittings (zero or weak drive) stay in the table flagged
-    but leave the fit.  Positive input powers must span at least a decade.
+    but leave the fit.  Positive input powers must span at least a decade,
+    and the horn factor and dipole must be finite and > 0.
     """
-    powers = [float(p) for p in p_in_watts]
-    if len(powers) < 2:
+    powers = np.array(p_in_watts, dtype=float)
+    if powers.ndim != 1 or powers.size < 2:
         raise InvalidParameterError("need at least two input powers")
-    if any(p < 0.0 or not math.isfinite(p) for p in powers):
+    if not np.all(np.isfinite(powers) & (powers >= 0.0)):
         raise InvalidParameterError("input powers must be finite and >= 0")
-    if horn_factor <= 0.0:
-        raise InvalidParameterError(f"horn_factor must be > 0, got {horn_factor!r}")
-    positive = [p for p in powers if p > 0.0]
-    if len(positive) < 2 or max(positive) < 10.0 * min(positive):
+    for name, value in (("horn_factor", horn_factor), ("dipole_mw", dipole_mw)):
+        if not math.isfinite(value) or value <= 0.0:
+            raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
+    positive = powers[powers > 0.0]
+    if positive.size < 2 or positive.max() < 10.0 * positive.min():
         raise InvalidParameterError("input powers must span at least one decade")
 
-    fields = [horn_factor * math.sqrt(power) for power in powers]
-    sweep = splitting_vs_drive(
-        medium, [rabi_from_field(e_applied, dipole_mw) for e_applied in fields], points
+    e_applied = horn_factor * np.sqrt(powers)
+    f_at_hz = splitting_vs_drive(
+        medium, [rabi_from_field(e, dipole_mw) for e in e_applied.tolist()], points
     )
-    entries = []
-    for power, e_applied, (_, f_at) in zip(powers, fields, sweep):
-        resolved = f_at is not None
-        entries.append(
-            CalibrationEntry(
-                power_w=power,
-                e_applied=e_applied,
-                f_at_hz=f_at if resolved else math.nan,
-                e_recovered=(
-                    field_from_at_splitting(f_at, dipole_mw) if resolved else math.nan
-                ),
-                resolved=resolved,
-            )
-        )
-
-    resolved = [entry for entry in entries if entry.resolved]
-    if len(resolved) < 2:
+    resolved = ~np.isnan(f_at_hz)
+    e_recovered = field_from_at_splitting(f_at_hz, dipole_mw)
+    count = int(np.count_nonzero(resolved))
+    if count < 2:
         raise FitFailureError(
-            f"only {len(resolved)} resolved splittings; cannot fit a calibration"
+            f"only {count} resolved splittings; cannot fit a calibration"
         )
-    root_power = np.array([math.sqrt(entry.power_w) for entry in resolved])
-    recovered = np.array([entry.e_recovered for entry in resolved])
+    root_power = np.sqrt(powers[resolved])
+    recovered = e_recovered[resolved]
     slope = float(np.dot(root_power, recovered) / np.dot(root_power, root_power))
     if slope <= 0.0:
         raise FitFailureError("calibration slope is not positive")
     ss_res = float(np.sum((recovered - slope * root_power) ** 2))
     ss_tot = float(np.sum(recovered**2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-    return CalibrationResult(entries=tuple(entries), slope=slope, r_squared=r_squared)
+    return CalibrationResult(
+        power_w=powers,
+        e_applied=e_applied,
+        f_at_hz=f_at_hz,
+        e_recovered=e_recovered,
+        resolved=resolved,
+        slope=slope,
+        r_squared=r_squared,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -547,22 +547,25 @@ def calibration_curve(
 
 
 def comparison_from_points(points_dispersion, points_amplitude):
-    """Fit both schemes' sweeps and report the dispersion advantage."""
+    """Fit both schemes' sweeps and report the dispersion advantage.
+
+    The two ``Sweep`` records must cover the same signal amplitudes, since
+    the SNR advantage pairs them amplitude by amplitude.
+    """
+    if not np.array_equal(points_dispersion.e_signal, points_amplitude.e_signal):
+        raise InvalidParameterError(
+            "the two sweeps must cover the same signal amplitudes")
     dispersion = min_detectable_field(points_dispersion)
     amplitude = min_detectable_field(points_amplitude)
-    paired = [
-        d.snr_db - a.snr_db
-        for d, a in zip(points_dispersion, points_amplitude)
-        if math.isfinite(d.snr_db) and d.snr_db > 0.0
-        and math.isfinite(a.snr_db) and a.snr_db > 0.0
-    ]
-    delta_sensitivity = float(np.mean(paired)) if paired else math.nan
+    d, a = points_dispersion.snr_db, points_amplitude.snr_db
+    both = np.isfinite(d) & (d > 0.0) & np.isfinite(a) & (a > 0.0)
+    delta_sensitivity = float(np.mean(d[both] - a[both])) if np.any(both) else math.nan
     ratio = amplitude.e_min / dispersion.e_min
     return ComparisonResult(
         dispersion=dispersion,
         amplitude=amplitude,
-        points_dispersion=tuple(points_dispersion),
-        points_amplitude=tuple(points_amplitude),
+        points_dispersion=points_dispersion,
+        points_amplitude=points_amplitude,
         delta_sensitivity_db=delta_sensitivity,
         delta_min_field_db=20.0 * math.log10(ratio),
         delta_min_field_db_power=10.0 * math.log10(ratio),

@@ -451,11 +451,13 @@ def test_runtime_failure_reports_error_json(tmp_path, capsys):
     ({"experiment": "stabilize", "loop": {"phi_f": 1.0e-300}}, "phi_f"),
     ({"experiment": "pointer", "pointer": {"w": 1.0e-300}}, "pointer.w"),
     ({**FAST_HETERODYNE, "detector": {"responsivity": 1.0e-300}}, "responsivity"),
+    ({"experiment": "calibrate", "calibrate": {"horn_factor": float("nan")}},
+     "horn_factor"),
 ])
 def test_degenerate_phi_f_and_underflowing_squares_exit_with_error_json(
         tmp_path, capsys, payload, key):
     # each of these used to end simulate in a ValueError or ZeroDivisionError
-    # traceback
+    # traceback, or, for the NaN horn factor, in an error naming omega_mw
     cfg = write_config(tmp_path, payload)
     code = main(["simulate", cfg, "--output-dir", str(tmp_path / "o")])
     captured = capsys.readouterr()

@@ -1,23 +1,29 @@
 """Two-tone beat readout: Rabi algebra, operating point, sensitivity fits."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rydsag.detector_chain import MAX_GRID_POINTS, DetectorParams, TimeSeries, channel_readout
-from rydsag.eit_medium import LadderSystemParams, phase_and_absorption, susceptibility
+from rydsag.eit_medium import (
+    LadderSystemParams,
+    field_from_at_splitting,
+    phase_and_absorption,
+    susceptibility,
+)
 from rydsag.errors import (
     FitFailureError,
     InvalidParameterError,
     RegimeWarning,
 )
 from rydsag.heterodyne import (
+    DEFAULT_DIPOLE_MW,
     READOUT_SCHEMES,
     HeterodyneConfig,
-    SweepPoint,
+    Sweep,
     beat_metrics,
     calibration_curve,
     comparison_from_points,
@@ -164,14 +170,13 @@ def _direct_record(cfg, e_signal, delta_p, pointer=POINTER):
     """Clean record with the channel model evaluated at every sample."""
     t = np.arange(int(round(cfg.fs * cfg.integration_time))) / cfg.fs
     drive = instantaneous_rabi(cfg, t, e_signal)
-    pair = phase_and_absorption(
+    phi, beta = phase_and_absorption(
         susceptibility(MEDIUM, delta_p, omega_mw=drive), MEDIUM)
-    transmitted = cfg.probe_power * np.exp(2.0 * pair.delta_beta)
+    transmitted = cfg.probe_power * np.exp(2.0 * beta)
     if cfg.readout == "amplitude":
         return transmitted
     _, eta, p_post = closed_readout(
-        pair.delta_phi, pair.delta_beta, pointer.post.angle,
-        pointer.coupling.k, pointer.beam.w,
+        phi, beta, pointer.post.angle, pointer.coupling.k, pointer.beam.w,
     )
     detected = transmitted * p_post
     return channel_readout((0.5 * detected * (1.0 + eta), 0.5 * detected * (1.0 - eta)))
@@ -265,30 +270,22 @@ def test_beat_metrics_synthetic_tone():
     assert m.bin_width_hz == pytest.approx(fs / 2048.0, rel=1e-12)
 
 
-def test_min_detectable_field_recovers_synthetic_crossing():
+def test_min_detectable_field_recovers_synthetic_crossing(synthetic_sweep):
     # construct points lying exactly on snr_db = 2 * (10 log10 E) + b with a
     # known zero crossing; the extrapolation must hit it to 1e-6 relative
     e_min_true = 3.7e-7
     slope = 2.0
     intercept = -slope * 10.0 * math.log10(e_min_true)
     fields = (1e-4, 3e-4, 1e-3, 3e-3)
-    points = [
-        SweepPoint(
-            e_signal=e,
-            snr_db=slope * 10.0 * math.log10(e) + intercept,
-            beat_db=0.0,
-            peak_freq_hz=150e3,
-            floor_density=1e-20,
-        )
-        for e in fields
-    ]
+    points = synthetic_sweep(
+        fields, lambda e: slope * 10.0 * math.log10(e) + intercept, beat_db=0.0)
     fit = min_detectable_field(points)
     assert fit.slope_db_per_db == pytest.approx(2.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert abs(fit.e_min - e_min_true) / e_min_true < 1e-6
 
 
-def test_min_detectable_field_doubling_floor_scales_e_min():
+def test_min_detectable_field_doubling_floor_scales_e_min(synthetic_sweep):
     # raising the noise floor by 6.0206 dB (amplitude x2) doubles e_min when
     # the slope is exactly 2
     e_min_true = 1.0e-6
@@ -296,39 +293,28 @@ def test_min_detectable_field_doubling_floor_scales_e_min():
     fields = (1e-4, 1e-3, 1e-2)
 
     def points_with(offset_db):
-        return [
-            SweepPoint(
-                e_signal=e,
-                snr_db=20.0 * math.log10(e) + intercept - offset_db,
-                beat_db=0.0,
-                peak_freq_hz=150e3,
-                floor_density=1e-20,
-            )
-            for e in fields
-        ]
+        return synthetic_sweep(
+            fields, lambda e: 20.0 * math.log10(e) + intercept - offset_db,
+            beat_db=0.0)
 
     base = min_detectable_field(points_with(0.0))
     raised = min_detectable_field(points_with(20.0 * math.log10(2.0)))
     assert raised.e_min == pytest.approx(2.0 * base.e_min, rel=1e-9)
 
 
-def test_min_detectable_field_failure_modes():
-    good = SweepPoint(1e-3, 40.0, -30.0, 150e3, 1e-20)
+def test_min_detectable_field_failure_modes(synthetic_sweep):
+    good = synthetic_sweep((1e-3, 1e-3), lambda e: 40.0)
     with pytest.raises(FitFailureError):
-        min_detectable_field([good, good])  # too few points
+        min_detectable_field(good)  # too few points
     # noisy scatter destroys r^2
     rng = np.random.default_rng(1)
-    scattered = [
-        SweepPoint(e, 40.0 + 30.0 * rng.standard_normal(), -30.0, 150e3, 1e-20)
-        for e in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
-    ]
+    scattered = synthetic_sweep(
+        (1e-4, 3e-4, 1e-3, 3e-3, 1e-2), lambda e: 40.0 + 30.0 * rng.standard_normal())
     with pytest.raises(FitFailureError):
         min_detectable_field(scattered)
     # negative slope (snr falling with field) is nonsense even when linear
-    falling = [
-        SweepPoint(e, 60.0 - 20.0 * math.log10(e / 1e-4), -30.0, 150e3, 1e-20)
-        for e in (1e-4, 1e-3, 1e-2)
-    ]
+    falling = synthetic_sweep(
+        (1e-4, 1e-3, 1e-2), lambda e: 60.0 - 20.0 * math.log10(e / 1e-4))
     with pytest.raises(FitFailureError, match="not positive"):
         min_detectable_field(falling)
 
@@ -337,12 +323,17 @@ def test_sensitivity_sweep_dispersion_linearity():
     cfg = config(integration_time=0.05)
     det = DetectorParams(rin=7.0e-7)
     points = sensitivity_sweep(cfg, MEDIUM, POINTER, det, seed=2)
-    assert [p.e_signal for p in points] == list(cfg.e_signal)
-    for p in points:
-        assert abs(p.peak_freq_hz - cfg.delta_f) <= cfg.fs / 2048.0
+    assert points.e_signal.tolist() == list(cfg.e_signal)
+    for peak_freq_hz in points.peak_freq_hz:
+        assert abs(peak_freq_hz - cfg.delta_f) <= cfg.fs / 2048.0
     fit = min_detectable_field(points)
     assert fit.r_squared > 0.999
     assert fit.slope_db_per_db == pytest.approx(2.0, abs=0.05)
+
+
+def assert_same_sweep(sweep, reference):
+    for field in fields(Sweep):
+        assert np.array_equal(getattr(sweep, field.name), getattr(reference, field.name))
 
 
 def test_sensitivity_sweep_map_fn_equivalence():
@@ -365,8 +356,16 @@ def test_sensitivity_sweep_map_fn_equivalence():
                     cfg, MEDIUM, POINTER, det, seed=3, map_fn=pool.map)
                 comparison = scheme_comparison(
                     cfg, MEDIUM, POINTER, det, seed=3, map_fn=pool.map)
-            assert threaded == serial
-            assert comparison == serial_comparison
+            assert_same_sweep(threaded, serial)
+            assert_same_sweep(comparison.points_dispersion,
+                              serial_comparison.points_dispersion)
+            assert_same_sweep(comparison.points_amplitude,
+                              serial_comparison.points_amplitude)
+            assert comparison.dispersion == serial_comparison.dispersion
+            assert comparison.amplitude == serial_comparison.amplitude
+            for name in ("delta_sensitivity_db", "delta_min_field_db",
+                         "delta_min_field_db_power"):
+                assert getattr(comparison, name) == getattr(serial_comparison, name)
     finally:
         sys.setswitchinterval(interval)
 
@@ -377,19 +376,29 @@ def test_snr_nonincreasing_in_nep():
     for nep in (7.2e-15, 7.2e-13, 7.2e-12):
         det = DetectorParams(nep=nep)
         points = sensitivity_sweep(cfg, MEDIUM, POINTER, det, seed=4)
-        results.append(points[0].snr_db)
+        results.append(points.snr_db[0])
     assert results[0] >= results[1] >= results[2]
 
 
-def test_scheme_comparison_identical_points_is_zero_db():
-    points = [
-        SweepPoint(e, 20.0 * math.log10(e) + 90.0, -30.0, 150e3, 1e-20)
-        for e in (1e-4, 1e-3, 1e-2)
-    ]
+def test_scheme_comparison_identical_points_is_zero_db(synthetic_sweep):
+    points = synthetic_sweep((1e-4, 1e-3, 1e-2), lambda e: 20.0 * math.log10(e) + 90.0)
     result = comparison_from_points(points, points)
     assert result.delta_sensitivity_db == pytest.approx(0.0, abs=1e-12)
     assert result.delta_min_field_db == pytest.approx(0.0, abs=1e-12)
     assert result.delta_min_field_db_power == pytest.approx(0.0, abs=1e-12)
+
+
+def test_scheme_comparison_refuses_sweeps_over_different_fields(synthetic_sweep):
+    # paired by position, these read -10 dB where the advantage at each
+    # shared field is +10 dB
+    dispersion = synthetic_sweep(
+        (1e-4, 1e-3, 1e-2), lambda e: 20.0 * math.log10(e) + 100.0)
+    amplitude = synthetic_sweep(
+        (1e-3, 1e-2, 0.1, 1.0), lambda e: 20.0 * math.log10(e) + 90.0)
+    with pytest.raises(InvalidParameterError, match="same signal amplitudes"):
+        comparison_from_points(dispersion, amplitude)
+    with pytest.raises(InvalidParameterError, match="same signal amplitudes"):
+        comparison_from_points(amplitude, dispersion)
 
 
 def test_scheme_comparison_dispersion_advantage():
@@ -411,16 +420,18 @@ def test_calibration_curve_linearity_and_slope():
     result = calibration_curve(powers, horn, LadderSystemParams())
     assert result.r_squared > 0.999
     assert result.slope == pytest.approx(horn, rel=0.05)
-    assert all(e.resolved for e in result.entries)
+    assert result.resolved.all()
 
 
 def test_calibration_curve_flags_unresolved_powers():
     # the weakest drive cannot split the line; it is excluded from the fit
     powers = [1e-12, 1e-5, 4e-5, 1e-4]
     result = calibration_curve(powers, 1000.0, LadderSystemParams())
-    assert result.entries[0].resolved is False
-    assert math.isnan(result.entries[0].f_at_hz)
-    assert all(e.resolved for e in result.entries[1:])
+    assert result.resolved.tolist() == [False, True, True, True]
+    assert math.isnan(result.f_at_hz[0])
+    assert np.array_equal(np.isnan(result.e_recovered), ~result.resolved)
+    for f_at, e_recovered in zip(result.f_at_hz[1:], result.e_recovered[1:]):
+        assert e_recovered == field_from_at_splitting(f_at, DEFAULT_DIPOLE_MW)
     assert result.slope == pytest.approx(1000.0, rel=0.05)
 
 
@@ -438,3 +449,9 @@ def test_calibration_curve_failure_modes():
         calibration_curve([1e-6, 2e-6], 1000.0, LadderSystemParams())  # <10x span
     with pytest.raises(FitFailureError):
         calibration_curve([1e-12, 2e-11], 1000.0, LadderSystemParams())
+    # a NaN passed every check and failed later on omega_mw
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidParameterError, match="horn_factor"):
+            calibration_curve([1e-6, 1e-4], bad, LadderSystemParams())
+        with pytest.raises(InvalidParameterError, match="dipole_mw"):
+            calibration_curve([1e-6, 1e-4], 1000.0, LadderSystemParams(), dipole_mw=bad)
