@@ -176,6 +176,13 @@ def _checked(default, value, path, nested=False):
         valid, kind = type(value) is int, "an integer"
     elif isinstance(default, float):
         valid, kind = type(value) in (int, float), "a number"
+        # an integer past the largest float overflows in the first float
+        # operation on it
+        if type(value) is int and abs(value) > sys.float_info.max:
+            raise ConfigError(
+                f"{path} must lie within the float range, got an integer of "
+                f"{len(str(abs(value)))} digits"
+            )
     elif isinstance(default, str):
         valid, kind = isinstance(value, str), "a string"
     else:
@@ -197,6 +204,9 @@ def load_config(path):
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer
+        # of more digits than int() reads
+        raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     experiment = raw.get("experiment")
@@ -221,7 +231,7 @@ def load_config(path):
         _check_beat_record(models["heterodyne"])
     if experiment == "stabilize":
         _check_burn_in(models["drift"], models["pid"], config["loop"]["duration"])
-    for module in _scipy_imports(config):
+    for module in _run_imports(config):
         importlib.import_module(module)
     return config, models
 
@@ -619,18 +629,21 @@ _EXPERIMENTS = {
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
-def _scipy_imports(config):
-    """The scipy modules a run of this config calls into: scipy.special for
-    the Dawson function of the pointer readout, and for the Gauss-Hermite
-    rule of the Doppler average, which finds its nodes with scipy.linalg.
-    The physics modules import scipy.special where they call it;
-    load_config imports these first, so that their import time counts as
-    set-up, not as run time."""
+def _run_imports(config):
+    """The numpy and scipy modules that a run of this config imports on
+    first use, which load_config imports first, so that their import time
+    counts as set-up, not as run time: scipy.special for the Gauss-Hermite
+    rule of the Doppler average, which finds its nodes with scipy.linalg;
+    numpy.random for the drift and detector noise of stabilize and
+    heterodyne; numpy.fft for the heterodyne Welch spectrum and numpy.ma,
+    which np.median imports, for its noise floor."""
     modules = []
-    if config["experiment"] in ("pointer", "stabilize", "heterodyne"):
-        modules.append("scipy.special")
     if config.get("medium", {}).get("doppler_enabled"):
         modules += ["scipy.special", "scipy.linalg"]
+    if config["experiment"] in ("stabilize", "heterodyne"):
+        modules.append("numpy.random")
+    if config["experiment"] == "heterodyne":
+        modules += ["numpy.fft", "numpy.ma"]
     return modules
 
 

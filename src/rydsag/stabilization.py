@@ -17,7 +17,7 @@ import numpy as np
 
 from .detector_chain import BLOCK, TimeSeries, one_pole
 from .errors import DomainError, InstabilityError, InvalidParameterError
-from .weak_pointer import BeamPointer
+from .weak_pointer import DAWSON_SERIES, DAWSON_SHORT_EDGE, BeamPointer, dawson
 
 _SQRTPI = math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -236,10 +236,12 @@ def simulate_closed_loop_detailed(
     when the actuator stays pinned at its limits (or the contrast leaves
     its physical range) for 100 consecutive samples.  A drift so large
     that (k w)^2 of the plant overflows raises ``DomainError``.
-    """
-    # imported here so that only the runs that evaluate it load scipy.special
-    from scipy.special import dawsn
 
+    The plant is the pointer contrast at pi/4 through ``weak_pointer.dawson``.
+    The closed half inlines its four-term series for Dawson arguments below
+    ``DAWSON_SHORT_EDGE``, which the shipped loop never leaves, and calls
+    ``dawson`` beyond; each sample's bits are those of a scalar ``dawson``.
+    """
     if not 0.0 <= loop_on_at < duration:
         raise InvalidParameterError("need duration > loop_on_at >= 0")
     if beam is None:
@@ -281,7 +283,7 @@ def simulate_closed_loop_detailed(
         kw = (disturbance[start:stop] + 0.0) * w
         damping = np.fromiter(map(math.exp, (-2.0 * kw * kw).tolist()), float, stop - start)
         block = eta[start:stop]
-        block[:] = gain * dawsn(_SQRT2 * kw) * sin_f / (1.0 - damping * cos_f)
+        block[:] = gain * dawson(_SQRT2 * kw) * sin_f / (1.0 - damping * cos_f)
         # every open sample is saturated when the limits exclude u = 0; the
         # run carried in stands just before the block's first sample
         saturated = (np.abs(block) > 1.0) | (lo >= 0.0 or hi <= 0.0)
@@ -294,6 +296,7 @@ def simulate_closed_loop_detailed(
     # closed half: scalar steps, with the plant inlined, written straight
     # into the traces
     kp, ki, kd, setpoint = pid.kp, pid.ki, pid.kd, pid.setpoint
+    edge, (c1, c2, c3) = DAWSON_SHORT_EDGE, DAWSON_SERIES[1:4]
     exp = math.exp
     eta_out, control_out = memoryview(eta), memoryview(control)
     integrator = 0.0
@@ -302,7 +305,14 @@ def simulate_closed_loop_detailed(
     for start in range(split, n, BLOCK):
         for i, offset in enumerate(disturbance[start : start + BLOCK].tolist(), start):
             kw = (offset + u) * w
-            value = gain * float(dawsn(_SQRT2 * kw)) * sin_f / (1.0 - exp(-2.0 * kw * kw) * cos_f)
+            z = _SQRT2 * kw
+            # dawson keeps the sign of a zero, which z + z * (...) does not
+            if z and -edge < z < edge:
+                zz = z * z
+                f = z + z * (zz * (c1 + zz * (c2 + zz * c3)))
+            else:
+                f = float(dawson(z))
+            value = gain * f * sin_f / (1.0 - exp(-2.0 * kw * kw) * cos_f)
             eta_out[i] = value
             if abs(value) > 1.0 or u <= lo or u >= hi:
                 saturated_run += 1

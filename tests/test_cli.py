@@ -92,6 +92,41 @@ def test_parse_error_reports_position(tmp_path):
         load_config(str(path))
 
 
+def test_integer_beyond_the_float_range_is_config_error(tmp_path, capsys):
+    # 10**400 under a float key, written out in 401 digits, used to end in
+    # an OverflowError traceback: in validate for medium.omega_c, and only
+    # in simulate for calibrate.horn_factor
+    for experiment, section, key, command in (
+        ("spectrum", "medium", "omega_c", ["validate"]),
+        ("calibrate", "calibrate", "horn_factor",
+         ["simulate", "--output-dir", str(tmp_path / "o")]),
+    ):
+        path = write_config(
+            tmp_path, {"experiment": experiment, section: {key: 10**400}}, "c.json")
+        code, out = run_cli(capsys, command[0], path, *command[1:])
+        assert code == 1 and out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["category"] == "config"
+        assert error["message"].startswith(f"{section}.{key} must lie within the float range")
+    # the largest float itself is a number like any other
+    path = write_config(
+        tmp_path, {"experiment": "calibrate", "calibrate": {"horn_factor": 1.0e308}}, "d.json")
+    assert run_cli(capsys, "validate", path)[0] == 0
+
+
+@pytest.mark.parametrize("text", [
+    # more digits than int() reads, and a byte that UTF-8 never holds; both
+    # used to end in a ValueError traceback
+    b'{"experiment": "spectrum", "seed": ' + b"1" * 5000 + b"}",
+    b'{"experiment": "\xff"}',
+])
+def test_undecodable_config_is_parse_error(tmp_path, text):
+    path = tmp_path / "c.json"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError, match="config parse error"):
+        load_config(str(path))
+
+
 def test_missing_file_is_config_error(capsys):
     code, out = run_cli(capsys, "validate", "/nonexistent/nowhere.json")
     assert code == 1
@@ -575,7 +610,10 @@ def test_cli_import_loads_no_scipy_integrate_optimize_or_signal():
         "scipy.special", "scipy.constants", "scipy.fft"))]
 
 
-# records the scipy modules loaded when load_config returns and when main does
+_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))"
+
+# records the numpy and scipy modules loaded when load_config returns and
+# when main does
 _SETUP_PROBE = f"""
 import json, sys
 from rydsag import cli
@@ -584,12 +622,12 @@ load_config, setup = cli.load_config, []
 
 def probe(path):
     built = load_config(path)
-    setup.extend({_SCIPY_MODULES})
+    setup.extend({_LOADED})
     return built
 
 cli.load_config = probe
 code = cli.main(sys.argv[1:])
-print(json.dumps({{"code": code, "setup": setup, "end": {_SCIPY_MODULES}}}))
+print(json.dumps({{"code": code, "setup": setup, "end": {_LOADED}}}))
 """
 
 _DOPPLER_SPECTRUM = {
@@ -609,9 +647,11 @@ _DOPPLER_SPECTRUM = {
 @pytest.mark.parametrize("config", [f"{name}.json" for name in EXPERIMENTS] + ["doppler"])
 def test_scipy_loads_during_setup_and_special_only_where_evaluated(tmp_path, config):
     # the run must import no scipy module, so the import time counts as
-    # set-up; only the experiments that evaluate a special function (the
-    # pointer's Dawson function, the Doppler average's Gauss-Hermite rule)
-    # load scipy.special, and only the Doppler average scipy.linalg
+    # set-up; only the Doppler average evaluates a special function (its
+    # Gauss-Hermite rule), so only it loads scipy.special and scipy.linalg.
+    # The pointer, stabilize and heterodyne runs import no numpy module
+    # either: their set-up imports the numpy.random, numpy.fft and numpy.ma
+    # that they use
     if config == "doppler":
         path = write_config(tmp_path, _DOPPLER_SPECTRUM)
     else:
@@ -619,7 +659,12 @@ def test_scipy_loads_during_setup_and_special_only_where_evaluated(tmp_path, con
     printed = _python(_SETUP_PROBE, "simulate", path, "--output-dir", str(tmp_path / "o"))
     report = json.loads(printed.splitlines()[-1])
     assert report["code"] == 0
-    assert report["end"] == report["setup"]
-    evaluates = config in ("pointer.json", "stabilize.json", "heterodyne.json", "doppler")
-    assert ("scipy.special" in report["end"]) == evaluates
+
+    def loaded(when, package):
+        return [m for m in report[when] if m.split(".")[0] == package]
+
+    assert loaded("end", "scipy") == loaded("setup", "scipy")
+    if config in ("pointer.json", "stabilize.json", "heterodyne.json"):
+        assert report["end"] == report["setup"]
+    assert ("scipy.special" in report["end"]) == (config == "doppler")
     assert ("scipy.linalg" in report["end"]) == (config == "doppler")

@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special
 
 from rydsag import stabilization
 from rydsag.errors import DomainError, InstabilityError, InvalidParameterError
@@ -26,6 +25,7 @@ from rydsag.weak_pointer import (
     PreSelection,
     WeakCoupling,
     closed_readout,
+    dawson,
     quadrature_oracle,
 )
 
@@ -306,7 +306,7 @@ def _plant_eta(phi_f_sin, phi_f_cos, k, w):
     kw = k * w
     z = _SQRT2 * kw
     den = 1.0 - math.exp(-2.0 * kw * kw) * phi_f_cos
-    return 2.0 / _SQRTPI * float(special.dawsn(z)) * phi_f_sin / den
+    return 2.0 / _SQRTPI * float(dawson(z)) * phi_f_sin / den
 
 
 def _scalar_loop(pid, drift, duration, loop_on_at, seed, phi_f=0.2, beam=None):
@@ -409,6 +409,20 @@ def test_loop_keeps_signed_zero_of_scalar_loop(monkeypatch):
     monkeypatch.setattr(
         stabilization, "synthesize_drift", lambda drift, n, fs, seed: record[:n].copy())
     assert np.signbit(record).any()
+    for loop_on_at in (0.0, 0.2):
+        assert _assert_matches_scalar_loop(
+            PidParams(), DriftModel(), 0.4, loop_on_at) == "ran"
+
+
+def test_loop_beyond_the_inlined_series_is_bit_equal_to_scalar_loop(monkeypatch):
+    # offsets of about 100 rad/m put the Dawson argument sqrt(2) k w past
+    # the four-term series that the closed half inlines on most samples,
+    # and past 1/4, into dawson's polynomial ranges, on about 8% of them
+    record = np.random.default_rng(4).normal(0.0, 100.0, 4000)
+    z = math.sqrt(2.0) * np.abs(record) * 1.0e-3
+    assert (z >= 0.25).mean() > 0.05 and (z < 2.0**-7).mean() > 0.02
+    monkeypatch.setattr(
+        stabilization, "synthesize_drift", lambda drift, n, fs, seed: record[:n].copy())
     for loop_on_at in (0.0, 0.2):
         assert _assert_matches_scalar_loop(
             PidParams(), DriftModel(), 0.4, loop_on_at) == "ran"

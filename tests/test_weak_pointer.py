@@ -17,6 +17,7 @@ from rydsag.weak_pointer import (
     closed_icr,
     closed_p_post,
     closed_readout,
+    dawson,
     icr_approx,
     quadrature_oracle,
     weak_value,
@@ -79,6 +80,43 @@ ERFI_REFERENCES = [
     (1.0, 1.6504257587975429),
     (2.5, 130.39575501324693),
     (7.0, 1.553486253460504e20),
+]
+
+# Dawson's integral from mpmath 1.3 at mp.dps = 40, on both sides of every
+# edge between dawson's ranges and near both ends of the float range:
+#
+#   import math, mpmath as mp; mp.mp.dps = 40
+#   F = lambda x: mp.sqrt(mp.pi) / 2 * mp.exp(-x * x) * mp.erfi(x)
+#   xs = [1e-300, 1e300]
+#   for edge in [2**-7, 0.25, 0.5, 1, 1.5, 2, 3, 4, 5, 6, 8]:
+#       xs += [math.nextafter(edge, 0), float(edge)]
+#   for x in xs:
+#       print((x, mp.nstr(F(mp.mpf(x)), 17)))
+DAWSON_REFERENCES = [
+    (1e-300, 1.0e-300),
+    (1e+300, 4.9999999999999997e-301),
+    (0.007812499999999999, 0.0078121821163220832),
+    (0.0078125, 0.007812182116322084),
+    (0.24999999999999997, 0.23983916356289819),
+    (0.25, 0.23983916356289821),
+    (0.49999999999999994, 0.42443638350202226),
+    (0.5, 0.4244363835020223),
+    (0.9999999999999999, 0.53807950691276843),
+    (1.0, 0.53807950691276842),
+    (1.4999999999999998, 0.42824907108539869),
+    (1.5, 0.42824907108539863),
+    (1.9999999999999998, 0.30134038892379201),
+    (2.0, 0.30134038892379197),
+    (2.9999999999999996, 0.17827103061055832),
+    (3.0, 0.17827103061055829),
+    (3.9999999999999996, 0.12934800123600513),
+    (4.0, 0.12934800123600512),
+    (4.999999999999999, 0.10213407442427685),
+    (5.0, 0.10213407442427684),
+    (5.999999999999999, 0.084542688974543865),
+    (6.0, 0.084542688974543852),
+    (7.999999999999999, 0.063000198707553395),
+    (8.0, 0.063000198707553388),
 ]
 
 
@@ -153,6 +191,48 @@ def test_closed_readout_eta_stays_finite_for_large_argument():
     value = _eta_at_quarter_wave(z)
     assert math.isfinite(value)
     assert value == pytest.approx(1.0 / (math.sqrt(math.pi) * z), rel=1e-2)
+
+
+# dawson must not warn, not even of an overflow that it recovers from
+_RAISE = dict(over="raise", invalid="raise", divide="raise")
+
+
+@pytest.mark.parametrize("x,ref", DAWSON_REFERENCES)
+def test_dawson_within_2_ulp_of_mpmath(x, ref):
+    with np.errstate(**_RAISE):
+        values = float(dawson(x)), float(dawson(-x))
+    assert abs(values[0] - ref) <= 2.0 * math.ulp(ref)
+    assert values[1] == -values[0]
+
+
+def test_dawson_of_an_array_is_its_scalar_calls():
+    xs = np.array([x for x, _ in DAWSON_REFERENCES])
+    xs = np.concatenate([xs, -xs]).reshape(2, -1)
+    with np.errstate(**_RAISE):
+        values = dawson(xs)
+    assert values.shape == xs.shape
+    scalars = [float(dawson(float(x))) for x in xs.ravel()]
+    assert np.array_equal(values.ravel().view(np.int64), np.array(scalars).view(np.int64))
+
+
+def test_dawson_special_values():
+    xs = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200])
+    with np.errstate(**_RAISE):
+        values = dawson(xs)
+        scalars = np.array([dawson(x) for x in xs.tolist()])
+    assert np.array_equal(values.view(np.int64), scalars.view(np.int64))
+    assert values[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert np.signbit(values[:4]).tolist() == [False, True, False, True]
+    assert math.isnan(values[4])
+    assert values[5] == 5e-201
+    assert isinstance(dawson(0.3), np.float64)
+
+
+def test_dawson_agrees_with_scipy_on_a_dense_grid():
+    from scipy.special import dawsn
+
+    x = np.concatenate([np.linspace(-20.0, 20.0, 400_001), np.geomspace(1e-12, 1e12, 10_001)])
+    assert np.allclose(dawson(x), dawsn(x), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("angle", [math.pi / 4, math.pi / 4 - 0.003])
