@@ -4,8 +4,10 @@ Experiments are described by a single JSON config with strict unknown-key
 rejection; every run writes its data files plus a manifest (full config
 echo, seed, package versions, wall time) into one output directory.
 Errors are serialized as machine-readable JSON on stdout with a nonzero
-exit status.  Validation builds every section's model, so a config that
-`validate` accepts fails in `simulate` only on something the run computes.
+exit status.  Validation builds every section's model, each of which
+checks its own ranges, so a config that `validate` accepts fails in
+`simulate` only on something the run computes (README.md names the known
+exceptions).
 
 Subcommands:
   simulate <config> [--output-dir D] [--seed N]
@@ -36,7 +38,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import scipy
@@ -55,12 +57,15 @@ from .emit import sanitize, write_csv, write_json
 from .errors import (
     ConfigError,
     GridPolicyError,
+    InvalidParameterError,
     SimulationError,
     UnresolvedSplittingError,
+    check_ranges,
 )
 from .heterodyne import (
-    SEGMENT_LENGTH,
+    DEFAULT_DIPOLE_MW,
     HeterodyneConfig,
+    calibration_powers,
     min_detectable_field,
     scheme_comparison,
     sensitivity_sweep,
@@ -68,6 +73,8 @@ from .heterodyne import (
 from .heterodyne import calibration_curve as _calibration_curve
 from .noise_limits import LimitInputs, limits_report
 from .stabilization import (
+    DEFAULT_BEAM_W,
+    DEFAULT_PHI_F,
     MIN_SEGMENT_SAMPLES,
     DriftModel,
     PidParams,
@@ -91,12 +98,6 @@ OUTPUT_DIR_ENV = "RYDSAG_OUTPUT_DIR"
 
 _V_PER_M_PER_V_PER_CM = 100.0
 
-_GRID_POINT_FIELDS = (
-    ("grid", "points"),
-    ("pointer", "points"),
-    ("calibrate", "points"),
-)
-
 
 def _plain(value):
     """A model's fields, or a model class's defaults, as config data:
@@ -116,7 +117,7 @@ def _schema_for(experiment):
         )
     schema = {"experiment": experiment, "seed": 0, "output_dir": ""}
     for name, section in _EXPERIMENTS[experiment][1].items():
-        schema[name] = section if isinstance(section, dict) else _plain(section)
+        schema[name] = _plain(section)
     if "heterodyne" in schema:
         # the runner's option: compare both readouts, or run the configured one
         schema["heterodyne"]["compare"] = True
@@ -214,23 +215,12 @@ def load_config(path):
         raise ConfigError("config needs an 'experiment' string key")
     config = _merge(_schema_for(experiment), raw)
     _check_seed(config["seed"])
-    for section, key in _GRID_POINT_FIELDS:
-        if section in config and config[section][key] > MAX_GRID_POINTS:
-            raise ConfigError(f"{section}.{key} must be at most {MAX_GRID_POINTS}")
+    models = {
+        name: _model(section, config[name], name)
+        for name, section in _EXPERIMENTS[experiment][1].items()
+    }
     if experiment == "stabilize":
-        _check_loop(config)
-    models = {}
-    for name, section in _EXPERIMENTS[experiment][1].items():
-        if name == "pointer":
-            models[name] = _pointer_models(config[name])
-        elif name == "loop":
-            models[name] = _loop_beam(config[name])
-        elif not isinstance(section, dict):
-            models[name] = _model(section, config[name], name)
-    if experiment == "heterodyne":
-        _check_beat_record(models["heterodyne"])
-    if experiment == "stabilize":
-        _check_burn_in(models["drift"], models["pid"], config["loop"]["duration"])
+        _check_stabilize(models)
     for module in _run_imports(config):
         importlib.import_module(module)
     return config, models
@@ -239,58 +229,6 @@ def load_config(path):
 def _check_seed(seed):
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-
-
-def _check_loop(config):
-    """Reject loop records longer than MAX_GRID_POINTS or too short to
-    compare the open and closed halves, and actuator limits that exclude
-    u = 0: the open-loop actuator rests there, so every open-loop sample
-    would count as saturated and the loop be reported unstable whatever
-    its gains."""
-    samples = config["loop"]["duration"] * config["pid"]["sample_rate"]
-    if not (math.isfinite(samples) and 1 <= round(samples) <= MAX_GRID_POINTS):
-        raise ConfigError(
-            "loop.duration x pid.sample_rate must be a finite count of 1 to "
-            f"{MAX_GRID_POINTS} samples, got {samples}"
-        )
-    split = config["loop"]["loop_on_at"] * config["pid"]["sample_rate"]
-    least = MIN_SEGMENT_SAMPLES
-    if not (math.isfinite(split) and least <= round(split) <= round(samples) - least):
-        raise ConfigError(
-            f"loop.loop_on_at x pid.sample_rate must leave at least {least} of "
-            f"the {round(samples)} samples on each side, got {split}"
-        )
-    limits = config["pid"]["output_limits"]
-    if not (len(limits) == 2 and all(map(math.isfinite, limits))
-            and limits[0] < 0.0 < limits[1]):
-        raise ConfigError(
-            f"pid.output_limits must be a finite pair [lo, hi] with lo < 0 < hi, got {limits}"
-        )
-
-
-def _check_beat_record(hetero):
-    """Reject beat records shorter than one Welch segment or longer than
-    MAX_GRID_POINTS."""
-    samples = hetero.fs * hetero.integration_time
-    if not (math.isfinite(samples)
-            and SEGMENT_LENGTH <= round(samples) <= MAX_GRID_POINTS):
-        raise ConfigError(
-            f"heterodyne.integration_time x the {hetero.fs} Hz sample rate must "
-            f"give {SEGMENT_LENGTH} to {MAX_GRID_POINTS} samples, got {samples}"
-        )
-
-
-def _check_burn_in(drift, pid, duration):
-    """Reject a 1/f burn-in longer than 4 x MAX_GRID_POINTS samples.  A
-    corner at or above the record's lowest octave needs at most about
-    3.2 records of burn-in, so only a corner below it is refused."""
-    burn = burn_in_samples(drift.corner_hz, pid.sample_rate, duration)
-    if burn > 4 * MAX_GRID_POINTS:
-        raise ConfigError(
-            f"drift.corner_hz of {drift.corner_hz} Hz needs a 1/f burn-in of "
-            f"{burn:.3g} samples at pid.sample_rate; at most "
-            f"{4 * MAX_GRID_POINTS} are allowed"
-        )
 
 
 def _built(paths, build, *args, **kwargs):
@@ -319,32 +257,97 @@ def _model(cls, block, path):
     return _built(path, cls, **kwargs)
 
 
-def _pointer_models(block):
-    """The pointer section's model objects, in key order: PreSelection and
-    PostSelection where the section has an angle, then WeakCoupling and
-    the centered BeamPointer. A refusal keeps its category and names the
-    keys the refusing object was built from."""
-    builders = [
-        (("k",), WeakCoupling),
-        (("w", "span_w", "points"), BeamPointer.centered),
-    ]
-    if "angle" in block:
-        builders[:0] = [
-            (("delta_phi", "delta_beta"), PreSelection),
-            (("angle",), PostSelection),
-        ]
-    return [
-        _built(", ".join(f"pointer.{key}" for key in keys), build,
-               *(block[key] for key in keys))
-        for keys, build in builders
-    ]
+def _check_points(points, least):
+    if not least <= points <= MAX_GRID_POINTS:
+        raise InvalidParameterError(
+            f"points must be {least} to {MAX_GRID_POINTS}, got {points}")
 
 
-def _loop_beam(block):
-    """The loop's centered BeamPointer, with phi_f checked against it."""
-    beam = _built("loop.beam_w", BeamPointer.centered, block["beam_w"])
-    _built("loop.phi_f", plant_gain, block["phi_f"], beam)
-    return beam
+# the sections that no library model serves; each checks its ranges when
+# built, and the pointer and loop sections build their pointer models then
+@dataclass(frozen=True)
+class Grid:
+    """The spectrum's probe-detuning grid: its span in gamma_2 linewidths
+    (finite and > 0) and 16 (detuning_grid's least) to MAX_GRID_POINTS
+    points."""
+
+    span_linewidths: float = 40.0
+    points: int = 4096
+
+    def __post_init__(self):
+        check_ranges(self, positive=("span_linewidths",))
+        _check_points(self.points, 16)
+
+
+@dataclass(frozen=True)
+class Calibrate:
+    """Input powers in W (as calibration_powers admits), the horn factor in
+    V/m per root W and the microwave dipole in C*m (both finite and > 0),
+    and 16 to MAX_GRID_POINTS points per splitting spectrum."""
+
+    powers_w: tuple = (1.0e-6, 4.0e-6, 1.0e-5, 4.0e-5, 1.0e-4)
+    horn_factor: float = 1000.0
+    dipole_mw: float = DEFAULT_DIPOLE_MW
+    points: int = 8192
+
+    def __post_init__(self):
+        check_ranges(self, positive=("horn_factor", "dipole_mw"))
+        _check_points(self.points, 16)
+        _built("powers_w", calibration_powers, self.powers_w)
+
+
+@dataclass(frozen=True)
+class Pointer:
+    """The heterodyne pointer: kick k in rad/m, as its WeakCoupling
+    ``coupling``, and the centered BeamPointer ``beam`` of width w in m,
+    sampled at 3 to MAX_GRID_POINTS points over span_w widths."""
+
+    k: float = 10.0
+    w: float = 1.0e-3
+    span_w: float = 10.0
+    points: int = 1001
+
+    def __post_init__(self):
+        _check_points(self.points, 3)
+        object.__setattr__(self, "coupling", WeakCoupling(self.k))
+        object.__setattr__(self, "beam", _built(
+            "w, span_w, points", BeamPointer.centered, self.w, self.span_w, self.points))
+
+
+@dataclass(frozen=True)
+class PointerRun(Pointer):
+    """The pointer experiment: the heterodyne pointer, the prepared state
+    as its PreSelection ``pre`` and the analyzer angle as its PostSelection
+    ``post``."""
+
+    delta_phi: float = 1.0e-3
+    delta_beta: float = 0.0
+    angle: float = math.pi / 4
+
+    def __post_init__(self):
+        object.__setattr__(self, "pre", PreSelection(self.delta_phi, self.delta_beta))
+        object.__setattr__(self, "post", PostSelection(self.angle))
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
+class Loop:
+    """The stabilize record: its duration and loop-on time in s, the
+    which-path pointer's phase phi_f and its centered BeamPointer ``beam``
+    of width beam_w in m, checked against each other by plant_gain, and
+    the readout kick in rad/m (finite and > 0) that maps the closed-loop
+    spread to a phase.  _check_stabilize checks the times."""
+
+    duration: float = 10.0
+    loop_on_at: float = 5.0
+    phi_f: float = DEFAULT_PHI_F
+    beam_w: float = DEFAULT_BEAM_W
+    readout_kick: float = 10.0
+
+    def __post_init__(self):
+        check_ranges(self, positive=("readout_kick",))
+        object.__setattr__(self, "beam", _built("beam_w", BeamPointer.centered, self.beam_w))
+        plant_gain(self.phi_f, self.beam)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +356,9 @@ def _loop_beam(block):
 
 
 def _run_spectrum(config, models, out_dir, seed):
-    medium = models["medium"]
-    spectrum = susceptibility_spectrum(medium, detuning_grid(
-        medium, config["grid"]["span_linewidths"], config["grid"]["points"]
-    ))
+    medium, grid = models["medium"], models["grid"]
+    spectrum = susceptibility_spectrum(
+        medium, detuning_grid(medium, grid.span_linewidths, grid.points))
     # the checks run before the columns exist, so that the columns reuse
     # the heap their transforms free
     notes = []
@@ -391,7 +393,7 @@ def _run_spectrum(config, models, out_dir, seed):
             "kk_residual": residual,
             "at_splitting_hz": f_at,
             "points": len(spectrum),
-            "span_linewidths": config["grid"]["span_linewidths"],
+            "span_linewidths": grid.span_linewidths,
             "notes": notes,
         },
     )
@@ -399,21 +401,22 @@ def _run_spectrum(config, models, out_dir, seed):
 
 
 def _run_pointer(config, models, out_dir, seed):
-    pre, post, coupling, beam = models["pointer"]
+    pointer = models["pointer"]
     centroid, eta, p_post = closed_readout(
-        pre.delta_phi, pre.delta_beta, post.angle, coupling.k, beam.w
+        pointer.delta_phi, pointer.delta_beta, pointer.angle, pointer.k, pointer.w
     )
-    profile = np.abs(final_wavefunction(pre, post, coupling, beam)) ** 2
+    profile = np.abs(final_wavefunction(
+        pointer.pre, pointer.post, pointer.coupling, pointer.beam)) ** 2
     csv_path = os.path.join(out_dir, "profile.csv")
-    write_csv(csv_path, ("x_m", "intensity"), (beam.grid, profile))
+    write_csv(csv_path, ("x_m", "intensity"), (pointer.beam.grid, profile))
     json_path = os.path.join(out_dir, "readout.json")
     write_json(
         json_path,
         {
-            "delta_phi": pre.delta_phi,
-            "delta_beta": pre.delta_beta,
-            "k": coupling.k,
-            "w": beam.w,
+            "delta_phi": pointer.delta_phi,
+            "delta_beta": pointer.delta_beta,
+            "k": pointer.k,
+            "w": pointer.w,
             "centroid_m": centroid,
             "eta": eta,
             "p_post": p_post,
@@ -422,19 +425,41 @@ def _run_pointer(config, models, out_dir, seed):
     return [csv_path, json_path]
 
 
+def _check_stabilize(models):
+    """Refuse records longer than MAX_GRID_POINTS or too short to compare
+    the open and closed halves, and a 1/f burn-in longer than
+    4 x MAX_GRID_POINTS samples.  A corner at or above the record's lowest
+    octave needs at most about 3.2 records of burn-in, so only a corner
+    below it is refused."""
+    loop, rate, corner = models["loop"], models["pid"].sample_rate, models["drift"].corner_hz
+    samples = loop.duration * rate
+    if not (math.isfinite(samples) and 1 <= round(samples) <= MAX_GRID_POINTS):
+        raise ConfigError(
+            "loop.duration x pid.sample_rate must be a finite count of 1 to "
+            f"{MAX_GRID_POINTS} samples, got {samples}"
+        )
+    split = loop.loop_on_at * rate
+    least = MIN_SEGMENT_SAMPLES
+    if not (math.isfinite(split) and least <= round(split) <= round(samples) - least):
+        raise ConfigError(
+            f"loop.loop_on_at x pid.sample_rate must leave at least {least} of "
+            f"the {round(samples)} samples on each side, got {split}"
+        )
+    burn = burn_in_samples(corner, rate, loop.duration)
+    if burn > 4 * MAX_GRID_POINTS:
+        raise ConfigError(
+            f"drift.corner_hz of {corner} Hz needs a 1/f burn-in of "
+            f"{burn:.3g} samples at pid.sample_rate; at most "
+            f"{4 * MAX_GRID_POINTS} are allowed"
+        )
+
+
 def _run_stabilize(config, models, out_dir, seed):
-    pid = models["pid"]
-    loop = config["loop"]
+    pid, loop = models["pid"], models["loop"]
     trace = simulate_closed_loop_detailed(
-        pid,
-        models["drift"],
-        loop["duration"],
-        loop["loop_on_at"],
-        seed,
-        phi_f=loop["phi_f"],
-        beam=models["loop"],
-    )
-    std_open, std_closed, ratio = suppression_report(trace.ts, loop["loop_on_at"])
+        pid, models["drift"], loop.duration, loop.loop_on_at, seed,
+        phi_f=loop.phi_f, beam=loop.beam)
+    std_open, std_closed, ratio = suppression_report(trace.ts, loop.loop_on_at)
     # no output holds the disturbance: freed here, its memory takes the
     # time column
     ts, pid_output = trace.ts, trace.pid_output
@@ -446,9 +471,7 @@ def _run_stabilize(config, models, out_dir, seed):
         (ts.times(), ts.samples, pid_output),
     )
     report_path = os.path.join(out_dir, "report.json")
-    phase_dev_rad = equivalent_phase_deviation(
-        std_closed, loop["readout_kick"], loop["beam_w"]
-    )
+    phase_dev_rad = equivalent_phase_deviation(std_closed, loop.readout_kick, loop.beam_w)
     write_json(
         report_path,
         {
@@ -457,8 +480,8 @@ def _run_stabilize(config, models, out_dir, seed):
             "ratio": ratio,
             "gains": {"kp": pid.kp, "ki": pid.ki, "kd": pid.kd},
             "phase_deviation_deg": math.degrees(phase_dev_rad),
-            "loop_on_at_s": loop["loop_on_at"],
-            "duration_s": loop["duration"],
+            "loop_on_at_s": loop.loop_on_at,
+            "duration_s": loop.duration,
         },
     )
     return [csv_path, report_path]
@@ -509,8 +532,9 @@ def _usable_cpus():
 def _run_heterodyne(config, models, out_dir, seed):
     compare = config["heterodyne"]["compare"]
     hetero = models["heterodyne"]
-    coupling, beam = models["pointer"]
-    pointer = PointerSetup(post=PostSelection(math.pi / 4), coupling=coupling, beam=beam)
+    section = models["pointer"]
+    pointer = PointerSetup(
+        post=PostSelection(math.pi / 4), coupling=section.coupling, beam=section.beam)
 
     sweep = scheme_comparison if compare else sensitivity_sweep
     workers = min(_usable_cpus(), len(hetero.e_signal))
@@ -546,14 +570,9 @@ def _run_heterodyne(config, models, out_dir, seed):
 
 
 def _run_calibrate(config, models, out_dir, seed):
-    block = config["calibrate"]
-    result = _calibration_curve(
-        block["powers_w"],
-        block["horn_factor"],
-        models["medium"],
-        dipole_mw=block["dipole_mw"],
-        points=block["points"],
-    )
+    block = models["calibrate"]
+    result = _calibration_curve(block.powers_w, block.horn_factor, models["medium"],
+                                dipole_mw=block.dipole_mw, points=block.points)
     header = ("power_w", "e_applied_vperm", "f_at_hz", "e_recovered_vperm", "resolved")
     columns = (
         result.power_w,
@@ -570,7 +589,7 @@ def _run_calibrate(config, models, out_dir, seed):
         {
             "slope": result.slope,
             "r_squared": result.r_squared,
-            "horn_factor": block["horn_factor"],
+            "horn_factor": block.horn_factor,
             "entries": [dict(zip(header, row)) for row in zip(*columns)],
         },
     )
@@ -583,46 +602,20 @@ def _run_limits(config, models, out_dir, seed):
     return [json_path]
 
 
-_POINTER = {"k": 10.0, "w": 1.0e-3, "span_w": 10.0, "points": 1001}
-
 # Each experiment's runner and config sections, in schema order.  A section
 # is a model dataclass, whose field defaults are its schema and which
-# load_config builds, or a literal schema block; load_config builds the
-# pointer and loop blocks' models too.
+# load_config builds.
 _EXPERIMENTS = {
-    "spectrum": (_run_spectrum, {
-        "medium": LadderSystemParams,
-        "grid": {"span_linewidths": 40.0, "points": 4096},
-    }),
-    "pointer": (_run_pointer, {
-        "pointer": {**_POINTER, "delta_phi": 1.0e-3, "delta_beta": 0.0, "angle": math.pi / 4},
-    }),
-    "stabilize": (_run_stabilize, {
-        "pid": PidParams,
-        "drift": DriftModel,
-        "loop": {
-            "duration": 10.0,
-            "loop_on_at": 5.0,
-            "phi_f": 0.2,
-            "beam_w": 1.0e-3,
-            "readout_kick": 10.0,
-        },
-    }),
+    "spectrum": (_run_spectrum, {"medium": LadderSystemParams, "grid": Grid}),
+    "pointer": (_run_pointer, {"pointer": PointerRun}),
+    "stabilize": (_run_stabilize, {"pid": PidParams, "drift": DriftModel, "loop": Loop}),
     "heterodyne": (_run_heterodyne, {
         "medium": LadderSystemParams,
         "detector": DetectorParams,
-        "pointer": _POINTER,
+        "pointer": Pointer,
         "heterodyne": HeterodyneConfig,
     }),
-    "calibrate": (_run_calibrate, {
-        "medium": LadderSystemParams,
-        "calibrate": {
-            "powers_w": [1.0e-6, 4.0e-6, 1.0e-5, 4.0e-5, 1.0e-4],
-            "horn_factor": 1000.0,
-            "dipole_mw": 1.27e-26,
-            "points": 8192,
-        },
-    }),
+    "calibrate": (_run_calibrate, {"medium": LadderSystemParams, "calibrate": Calibrate}),
     "limits": (_run_limits, {"limits": LimitInputs}),
 }
 

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import constants
-from .errors import InvalidParameterError, RegimeWarning
+from .errors import InvalidParameterError, RegimeWarning, check_ranges
 
 # Largest grid or record a run may ask for: 2**21 float64 samples are
 # 16 MiB per array, twice the largest record in use (a 2**20-point
@@ -68,26 +68,11 @@ class DetectorParams:
     line_amp_w: float = 0.0
 
     def __post_init__(self):
-        for name in (
-            "gain",
-            "nep",
-            "dark_current",
-            "bandwidth",
-            "gap",
-            "responsivity",
-            "wavelength",
-            "rin",
-            "line_freq_hz",
-            "line_amp_w",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-            if value < 0.0:
-                raise InvalidParameterError(f"{name} must be >= 0, got {value!r}")
-        for name in ("gain", "bandwidth", "responsivity", "wavelength"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidParameterError(f"{name} must be > 0")
+        check_ranges(
+            self,
+            nonnegative=("nep", "dark_current", "gap", "rin", "line_freq_hz", "line_amp_w"),
+            positive=("gain", "bandwidth", "responsivity", "wavelength"),
+        )
         # the noise variances take nep**2 and divide by responsivity**2
         square = self.responsivity * self.responsivity
         if not 0.0 < square < math.inf:

@@ -36,6 +36,7 @@ from .errors import (
     InvalidParameterError,
     RegimeWarning,
     UnresolvedSplittingError,
+    check_ranges,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -86,41 +87,13 @@ class LadderSystemParams:
     doppler_enabled: bool = False
 
     def __post_init__(self):
-        for name in (
-            "omega_p",
-            "omega_c",
-            "omega_mw",
-            "delta_p",
-            "delta_c",
-            "delta_mw",
-            "gamma_2",
-            "gamma_3",
-            "gamma_4",
-            "density",
-            "dipole_probe",
-            "cell_length",
-            "lambda_p",
-            "lambda_c",
-            "temperature",
-            "atomic_mass",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-        if self.gamma_2 <= 0.0:
-            raise InvalidParameterError("gamma_2 must be > 0")
-        if self.gamma_3 < 0.0 or self.gamma_4 < 0.0:
-            raise InvalidParameterError("gamma_3 and gamma_4 must be >= 0")
-        for name in ("omega_p", "omega_c", "omega_mw"):
-            if getattr(self, name) < 0.0:
-                raise InvalidParameterError(f"{name} must be >= 0")
-        for name in ("cell_length", "lambda_p", "lambda_c", "temperature"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidParameterError(f"{name} must be > 0")
-        if self.density < 0.0:
-            raise InvalidParameterError("density must be >= 0")
-        if self.dipole_probe <= 0.0 or self.atomic_mass <= 0.0:
-            raise InvalidParameterError("dipole_probe and atomic_mass must be > 0")
+        check_ranges(
+            self,
+            finite=("delta_p", "delta_c", "delta_mw"),
+            nonnegative=("omega_p", "omega_c", "omega_mw", "gamma_3", "gamma_4", "density"),
+            positive=("gamma_2", "dipole_probe", "cell_length", "lambda_p", "lambda_c",
+                      "temperature", "atomic_mass"),
+        )
         # the resolvent takes (omega_c / 2)**2 and chi takes dipole_probe**2
         for name, value in (("omega_c", 0.5 * self.omega_c),
                             ("dipole_probe", self.dipole_probe)):

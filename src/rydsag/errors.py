@@ -4,6 +4,8 @@ Every error carries a short machine-readable ``category`` so the CLI can
 emit structured error JSON without string-matching messages.
 """
 
+import math
+
 
 class SimulationError(Exception):
     """Base class for all simulator errors."""
@@ -67,3 +69,18 @@ class ConfigError(SimulationError):
 
 class RegimeWarning(UserWarning):
     """Inputs left a validated approximation regime; results may degrade."""
+
+
+def check_ranges(model, finite=(), nonnegative=(), positive=()):
+    """Refuse a model whose fields named in ``finite`` are not finite, or
+    whose fields named in ``nonnegative`` or ``positive`` are not finite
+    and >= 0 or > 0; the refusal names the field and its value."""
+    for names, rule, holds in (
+        (finite, "finite", math.isfinite),
+        (nonnegative, "finite and >= 0", lambda value: 0.0 <= value < math.inf),
+        (positive, "finite and > 0", lambda value: 0.0 < value < math.inf),
+    ):
+        for name in names:
+            value = getattr(model, name)
+            if not holds(value):
+                raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")

@@ -48,7 +48,7 @@ from .eit_medium import (
     splitting_vs_drive,
     susceptibility,
 )
-from .errors import FitFailureError, InvalidParameterError, RegimeWarning
+from .errors import FitFailureError, InvalidParameterError, RegimeWarning, check_ranges
 from .weak_pointer import closed_readout
 
 _TWO_PI = 2.0 * math.pi
@@ -83,6 +83,13 @@ class HeterodyneConfig:
     dBm.  ``e_signal`` lists the signal field amplitudes (V/m) swept by
     sensitivity runs.  ``sample_rate`` of zero picks 20 samples per beat
     period.
+
+    Frequencies, ``omega_local``, ``dipole_mw``, ``integration_time``,
+    ``probe_power`` and the ``e_signal`` amplitudes must be finite and
+    > 0, ``p_local`` finite and ``sample_rate`` 0 or at least 20 samples
+    per beat period.  The record, ``integration_time`` at ``fs``, must
+    hold ``SEGMENT_LENGTH`` (one Welch segment) to ``MAX_GRID_POINTS``
+    samples.
     """
 
     f_local: float = 8.565865e9
@@ -98,24 +105,17 @@ class HeterodyneConfig:
     sample_rate: float = 0.0
 
     def __post_init__(self):
-        for name in (
-            "f_local",
-            "f_signal",
-            "delta_f",
-            "omega_local",
-            "dipole_mw",
-            "integration_time",
-            "probe_power",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+        check_ranges(
+            self,
+            finite=("p_local",),
+            nonnegative=("sample_rate",),
+            positive=("f_local", "f_signal", "delta_f", "omega_local", "dipole_mw",
+                      "integration_time", "probe_power"),
+        )
         # exact_rabi_magnitude takes omega_local**2
         if self.omega_local * self.omega_local == math.inf:
             raise InvalidParameterError(
                 f"omega_local {self.omega_local!r} is too large: its square overflows")
-        if not math.isfinite(self.p_local):
-            raise InvalidParameterError("p_local must be finite")
         beat = abs(self.f_signal - self.f_local)
         if not math.isclose(beat, self.delta_f, rel_tol=1e-9):
             raise InvalidParameterError(
@@ -134,11 +134,16 @@ class HeterodyneConfig:
         if any(b <= a for a, b in zip(fields, fields[1:])):
             raise InvalidParameterError("e_signal must be strictly increasing")
         object.__setattr__(self, "e_signal", fields)
-        if not math.isfinite(self.sample_rate) or self.sample_rate < 0.0:
-            raise InvalidParameterError("sample_rate must be >= 0 (0 = automatic)")
         if 0.0 < self.sample_rate < _MIN_SAMPLES_PER_BEAT * self.delta_f:
             raise InvalidParameterError(
                 "sample_rate must give at least 20 samples per beat period"
+            )
+        samples = self.fs * self.integration_time
+        if not (math.isfinite(samples)
+                and SEGMENT_LENGTH <= round(samples) <= MAX_GRID_POINTS):
+            raise InvalidParameterError(
+                f"integration_time x the {self.fs} Hz sample rate must give "
+                f"{SEGMENT_LENGTH} to {MAX_GRID_POINTS} samples, got {samples}"
             )
 
     @property
@@ -349,8 +354,6 @@ def run_beat_experiment(
             stacklevel=2,
         )
     n = int(round(config.fs * config.integration_time))
-    if n > MAX_GRID_POINTS:
-        raise InvalidParameterError(f"{n} samples exceed the {MAX_GRID_POINTS} cap")
     if delta_p is None:
         delta_p = operating_point(config, medium, pointer)
 
@@ -483,6 +486,20 @@ def min_detectable_field(sweep):
 # traceable calibration
 
 
+def calibration_powers(p_in_watts):
+    """The input powers of a calibration as an array: at least two, finite
+    and >= 0, whose positive ones span at least a decade."""
+    powers = np.array(p_in_watts, dtype=float)
+    if powers.ndim != 1 or powers.size < 2:
+        raise InvalidParameterError("need at least two input powers")
+    if not np.all(np.isfinite(powers) & (powers >= 0.0)):
+        raise InvalidParameterError("input powers must be finite and >= 0")
+    positive = powers[powers > 0.0]
+    if positive.size < 2 or positive.max() < 10.0 * positive.min():
+        raise InvalidParameterError("input powers must span at least one decade")
+    return powers
+
+
 def calibration_curve(
     p_in_watts,
     horn_factor,
@@ -497,20 +514,13 @@ def calibration_curve(
     transparency-dip separation by ``splitting_vs_drive``, so the fitted
     slope reproduces the horn factor when the chain is consistent.
     Unresolved splittings (zero or weak drive) stay in the table flagged
-    but leave the fit.  Positive input powers must span at least a decade,
+    but leave the fit.  The input powers must pass ``calibration_powers``,
     and the horn factor and dipole must be finite and > 0.
     """
-    powers = np.array(p_in_watts, dtype=float)
-    if powers.ndim != 1 or powers.size < 2:
-        raise InvalidParameterError("need at least two input powers")
-    if not np.all(np.isfinite(powers) & (powers >= 0.0)):
-        raise InvalidParameterError("input powers must be finite and >= 0")
+    powers = calibration_powers(p_in_watts)
     for name, value in (("horn_factor", horn_factor), ("dipole_mw", dipole_mw)):
         if not math.isfinite(value) or value <= 0.0:
             raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
-    positive = powers[powers > 0.0]
-    if positive.size < 2 or positive.max() < 10.0 * positive.min():
-        raise InvalidParameterError("input powers must span at least one decade")
 
     e_applied = horn_factor * np.sqrt(powers)
     f_at_hz = splitting_vs_drive(

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import constants
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, check_ranges
 
 # saturated-vapor correlation coefficients, log10(p/atm) = a - b / T
 _CS_MELTING_K = 301.59
@@ -35,10 +35,7 @@ class CellGeometry:
     cell_radius: float = 12.5e-3
 
     def __post_init__(self):
-        for name in ("length", "beam_radius", "cell_radius"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+        check_ranges(self, positive=("length", "beam_radius", "cell_radius"))
         if self.beam_radius > self.cell_radius:
             raise InvalidParameterError("beam_radius must not exceed cell_radius")
         # bore_volume takes cell_radius**2 (and beam_volume the smaller one's)
@@ -59,7 +56,10 @@ class LimitInputs:
 
     ``n_atoms`` and ``n_photons_rate`` of zero mean "derive them" from
     the vapor density and probe power; positive values override the
-    derivation (the counts are order-of-magnitude lab quantities).
+    derivation (the counts are order-of-magnitude lab quantities).  The
+    counts must be finite and >= 0, the other numbers finite and > 0, and
+    ``temperature`` within the 250 K to 400 K that the vapor-pressure
+    correlation covers (``DomainError`` outside it).
     """
 
     t_meas: float = 1.0
@@ -71,20 +71,24 @@ class LimitInputs:
     geometry: CellGeometry = CellGeometry()
 
     def __post_init__(self):
-        for name in ("t_meas", "probe_power", "probe_wavelength", "temperature"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
-        for name in ("n_atoms", "n_photons_rate"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise InvalidParameterError(
-                    f"{name} must be >= 0 (0 derives it), got {value!r}"
-                )
+        check_ranges(
+            self,
+            nonnegative=("n_atoms", "n_photons_rate"),
+            positive=("t_meas", "probe_power", "probe_wavelength"),
+        )
+        _check_temperature(self.temperature)
 
 
 # ---------------------------------------------------------------------------
 # vapor density
+
+
+def _check_temperature(temperature):
+    if not _CS_T_MIN <= temperature <= _CS_T_MAX:
+        raise DomainError(
+            f"temperature must lie within the {_CS_T_MIN:.0f} K to {_CS_T_MAX:.0f} K "
+            f"of the vapor-pressure correlation, got {temperature!r}"
+        )
 
 
 def cs_vapor_pressure(temperature):
@@ -93,11 +97,7 @@ def cs_vapor_pressure(temperature):
     Uses the solid-phase correlation below the 301.59 K melting point and
     the liquid-phase one above it.
     """
-    if not math.isfinite(temperature) or not _CS_T_MIN <= temperature <= _CS_T_MAX:
-        raise DomainError(
-            f"vapor-pressure correlation valid for {_CS_T_MIN:.0f} K to "
-            f"{_CS_T_MAX:.0f} K, got {temperature!r}"
-        )
+    _check_temperature(temperature)
     a, b = _CS_SOLID if temperature < _CS_MELTING_K else _CS_LIQUID
     return _ATM_PA * 10.0 ** (a - b / temperature)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector_chain import BLOCK, TimeSeries, one_pole
-from .errors import DomainError, InstabilityError, InvalidParameterError
+from .errors import DomainError, InstabilityError, InvalidParameterError, check_ranges
 from .weak_pointer import DAWSON_SERIES, DAWSON_SHORT_EDGE, BeamPointer, dawson
 
 _SQRTPI = math.sqrt(math.pi)
@@ -41,7 +41,12 @@ class PidParams:
     """Discrete PID gains and actuator bounds.
 
     Gains act on the eta error; the output is a momentum offset in rad/m,
-    clamped to ``output_limits`` with integrator anti-windup.
+    clamped to ``output_limits`` with integrator anti-windup.  Gains and
+    setpoint must be finite and ``sample_rate`` finite and > 0.
+    ``output_limits`` must be a finite pair (lo, hi) with lo < 0 < hi: the
+    open-loop actuator rests at u = 0, which limits that exclude it would
+    hold saturated, so the loop would be reported unstable whatever its
+    gains.
     """
 
     kp: float = 5.0
@@ -52,17 +57,13 @@ class PidParams:
     sample_rate: float = 1.0e4
 
     def __post_init__(self):
-        for name in ("kp", "ki", "kd", "setpoint", "sample_rate"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-        if self.sample_rate <= 0.0:
-            raise InvalidParameterError("sample_rate must be > 0")
-        if len(self.output_limits) != 2:
-            raise InvalidParameterError("output_limits must be an ordered finite pair")
-        lo, hi = self.output_limits
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise InvalidParameterError("output_limits must be an ordered finite pair")
+        check_ranges(self, finite=("kp", "ki", "kd", "setpoint"), positive=("sample_rate",))
+        limits = self.output_limits
+        if not (len(limits) == 2 and all(map(math.isfinite, limits))
+                and limits[0] < 0.0 < limits[1]):
+            raise InvalidParameterError(
+                f"output_limits must be a finite pair (lo, hi) with lo < 0 < hi, got {limits}"
+            )
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,7 @@ class DriftModel:
     corner_hz: float = 100.0
 
     def __post_init__(self):
-        for amplitude in (self.one_over_f_amplitude, self.white_amplitude):
-            if not 0.0 <= amplitude < math.inf:
-                raise InvalidParameterError("drift amplitudes must be finite and >= 0")
+        check_ranges(self, nonnegative=("one_over_f_amplitude", "white_amplitude"))
         # a lower corner is a single pole whose burn-in outgrows memory
         if not _LOWEST_OCTAVE_HZ <= self.corner_hz < math.inf:
             raise InvalidParameterError(
@@ -284,9 +283,8 @@ def simulate_closed_loop_detailed(
         damping = np.fromiter(map(math.exp, (-2.0 * kw * kw).tolist()), float, stop - start)
         block = eta[start:stop]
         block[:] = gain * dawson(_SQRT2 * kw) * sin_f / (1.0 - damping * cos_f)
-        # every open sample is saturated when the limits exclude u = 0; the
-        # run carried in stands just before the block's first sample
-        saturated = (np.abs(block) > 1.0) | (lo >= 0.0 or hi <= 0.0)
+        # the run carried in stands just before the block's first sample
+        saturated = np.abs(block) > 1.0
         free = np.flatnonzero(~saturated)
         runs = np.diff(free, prepend=-1 - saturated_run, append=stop - start) - 1
         if runs.max() >= _INSTABILITY_RUN:

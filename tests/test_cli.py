@@ -153,38 +153,45 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["heterodyne"]["integration_time"] == 0.5
 
-    # each of these used to pass validate and crash simulate, or be truncated
-    for experiment, section, key, value in (
-        ("spectrum", "grid", "points", 100.7),
-        ("calibrate", "calibrate", "powers_w", ["a", 1.0e-4]),
-        ("heterodyne", "heterodyne", "e_signal", ["x"]),
-        ("stabilize", "drift", "sinusoids", [[50.0]]),
+    # each of these used to pass validate and crash simulate, or be truncated.
+    # A wrong type or a limit across sections is a config error that names
+    # the dotted path; a section's own range is refused by the section
+    # itself, as invalid-argument, under the section's name
+    own = "invalid-argument"
+    for experiment, section, key, value, category in (
+        ("spectrum", "grid", "points", 100.7, "config"),
+        ("calibrate", "calibrate", "powers_w", ["a", 1.0e-4], "config"),
+        ("heterodyne", "heterodyne", "e_signal", ["x"], "config"),
+        ("stabilize", "drift", "sinusoids", [[50.0]], "config"),
         # grids and records above MAX_GRID_POINTS
-        ("spectrum", "grid", "points", MAX_GRID_POINTS + 1),
-        ("pointer", "pointer", "points", MAX_GRID_POINTS + 1),
-        ("heterodyne", "pointer", "points", MAX_GRID_POINTS + 1),
-        ("calibrate", "calibrate", "points", MAX_GRID_POINTS + 1),
-        ("stabilize", "loop", "duration", 1.0e3),
+        ("spectrum", "grid", "points", MAX_GRID_POINTS + 1, own),
+        ("pointer", "pointer", "points", MAX_GRID_POINTS + 1, own),
+        ("heterodyne", "pointer", "points", MAX_GRID_POINTS + 1, own),
+        ("calibrate", "calibrate", "points", MAX_GRID_POINTS + 1, own),
+        ("stabilize", "loop", "duration", 1.0e3, "config"),
         # beat records shorter than one Welch segment (300 samples) or
         # longer than MAX_GRID_POINTS (90 M and 3 G samples); validate only,
         # the long records would need gigabytes to simulate
-        ("heterodyne", "heterodyne", "integration_time", 1.0e-4),
-        ("heterodyne", "heterodyne", "integration_time", 30.0),
-        ("heterodyne", "heterodyne", "integration_time", 1.0e3),
+        ("heterodyne", "heterodyne", "integration_time", 1.0e-4, own),
+        ("heterodyne", "heterodyne", "integration_time", 30.0, own),
+        ("heterodyne", "heterodyne", "integration_time", 1.0e3, own),
         # the open-loop actuator rests at u = 0, outside these limits
-        ("stabilize", "pid", "output_limits", [1.0, 10.0]),
+        ("stabilize", "pid", "output_limits", [1.0, 10.0], own),
         # 10 samples, not the 1000 on each side of loop_on_at the report needs
-        ("stabilize", "pid", "sample_rate", 1.0),
+        ("stabilize", "pid", "sample_rate", 1.0, "config"),
         # a record that rounds to no samples (10 s x 1e-3 Hz)
-        ("stabilize", "pid", "sample_rate", 1.0e-3),
+        ("stabilize", "pid", "sample_rate", 1.0e-3, "config"),
     ):
         path = write_config(
             tmp_path, {"experiment": experiment, section: {key: value}}, "c.json")
         code, out = run_cli(capsys, "validate", path)
         assert code == 1
         error = json.loads(out)["error"]
-        assert error["category"] == "config"
-        assert f"{section}.{key}" in error["message"]
+        assert error["category"] == category
+        if category == "config":
+            assert f"{section}.{key}" in error["message"]
+        else:
+            assert error["message"].startswith(f"{section}: {key} ")
 
     # simulate refuses the last of them, the empty record, the same way
     code, out = run_cli(
@@ -210,8 +217,8 @@ def test_wrong_value_types_rejected(tmp_path, capsys):
         capsys, "simulate", path, "--output-dir", str(tmp_path / "pinned_actuator"))
     assert code == 1
     error = json.loads(out)["error"]
-    assert error["category"] == "config"
-    assert "pid.output_limits" in error["message"]
+    assert error["category"] == "invalid-argument"
+    assert error["message"].startswith("pid: output_limits ")
     assert "kp=" not in error["message"]
 
     # the cap admits a 2**20-point spectrum and a 60 s loop at 10 kHz
@@ -478,13 +485,13 @@ def test_runtime_failure_reports_error_json(tmp_path, capsys):
     assert code == 1
     error = json.loads(out)["error"]
     assert error["category"] == "domain"
-    assert "pointer.delta_beta" in error["message"]
+    assert error["message"].startswith("pointer: |delta_beta| ")
 
 
 @pytest.mark.parametrize("payload, key", [
     ({"experiment": "stabilize", "loop": {"phi_f": float("inf")}}, "phi_f"),
     ({"experiment": "stabilize", "loop": {"phi_f": 1.0e-300}}, "phi_f"),
-    ({"experiment": "pointer", "pointer": {"w": 1.0e-300}}, "pointer.w"),
+    ({"experiment": "pointer", "pointer": {"w": 1.0e-300}}, "pointer: w, span_w, points"),
     ({**FAST_HETERODYNE, "detector": {"responsivity": 1.0e-300}}, "responsivity"),
     ({"experiment": "calibrate", "calibrate": {"horn_factor": float("nan")}},
      "horn_factor"),
@@ -512,9 +519,9 @@ def test_degenerate_phi_f_and_underflowing_squares_exit_with_error_json(
     ("heterodyne", "detector.nep", 1.0e300, "detector: nep"),
     ("stabilize", "pid.kp", float("nan"), "pid: kp"),
     ("stabilize", "drift.corner_hz", 0.0, "drift: corner_hz"),
-    ("stabilize", "loop.phi_f", 1.0e-300, "loop.phi_f: "),
-    ("stabilize", "loop.beam_w", 1.0e-300, "loop.beam_w: "),
-    ("pointer", "pointer.w", 1.0e300, "pointer.w, "),
+    ("stabilize", "loop.phi_f", 1.0e-300, "loop: phi_f "),
+    ("stabilize", "loop.beam_w", 1.0e-300, "loop: beam_w: "),
+    ("pointer", "pointer.w", 1.0e300, "pointer: w, span_w, points: "),
     ("limits", "limits.geometry.beam_radius", 1.0, "limits.geometry: beam_radius"),
     # squares that overflow used to end simulate in an OverflowError, and a
     # corner this low in a ValueError from allocating the 1/f burn-in
@@ -527,6 +534,17 @@ def test_degenerate_phi_f_and_underflowing_squares_exit_with_error_json(
     ("heterodyne", "heterodyne.omega_local", 1.0e300, "heterodyne: omega_local"),
     ("limits", "limits.geometry.cell_radius", 1.0e300, "limits.geometry: cell_radius"),
     ("stabilize", "drift.corner_hz", 1.0e-300, "drift: corner_hz"),
+    # ranges that only the run used to check, in messages that mostly named
+    # no key: grids, calibration inputs, the vapor-pressure temperature, and
+    # a readout kick that wrote a zero spread
+    ("spectrum", "grid.points", 0, "grid: points "),
+    ("spectrum", "grid.span_linewidths", -1.0, "grid: span_linewidths "),
+    ("calibrate", "calibrate.points", 3, "calibrate: points "),
+    ("calibrate", "calibrate.horn_factor", 0.0, "calibrate: horn_factor "),
+    ("calibrate", "calibrate.dipole_mw", -1.0, "calibrate: dipole_mw "),
+    ("calibrate", "calibrate.powers_w", [], "calibrate: powers_w: "),
+    ("limits", "limits.temperature", 1.0e12, "limits: temperature "),
+    ("stabilize", "loop.readout_kick", 0.0, "loop: readout_kick "),
 ])
 def test_validate_refuses_what_simulate_refuses(
         tmp_path, capsys, experiment, key, value, prefix):

@@ -22,6 +22,7 @@ from rydsag.errors import (
 from rydsag.heterodyne import (
     DEFAULT_DIPOLE_MW,
     READOUT_SCHEMES,
+    SEGMENT_LENGTH,
     HeterodyneConfig,
     Sweep,
     beat_metrics,
@@ -158,12 +159,17 @@ def test_clean_record_beats_at_150khz():
 @pytest.mark.parametrize("detector", [None, DetectorParams()])
 def test_record_over_the_sample_cap_is_rejected(detector):
     # one sample over the cap, and 1000 s at 3 MHz, where the clean path
-    # would otherwise ask np.resize for 3e9 samples and raise MemoryError
-    for samples in (MAX_GRID_POINTS + 1, 3_000_000_000):
-        cfg = config(integration_time=samples / config().fs)
-        assert round(cfg.fs * cfg.integration_time) == samples
-        with pytest.raises(InvalidParameterError, match="samples exceed the"):
-            run_beat_experiment(cfg, MEDIUM, POINTER, detector, seed=0)
+    # would otherwise ask np.resize for 3e9 samples and raise MemoryError,
+    # and one sample short of a Welch segment: the config refuses them all
+    fs = config().fs
+    for samples in (MAX_GRID_POINTS + 1, 3_000_000_000, SEGMENT_LENGTH - 1):
+        assert round(fs * (samples / fs)) == samples
+        with pytest.raises(InvalidParameterError, match="^integration_time x the"):
+            config(integration_time=samples / fs)
+    # the shortest record it admits runs, clean and detected
+    cfg = config(integration_time=SEGMENT_LENGTH / fs)
+    ts = run_beat_experiment(cfg, MEDIUM, POINTER, detector, seed=0)
+    assert ts.samples.shape == (SEGMENT_LENGTH,)
 
 
 def _direct_record(cfg, e_signal, delta_p, pointer=POINTER):

@@ -234,8 +234,11 @@ def test_pid_params_validation():
         PidParams(sample_rate=0.0)
     with pytest.raises(InvalidParameterError):
         PidParams(output_limits=(1.0, -1.0))
-    for limits in ((), (-1.0, 0.0, 1.0)):
-        with pytest.raises(InvalidParameterError):
+    # the open-loop actuator rests at u = 0, so limits that exclude it are
+    # refused at construction, not reported later as a diverged loop
+    for limits in ((), (-1.0, 0.0, 1.0), (0.5, 10.0), (0.0, 10.0), (-10.0, 0.0),
+                   (-math.inf, 1.0)):
+        with pytest.raises(InvalidParameterError, match="output_limits"):
             PidParams(output_limits=limits)
     with pytest.raises(InvalidParameterError):
         PidParams(kp=math.nan)
@@ -373,6 +376,9 @@ def _assert_matches_scalar_loop(pid, drift, duration, loop_on_at, seed=0):
     return "ran"
 
 
+_WRONG_SIGN = PidParams(output_limits=(-10.0, 1.0e-3), kp=-1.0e6, ki=0.0, sample_rate=2.0e4)
+
+
 @pytest.mark.parametrize("pid, duration, loop_on_at, outcome", [
     # the shipped loop
     (PidParams(), 2.0, 1.0, "ran"),
@@ -383,13 +389,13 @@ def _assert_matches_scalar_loop(pid, drift, duration, loop_on_at, seed=0):
     (PidParams(), 2.0, 0.0, "ran"),
     # diverges in the closed half
     (PidParams(kp=500.0), 2.0, 1.0, "raised"),
-    # limits that exclude u = 0: 1000 saturated open samples raise there
-    (PidParams(output_limits=(0.5, 10.0)), 2.0, 0.1, "raised"),
-    # zero gains hold u = 0 on the lower limit: 50 open and 60 closed
-    # saturated samples make one run of 110, which raises only if the open
-    # run carries across loop_on_at; 50 and 49 make a run of 99
-    (PidParams(output_limits=(0.0, 10.0), kp=0.0, ki=0.0), 0.011, 0.005, "raised"),
-    (PidParams(output_limits=(0.0, 10.0), kp=0.0, ki=0.0), 0.0099, 0.005, "ran"),
+    # limits too tight to hold the drift pin u in the closed half
+    (PidParams(output_limits=(-1.0e-6, 1.0e-6)), 2.0, 0.1, "raised"),
+    # a gain of the wrong sign pins u on a limit from the first closed
+    # sample on: closed halves of 120 and 98 samples make saturated runs of
+    # 119, which raises, and 97, which does not
+    (_WRONG_SIGN, 0.011, 0.005, "raised"),
+    (_WRONG_SIGN, 0.0099, 0.005, "ran"),
     # a closed half of 3 samples, and one of 55 000
     (PidParams(), 2.0, 2.0 - 3.0e-4, "ran"),
     (PidParams(), 6.0, 0.5, "ran"),
@@ -400,6 +406,12 @@ def _assert_matches_scalar_loop(pid, drift, duration, loop_on_at, seed=0):
 ])
 def test_loop_is_bit_equal_to_scalar_loop(pid, duration, loop_on_at, outcome):
     assert _assert_matches_scalar_loop(pid, DriftModel(), duration, loop_on_at) == outcome
+
+
+def test_loop_with_zero_gains_inside_tiny_limits_does_not_saturate():
+    # u = 0 lies just inside the limits, so no sample counts as saturated
+    pid = PidParams(output_limits=(-1.0e-300, 1.0e-300), kp=0.0, ki=0.0)
+    assert _assert_matches_scalar_loop(pid, DriftModel(), 0.2, 0.1) == "ran"
 
 
 def test_loop_keeps_signed_zero_of_scalar_loop(monkeypatch):
