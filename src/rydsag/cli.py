@@ -2,7 +2,9 @@
 
 Experiments are described by a single JSON config with strict unknown-key
 rejection; every run writes its data files plus a manifest (full config
-echo, seed, package versions, wall time) into one output directory.
+echo, seed, package versions, wall time) into one output directory.  The
+versions are those of rydsag, Python and numpy, and of scipy where the run
+loads it, which only a Doppler medium does.
 Errors are serialized as machine-readable JSON on stdout with a nonzero
 exit status.  Validation builds every section's model, each of which
 checks its own ranges, so a config that `validate` accepts fails in
@@ -37,11 +39,9 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .detector_chain import MAX_GRID_POINTS, DetectorParams
@@ -66,6 +66,7 @@ from .heterodyne import (
     DEFAULT_DIPOLE_MW,
     HeterodyneConfig,
     calibration_powers,
+    median,
     min_detectable_field,
     scheme_comparison,
     sensitivity_sweep,
@@ -300,7 +301,8 @@ class Calibrate:
 class Pointer:
     """The heterodyne pointer: kick k in rad/m, as its WeakCoupling
     ``coupling``, and the centered BeamPointer ``beam`` of width w in m,
-    sampled at 3 to MAX_GRID_POINTS points over span_w widths."""
+    sampled at 3 to MAX_GRID_POINTS points over span_w widths.  The
+    readout's 0.5 * (2 k w)**2 must not overflow."""
 
     k: float = 10.0
     w: float = 1.0e-3
@@ -312,6 +314,12 @@ class Pointer:
         object.__setattr__(self, "coupling", WeakCoupling(self.k))
         object.__setattr__(self, "beam", _built(
             "w, span_w, points", BeamPointer.centered, self.w, self.span_w, self.points))
+        # closed_readout takes 0.5 * (2 k w)**2
+        kick = 2.0 * self.k * self.w
+        if 0.5 * kick * kick == math.inf:
+            raise InvalidParameterError(
+                f"k {self.k!r} is too large at w = {self.w!r}: "
+                "0.5 * (2 k w)**2 overflows")
 
 
 @dataclass(frozen=True)
@@ -491,7 +499,7 @@ def _noise_floor_db(sweep):
     floors = sweep.floor_density[sweep.floor_density > 0.0]
     if not floors.size:
         return math.nan
-    return 10.0 * math.log10(float(np.median(floors)))
+    return 10.0 * math.log10(median(floors))
 
 
 def _scheme_files(out_dir, scheme, sweep, fit):
@@ -530,6 +538,8 @@ def _usable_cpus():
 
 
 def _run_heterodyne(config, models, out_dir, seed):
+    from concurrent.futures import ThreadPoolExecutor
+
     compare = config["heterodyne"]["compare"]
     hetero = models["heterodyne"]
     section = models["pointer"]
@@ -623,20 +633,22 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _run_imports(config):
-    """The numpy and scipy modules that a run of this config imports on
-    first use, which load_config imports first, so that their import time
-    counts as set-up, not as run time: scipy.special for the Gauss-Hermite
-    rule of the Doppler average, which finds its nodes with scipy.linalg;
-    numpy.random for the drift and detector noise of stabilize and
-    heterodyne; numpy.fft for the heterodyne Welch spectrum and numpy.ma,
-    which np.median imports, for its noise floor."""
+    """The modules beyond those of import rydsag.cli that a run of this
+    config imports on first use, which load_config imports first, so that
+    their import time counts as set-up, not as run time: scipy.special for
+    the Gauss-Hermite rule of the Doppler average, which finds its nodes
+    with scipy.linalg and brings numpy.ma; numpy.random for the drift and
+    detector noise of stabilize and heterodyne; numpy.fft for the
+    heterodyne Welch spectrum and concurrent.futures.thread for its
+    sweep's thread pool.  No other run loads scipy, numpy.ma or
+    concurrent.futures."""
     modules = []
     if config.get("medium", {}).get("doppler_enabled"):
         modules += ["scipy.special", "scipy.linalg"]
     if config["experiment"] in ("stabilize", "heterodyne"):
         modules.append("numpy.random")
     if config["experiment"] == "heterodyne":
-        modules += ["numpy.fft", "numpy.ma"]
+        modules += ["numpy.fft", "concurrent.futures.thread"]
     return modules
 
 
@@ -663,6 +675,13 @@ def run(config, models, out_dir, seed):
     experiment = config["experiment"]
     started = time.perf_counter()
     written = _EXPERIMENTS[experiment][0](config, models, out_dir, seed)
+    versions = {
+        "rydsag": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    if any(module.split(".")[0] == "scipy" for module in _run_imports(config)):
+        versions["scipy"] = importlib.import_module("scipy").__version__
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_json(
         manifest_path,
@@ -670,12 +689,7 @@ def run(config, models, out_dir, seed):
             "experiment": experiment,
             "config": config,
             "seed": seed,
-            "versions": {
-                "rydsag": __version__,
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-            },
+            "versions": versions,
             "wall_time_s": time.perf_counter() - started,
             "outputs": [os.path.basename(p) for p in written],
         },

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -165,7 +164,10 @@ class HeterodyneConfig:
         """
         if self.sample_rate == 0.0:
             return _MIN_SAMPLES_PER_BEAT
-        return (Fraction(self.fs) / Fraction(self.delta_f)).numerator
+        a, b = float(self.fs).as_integer_ratio()
+        c, d = float(self.delta_f).as_integer_ratio()
+        # fs / delta_f = a d / (b c), whose numerator in lowest terms is p
+        return a * d // math.gcd(a * d, b * c)
 
 
 @dataclass(frozen=True)
@@ -375,6 +377,19 @@ def run_beat_experiment(
     return sample_timeseries(clean, detector, config.fs, config.integration_time, seed)
 
 
+def median(values):
+    """np.median of a non-empty 1-D float array, bit for bit, as a float:
+    the mean of the middle one or two values, NaN if any value is NaN.
+    np.median's own NaN check imports numpy.ma; this one does not."""
+    size = values.size
+    half = size // 2
+    kth = [half, -1] if size % 2 else [half - 1, half, -1]
+    part = np.partition(values, kth)
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[kth[0]:half + 1]))
+
+
 def beat_metrics(ts, delta_f):
     """Locate the beat line in a detected record and rate it against the floor.
 
@@ -395,7 +410,7 @@ def beat_metrics(ts, delta_f):
     line_power = float(np.sum(density[max(peak - 1, 0) : peak + 2]) * df)
     keep = searchable.copy()
     keep[max(peak - 5, 0) : peak + 6] = False
-    floor = float(np.median(density[keep])) if np.any(keep) else 0.0
+    floor = median(density[keep]) if np.any(keep) else 0.0
     if line_power > 0.0 and floor > 0.0:
         snr_db = 10.0 * math.log10(line_power / floor)
     elif line_power > 0.0:

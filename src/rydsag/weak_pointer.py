@@ -136,7 +136,13 @@ class BeamPointer:
         """Symmetric grid covering span_w beam widths about x = 0."""
         if int(points) < 3:
             raise InvalidParameterError("beam grid must be 1-D with >= 3 samples")
+        # checked before np.linspace, which warns on a non-finite end
+        _check_finite(w=w, span_w=span_w)
         half = 0.5 * span_w * w
+        if not math.isfinite(half):
+            raise InvalidParameterError(
+                f"beam grid half-span 0.5 * span_w * w overflows at w = {w!r}, "
+                f"span_w = {span_w!r}")
         return cls(w=w, grid=np.linspace(-half, half, int(points)))
 
 

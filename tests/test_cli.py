@@ -345,7 +345,7 @@ def test_heterodyne_pool_has_a_worker_per_usable_cpu_up_to_the_amplitudes(
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
     cfg = write_config(tmp_path, FAST_HETERODYNE)
     for cpus in (1, 8):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -545,7 +545,16 @@ def test_degenerate_phi_f_and_underflowing_squares_exit_with_error_json(
     ("calibrate", "calibrate.powers_w", [], "calibrate: powers_w: "),
     ("limits", "limits.temperature", 1.0e12, "limits: temperature "),
     ("stabilize", "loop.readout_kick", 0.0, "loop: readout_kick "),
+    # a kick whose 0.5 * (2 k w)**2 overflows used to run with an overflow
+    # warning, and an infinite width or span to warn from np.linspace
+    ("pointer", "pointer.k", 1.0e300, "pointer: k "),
+    ("heterodyne", "pointer.k", -1.0e300, "pointer: k "),
+    ("pointer", "pointer.w", math.inf, "pointer: w, span_w, points: w must be finite"),
+    ("pointer", "pointer.span_w", math.inf, "pointer: w, span_w, points: span_w must be finite"),
+    ("heterodyne", "pointer.w", math.inf, "pointer: w, span_w, points: w must be finite"),
+    ("stabilize", "loop.beam_w", math.inf, "loop: beam_w: w must be finite"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_validate_refuses_what_simulate_refuses(
         tmp_path, capsys, experiment, key, value, prefix):
     # validate builds every section's model, so a model's refusal comes from
@@ -610,28 +619,26 @@ def _python(code, *argv):
     return result.stdout
 
 
-_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# packages that only some runs load: scipy, and with it numpy.ma, for a
+# Doppler medium and the thread pool for heterodyne; and fractions and
+# decimal, which no run loads
+_RUN_ONLY = ("scipy", "concurrent", "fractions", "decimal")
+_LOADED = f"sorted(m for m in sys.modules if m.split('.')[0] in {('numpy',) + _RUN_ONLY!r})"
+
+
+def _is_numpy_ma(module):
+    return module == "numpy.ma" or module.startswith("numpy.ma.")
 
 
 def test_cli_import_loads_no_scipy_integrate_optimize_or_signal():
-    # scipy.integrate serves only the pointer's quadrature oracle and pulls
-    # in scipy.optimize; scipy.signal was replaced by numpy.fft code.
-    # scipy.special, scipy.constants and scipy.fft are loaded by no import:
-    # the package root of scipy is all that import rydsag.cli adds
-    loaded = json.loads(_python(
-        f"import json, sys, rydsag.cli; print(json.dumps({_SCIPY_MODULES}))"))
-    alone = json.loads(_python(
-        f"import json, sys, scipy; print(json.dumps({_SCIPY_MODULES}))"))
-    assert loaded == alone
-    assert not [m for m in loaded if m.startswith((
-        "scipy.integrate", "scipy.optimize", "scipy.signal",
-        "scipy.special", "scipy.constants", "scipy.fft"))]
+    # nor any other scipy module, nor any module that only some runs use:
+    # the runs that use them import them during set-up
+    loaded = json.loads(_python(f"import json, sys, rydsag.cli; print(json.dumps({_LOADED}))"))
+    assert [m for m in loaded if m.split(".")[0] in _RUN_ONLY or _is_numpy_ma(m)] == []
 
 
-_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))"
-
-# records the numpy and scipy modules loaded when load_config returns and
-# when main does
+# records the numpy modules and those of _RUN_ONLY loaded when load_config
+# returns and when main does
 _SETUP_PROBE = f"""
 import json, sys
 from rydsag import cli
@@ -661,22 +668,43 @@ _DOPPLER_SPECTRUM = {
     "grid": {"points": 64},
 }
 
+_PROBED = [f"{name}.json" for name in EXPERIMENTS] + ["doppler"]
 
-@pytest.mark.parametrize("config", [f"{name}.json" for name in EXPERIMENTS] + ["doppler"])
-def test_scipy_loads_during_setup_and_special_only_where_evaluated(tmp_path, config):
+
+@pytest.fixture(scope="module")
+def probed_run(tmp_path_factory):
+    """probed_run(config) -> (the _SETUP_PROBE report, the manifest) of a
+    fresh `simulate` of a shipped config or of "doppler", run once per
+    config for all the tests of this module."""
+    runs = {}
+
+    def probed(config):
+        if config not in runs:
+            tmp_path = tmp_path_factory.mktemp("probed")
+            if config == "doppler":
+                path = write_config(tmp_path, _DOPPLER_SPECTRUM)
+            else:
+                path = str(pathlib.Path(__file__).parent.parent / "configs" / config)
+            printed = _python(
+                _SETUP_PROBE, "simulate", path, "--output-dir", str(tmp_path / "o"))
+            report = json.loads(printed.splitlines()[-1])
+            assert report["code"] == 0
+            manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+            runs[config] = report, manifest
+        return runs[config]
+
+    return probed
+
+
+@pytest.mark.parametrize("config", _PROBED)
+def test_scipy_loads_during_setup_and_special_only_where_evaluated(probed_run, config):
     # the run must import no scipy module, so the import time counts as
     # set-up; only the Doppler average evaluates a special function (its
     # Gauss-Hermite rule), so only it loads scipy.special and scipy.linalg.
     # The pointer, stabilize and heterodyne runs import no numpy module
-    # either: their set-up imports the numpy.random, numpy.fft and numpy.ma
-    # that they use
-    if config == "doppler":
-        path = write_config(tmp_path, _DOPPLER_SPECTRUM)
-    else:
-        path = str(pathlib.Path(__file__).parent.parent / "configs" / config)
-    printed = _python(_SETUP_PROBE, "simulate", path, "--output-dir", str(tmp_path / "o"))
-    report = json.loads(printed.splitlines()[-1])
-    assert report["code"] == 0
+    # either: their set-up imports the numpy.random and numpy.fft that they
+    # use
+    report, _ = probed_run(config)
 
     def loaded(when, package):
         return [m for m in report[when] if m.split(".")[0] == package]
@@ -686,3 +714,29 @@ def test_scipy_loads_during_setup_and_special_only_where_evaluated(tmp_path, con
         assert report["end"] == report["setup"]
     assert ("scipy.special" in report["end"]) == (config == "doppler")
     assert ("scipy.linalg" in report["end"]) == (config == "doppler")
+
+
+@pytest.mark.parametrize("config", _PROBED)
+def test_only_heterodyne_loads_the_thread_pool_and_no_run_numpy_ma(probed_run, config):
+    # the sweep's thread pool is imported during set-up, and only for
+    # heterodyne; the noise floor's median loads no numpy.ma.  Only the
+    # Doppler medium loads it, with scipy.special, during set-up
+    report, _ = probed_run(config)
+    pool = [m for m in report["end"] if m.split(".")[0] == "concurrent"]
+    assert pool == [m for m in report["setup"] if m.split(".")[0] == "concurrent"]
+    assert ("concurrent.futures.thread" in pool) == (config == "heterodyne.json")
+    numpy_ma = [m for m in report["end"] if _is_numpy_ma(m)]
+    if config == "doppler":
+        assert "numpy.ma" in numpy_ma
+        assert numpy_ma == [m for m in report["setup"] if _is_numpy_ma(m)]
+    else:
+        assert numpy_ma == []
+    assert "fractions" not in report["end"] and "decimal" not in report["end"]
+
+
+@pytest.mark.parametrize("config", _PROBED)
+def test_manifest_names_scipy_only_where_the_run_loads_it(probed_run, config):
+    report, manifest = probed_run(config)
+    assert ("scipy" in manifest["versions"]) == ("scipy" in report["end"])
+    assert ("scipy" in manifest["versions"]) == (config == "doppler")
+    assert set(manifest["versions"]) >= {"rydsag", "python", "numpy"}

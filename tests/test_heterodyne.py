@@ -30,6 +30,7 @@ from rydsag.heterodyne import (
     comparison_from_points,
     exact_rabi_magnitude,
     instantaneous_rabi,
+    median,
     min_detectable_field,
     operating_point,
     run_beat_experiment,
@@ -248,6 +249,37 @@ def test_automatic_rate_has_a_20_sample_period_at_any_beat(readout):
     exact = Fraction(cfg.fs) / Fraction(delta_f)
     assert explicit.beat_period == exact.numerator > 20
     assert config(sample_rate=3.1e6).beat_period == 62
+
+
+@pytest.mark.parametrize("sample_rate, delta_f", [
+    (3.1e6, 150.0e3), (3.0e6 + 1.0, 150.0e3), (2.469134e6, 123456.7),
+    (1.0e7, 1.0 / 3.0), (2.0 ** -20 * 3.0, 2.0 ** -30), (4.5e6, 225.0e3),
+    (np.int64(3_100_000), 150_000),
+])
+def test_beat_period_is_the_reduced_numerator_of_the_rate_ratio(sample_rate, delta_f):
+    cfg = HeterodyneConfig(
+        sample_rate=sample_rate, delta_f=delta_f, f_local=1.0, f_signal=1.0 + delta_f,
+        integration_time=SEGMENT_LENGTH / sample_rate)
+    assert cfg.beat_period == (Fraction(sample_rate) / Fraction(delta_f)).numerator
+
+
+@pytest.mark.parametrize("size", [*range(1, 60), 1023, 1024, 1025, 4096, 100_001])
+def test_median_is_np_median_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    samples = (
+        rng.standard_normal(size),
+        rng.exponential(size=size) * 1e-14,
+        rng.integers(0, 3, size) * np.array([-0.0, 0.0, 1.5])[rng.integers(0, 3, size)],
+    )
+    for values in samples:
+        before = values.copy()
+        got = median(values)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(np.median(values)).tobytes()
+        assert np.array_equal(values, before)  # partitioned in a copy
+    with_nan = samples[0].copy()
+    with_nan[size // 2] = math.nan
+    assert math.isnan(median(with_nan)) and math.isnan(np.median(with_nan))
 
 
 def test_signal_stronger_than_local_oscillator_rejected():

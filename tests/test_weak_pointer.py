@@ -308,6 +308,19 @@ def test_beam_pointer_validation():
         BeamPointer.centered(1.0e300)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w, span_w, message", [
+    (math.inf, 10.0, "w must be finite"),
+    (math.nan, 10.0, "w must be finite"),
+    (1.0e-3, math.inf, "span_w must be finite"),
+    (1.0e200, 1.0e200, "half-span"),
+])
+def test_centered_refuses_a_non_finite_span_before_building_the_grid(w, span_w, message):
+    # np.linspace warns on a non-finite end, so these are refused first
+    with pytest.raises(InvalidParameterError, match=message):
+        BeamPointer.centered(w, span_w)
+
+
 def test_post_selection_angle_bounds():
     with pytest.raises(InvalidParameterError):
         PostSelection(0.0)
