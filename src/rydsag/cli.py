@@ -3,8 +3,7 @@
 Experiments are described by a single JSON config with strict unknown-key
 rejection; every run writes its data files plus a manifest (full config
 echo, seed, package versions, wall time) into one output directory.  The
-versions are those of rydsag, Python and numpy, and of scipy where the run
-loads it, which only a Doppler medium does.
+versions are those of rydsag, Python and numpy: no run loads scipy.
 Errors are serialized as machine-readable JSON on stdout with a nonzero
 exit status.  Validation builds every section's model, each of which
 checks its own ranges, so a config that `validate` accepts fails in
@@ -222,6 +221,8 @@ def load_config(path):
     }
     if experiment == "stabilize":
         _check_stabilize(models)
+    elif experiment == "spectrum":
+        _check_spectrum(models)
     for module in _run_imports(config):
         importlib.import_module(module)
     return config, models
@@ -433,6 +434,17 @@ def _run_pointer(config, models, out_dir, seed):
     return [csv_path, json_path]
 
 
+def _check_spectrum(models):
+    """Refuse a grid whose edge detuning overflows when cubed: the general
+    branch of the resolvent is cubic in detuning."""
+    half = 0.5 * models["grid"].span_linewidths * models["medium"].gamma_2
+    if not math.isfinite(half * half * half):
+        raise ConfigError(
+            "grid.span_linewidths x medium.gamma_2 must leave the cube of the "
+            f"grid's edge detuning finite, got an edge of {half} rad/s"
+        )
+
+
 def _check_stabilize(models):
     """Refuse records longer than MAX_GRID_POINTS or too short to compare
     the open and closed halves, and a 1/f burn-in longer than
@@ -635,20 +647,20 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 def _run_imports(config):
     """The modules beyond those of import rydsag.cli that a run of this
     config imports on first use, which load_config imports first, so that
-    their import time counts as set-up, not as run time: scipy.special for
-    the Gauss-Hermite rule of the Doppler average, which finds its nodes
-    with scipy.linalg and brings numpy.ma; numpy.random for the drift and
-    detector noise of stabilize and heterodyne; numpy.fft for the
-    heterodyne Welch spectrum and concurrent.futures.thread for its
-    sweep's thread pool.  No other run loads scipy, numpy.ma or
-    concurrent.futures."""
+    their import time counts as set-up, not as run time: numpy.random for
+    the drift and detector noise of stabilize and heterodyne, numpy.fft for
+    the Kramers-Kronig check of spectrum and the Welch spectrum of
+    heterodyne, and concurrent.futures.thread for the heterodyne sweep's
+    thread pool.  No run loads scipy or numpy.ma: the Doppler average reads
+    its Gauss-Hermite rules from the package's gauss_hermite.npy, and
+    np.load needs nothing that import numpy has not loaded."""
     modules = []
-    if config.get("medium", {}).get("doppler_enabled"):
-        modules += ["scipy.special", "scipy.linalg"]
     if config["experiment"] in ("stabilize", "heterodyne"):
         modules.append("numpy.random")
+    if config["experiment"] in ("spectrum", "heterodyne"):
+        modules.append("numpy.fft")
     if config["experiment"] == "heterodyne":
-        modules += ["numpy.fft", "concurrent.futures.thread"]
+        modules.append("concurrent.futures.thread")
     return modules
 
 
@@ -680,8 +692,6 @@ def run(config, models, out_dir, seed):
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    if any(module.split(".")[0] == "scipy" for module in _run_imports(config)):
-        versions["scipy"] = importlib.import_module("scipy").__version__
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_json(
         manifest_path,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -210,12 +211,32 @@ def susceptibility_spectrum(params, grid):
 
 
 @functools.cache
-def _gauss_hermite(n):
-    """Read-only Gauss-Hermite nodes and weights, computed once per ``n``."""
-    # imported here so that only Doppler-averaged runs load scipy.special
-    from scipy.special import roots_hermite
+def _gauss_hermite_table():
+    """The packaged half rules, read once per process."""
+    return np.load(os.path.join(os.path.dirname(__file__), "gauss_hermite.npy"))
 
-    nodes, weights = roots_hermite(n)
+
+@functools.cache
+def _gauss_hermite(n):
+    """Read-only Gauss-Hermite nodes and weights of the ``n``-node rule,
+    built once per ``n`` for n = GH_NODES_START, 2 GH_NODES_START, ...,
+    GH_NODES_MAX.
+
+    ``gauss_hermite.npy`` holds ``scipy.special.roots_hermite(n)`` of
+    scipy 1.17.1 for these ten n, as their nonnegative halves: row 0 the
+    nodes and row 1 the weights ``[n//2:]``, concatenated in ladder order,
+    one (2, 32736) float64 array.  Those rules are exactly antisymmetric
+    in the nodes and symmetric in the weights, so the mirrored half gives
+    them back bit for bit.  The file was written by::
+
+        rules = [roots_hermite(64 << k) for k in range(10)]
+        np.save(path, np.array([np.concatenate([r[i][len(r[i]) // 2:]
+                                                for r in rules]) for i in (0, 1)]))
+    """
+    start = (n - GH_NODES_START) // 2
+    half_x, half_w = _gauss_hermite_table()[:, start:start + n // 2]
+    nodes = np.concatenate((-half_x[::-1], half_x))
+    weights = np.concatenate((half_w[::-1], half_w))
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -225,9 +246,10 @@ def doppler_average(params, delta_p):
     """Thermal-ensemble susceptibility via adaptive Gauss-Hermite quadrature.
 
     Node count doubles from 64 until successive levels agree to ``GH_RTOL``,
-    raising an accuracy error past 32768 nodes.  Narrow-line warm vapors
-    legitimately exhaust the ladder: their velocity integrand varies on a
-    scale far below the node spacing.
+    raising an accuracy error past 32768 nodes.  The rules are scipy's,
+    read from the package's table (``_gauss_hermite``).  Narrow-line warm
+    vapors legitimately exhaust the ladder: their velocity integrand varies
+    on a scale far below the node spacing.
     """
     if not params.doppler_enabled:
         raise InvalidParameterError(

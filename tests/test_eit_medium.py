@@ -345,10 +345,31 @@ def test_cached_rules_give_the_uncached_ladder_bit_for_bit(monkeypatch):
     medium = params(**DOPPLER_BROAD)
     grid = detuning_grid(medium, 40.0, 128)[::16]
     cached = [doppler_average(medium, dp) for dp in grid]
-    monkeypatch.setattr(eit_medium, "_gauss_hermite", roots_hermite)
+    monkeypatch.setattr(eit_medium, "_gauss_hermite", eit_medium._gauss_hermite.__wrapped__)
     fresh = [doppler_average(medium, dp) for dp in grid]
     assert len(grid) == 8
     assert cached == fresh
+
+
+def test_packaged_rules_are_scipys():
+    # gauss_hermite.npy holds the nonnegative halves of
+    # scipy.special.roots_hermite(n) of scipy 1.17.1, to which the mirrored
+    # rules are equal bit for bit; the tolerance lets another scipy differ
+    # in its last digits.  Weights below 1e-300 weigh nothing
+    table = eit_medium._gauss_hermite_table()
+    assert table.dtype == np.float64 and table.shape == (2, 32736)
+    n, halves = eit_medium.GH_NODES_START, 0
+    while n <= eit_medium.GH_NODES_MAX:
+        nodes, weights = eit_medium._gauss_hermite(n)
+        reference = roots_hermite(n)
+        np.testing.assert_allclose(nodes, reference[0], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(weights, reference[1], rtol=1e-13, atol=1e-300)
+        assert nodes.size == n and np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert math.fsum(weights) == pytest.approx(math.sqrt(math.pi), rel=2e-15)
+        halves += n // 2
+        n *= 2
+    assert halves == table.shape[1]
 
 
 def test_cached_rules_are_shared_and_read_only():
