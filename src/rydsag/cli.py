@@ -1,11 +1,14 @@
 """Command-line runner: config loading, dispatch and result emission.
 
 Experiments are described by a single JSON config with strict unknown-key
-rejection; every run writes its data files plus a manifest (full config
-echo, seed, package versions, wall time) into one output directory.  The
+rejection.  Each experiment's runner computes its data files and returns
+them by name; `run` alone writes them, then a manifest (full config echo,
+seed, package versions, wall time) into one output directory.  The
 versions are those of rydsag, Python and numpy: no run loads scipy.
 Errors are serialized as machine-readable JSON on stdout with a nonzero
-exit status.  Validation builds every section's model, each of which
+exit status, an output that cannot be written as an `io` error; a reader
+that closes stdout early ends the command with exit status 1 and no
+traceback.  Validation builds every section's model, each of which
 checks its own ranges, so a config that `validate` accepts fails in
 `simulate` only on something the run computes (README.md names the known
 exceptions).
@@ -57,6 +60,7 @@ from .errors import (
     ConfigError,
     GridPolicyError,
     InvalidParameterError,
+    OutputError,
     SimulationError,
     UnresolvedSplittingError,
     check_ranges,
@@ -118,9 +122,6 @@ def _schema_for(experiment):
     schema = {"experiment": experiment, "seed": 0, "output_dir": ""}
     for name, section in _EXPERIMENTS[experiment][1].items():
         schema[name] = _plain(section)
-    if "heterodyne" in schema:
-        # the runner's option: compare both readouts, or run the configured one
-        schema["heterodyne"]["compare"] = True
     return schema
 
 
@@ -215,15 +216,16 @@ def load_config(path):
         raise ConfigError("config needs an 'experiment' string key")
     config = _merge(_schema_for(experiment), raw)
     _check_seed(config["seed"])
+    _, sections, check, imports = _EXPERIMENTS[experiment]
     models = {
         name: _model(section, config[name], name)
-        for name, section in _EXPERIMENTS[experiment][1].items()
+        for name, section in sections.items()
     }
-    if experiment == "stabilize":
-        _check_stabilize(models)
-    elif experiment == "spectrum":
-        _check_spectrum(models)
-    for module in _run_imports(config):
+    if check:
+        check(models)
+    # the modules the run imports on first use are imported here, so that
+    # their import time counts as set-up, not as run time
+    for module in imports:
         importlib.import_module(module)
     return config, models
 
@@ -248,8 +250,7 @@ def _tuples(value):
 
 def _model(cls, block, path):
     """The dataclass cls built from its checked config section: lists
-    become tuples, and a nested object becomes its field's dataclass.
-    Keys that are not fields, such as heterodyne.compare, are skipped."""
+    become tuples, and a nested object becomes its field's dataclass."""
     kwargs = {}
     for field in fields(cls):
         value = block[field.name]
@@ -340,6 +341,14 @@ class PointerRun(Pointer):
 
 
 @dataclass(frozen=True)
+class HeterodyneRun(HeterodyneConfig):
+    """The heterodyne experiment's drive and readout, and whether it
+    compares both readouts or runs the configured one alone."""
+
+    compare: bool = True
+
+
+@dataclass(frozen=True)
 class Loop:
     """The stabilize record: its duration and loop-on time in s, the
     which-path pointer's phase phi_f and its centered BeamPointer ``beam``
@@ -360,11 +369,12 @@ class Loop:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each takes the echo and the models of load_config and
-# returns the list of files written)
+# experiment runners (each takes the models of load_config and the seed, and
+# returns its files by name in the order run writes them: a CSV file as its
+# (header, columns), a JSON file as its payload)
 
 
-def _run_spectrum(config, models, out_dir, seed):
+def _run_spectrum(models, seed):
     medium, grid = models["medium"], models["grid"]
     spectrum = susceptibility_spectrum(
         medium, detuning_grid(medium, grid.span_linewidths, grid.points))
@@ -389,39 +399,31 @@ def _run_spectrum(config, models, out_dir, seed):
         delta_phi,
         delta_beta,
     )
-    csv_path = os.path.join(out_dir, "spectrum.csv")
-    write_csv(
-        csv_path,
-        ("delta_p_hz", "re_chi", "im_chi", "delta_phi_rad", "delta_beta"),
-        columns,
-    )
-    report_path = os.path.join(out_dir, "report.json")
-    write_json(
-        report_path,
-        {
+    return {
+        "spectrum.csv": (
+            ("delta_p_hz", "re_chi", "im_chi", "delta_phi_rad", "delta_beta"),
+            columns,
+        ),
+        "report.json": {
             "kk_residual": residual,
             "at_splitting_hz": f_at,
             "points": len(spectrum),
             "span_linewidths": grid.span_linewidths,
             "notes": notes,
         },
-    )
-    return [csv_path, report_path]
+    }
 
 
-def _run_pointer(config, models, out_dir, seed):
+def _run_pointer(models, seed):
     pointer = models["pointer"]
     centroid, eta, p_post = closed_readout(
         pointer.delta_phi, pointer.delta_beta, pointer.angle, pointer.k, pointer.w
     )
     profile = np.abs(final_wavefunction(
         pointer.pre, pointer.post, pointer.coupling, pointer.beam)) ** 2
-    csv_path = os.path.join(out_dir, "profile.csv")
-    write_csv(csv_path, ("x_m", "intensity"), (pointer.beam.grid, profile))
-    json_path = os.path.join(out_dir, "readout.json")
-    write_json(
-        json_path,
-        {
+    return {
+        "profile.csv": (("x_m", "intensity"), (pointer.beam.grid, profile)),
+        "readout.json": {
             "delta_phi": pointer.delta_phi,
             "delta_beta": pointer.delta_beta,
             "k": pointer.k,
@@ -430,8 +432,7 @@ def _run_pointer(config, models, out_dir, seed):
             "eta": eta,
             "p_post": p_post,
         },
-    )
-    return [csv_path, json_path]
+    }
 
 
 def _check_spectrum(models):
@@ -474,7 +475,7 @@ def _check_stabilize(models):
         )
 
 
-def _run_stabilize(config, models, out_dir, seed):
+def _run_stabilize(models, seed):
     pid, loop = models["pid"], models["loop"]
     trace = simulate_closed_loop_detailed(
         pid, models["drift"], loop.duration, loop.loop_on_at, seed,
@@ -484,17 +485,13 @@ def _run_stabilize(config, models, out_dir, seed):
     # time column
     ts, pid_output = trace.ts, trace.pid_output
     del trace
-    csv_path = os.path.join(out_dir, "timeseries.csv")
-    write_csv(
-        csv_path,
-        ("t_s", "eta_con", "pid_output"),
-        (ts.times(), ts.samples, pid_output),
-    )
-    report_path = os.path.join(out_dir, "report.json")
     phase_dev_rad = equivalent_phase_deviation(std_closed, loop.readout_kick, loop.beam_w)
-    write_json(
-        report_path,
-        {
+    return {
+        "timeseries.csv": (
+            ("t_s", "eta_con", "pid_output"),
+            (ts.times(), ts.samples, pid_output),
+        ),
+        "report.json": {
             "std_open": std_open,
             "std_closed": std_closed,
             "ratio": ratio,
@@ -503,8 +500,7 @@ def _run_stabilize(config, models, out_dir, seed):
             "loop_on_at_s": loop.loop_on_at,
             "duration_s": loop.duration,
         },
-    )
-    return [csv_path, report_path]
+    }
 
 
 def _noise_floor_db(sweep):
@@ -514,17 +510,16 @@ def _noise_floor_db(sweep):
     return 10.0 * math.log10(median(floors))
 
 
-def _scheme_files(out_dir, scheme, sweep, fit):
+def _scheme_files(scheme, sweep, fit):
     points = {
         "e_vpercm": sweep.e_signal / _V_PER_M_PER_V_PER_CM,
         "beat_db": sweep.beat_db,
         "snr_db": sweep.snr_db,
         "peak_freq_hz": sweep.peak_freq_hz,
     }
-    json_path = os.path.join(out_dir, f"sensitivity_{scheme}.json")
-    write_json(
-        json_path,
-        {
+    header = ("e_vpercm", "beat_db", "snr_db")
+    return {
+        f"sensitivity_{scheme}.json": {
             "scheme": scheme,
             "points": [dict(zip(points, row)) for row in zip(*points.values())],
             "e_min_vpercm": fit.e_min / _V_PER_M_PER_V_PER_CM,
@@ -535,11 +530,8 @@ def _scheme_files(out_dir, scheme, sweep, fit):
             },
             "noise_floor_db": _noise_floor_db(sweep),
         },
-    )
-    csv_path = os.path.join(out_dir, f"sweep_{scheme}.csv")
-    header = ("e_vpercm", "beat_db", "snr_db")
-    write_csv(csv_path, header, [points[name] for name in header])
-    return [json_path, csv_path]
+        f"sweep_{scheme}.csv": (header, [points[name] for name in header]),
+    }
 
 
 def _usable_cpus():
@@ -549,49 +541,37 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _run_heterodyne(config, models, out_dir, seed):
+def _run_heterodyne(models, seed):
     from concurrent.futures import ThreadPoolExecutor
 
-    compare = config["heterodyne"]["compare"]
     hetero = models["heterodyne"]
     section = models["pointer"]
     pointer = PointerSetup(
         post=PostSelection(math.pi / 4), coupling=section.coupling, beam=section.beam)
 
-    sweep = scheme_comparison if compare else sensitivity_sweep
+    sweep = scheme_comparison if hetero.compare else sensitivity_sweep
     workers = min(_usable_cpus(), len(hetero.e_signal))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         result = sweep(
             hetero, models["medium"], pointer, models["detector"], seed, map_fn=pool.map
         )
 
-    if not compare:
-        return _scheme_files(
-            out_dir, hetero.readout, result, min_detectable_field(result)
-        )
-    written = _scheme_files(
-        out_dir, "dispersion", result.points_dispersion, result.dispersion
-    )
-    written += _scheme_files(
-        out_dir, "amplitude", result.points_amplitude, result.amplitude
-    )
-    comparison_path = os.path.join(out_dir, "comparison.json")
-    write_json(
-        comparison_path,
-        {
+    if not hetero.compare:
+        return _scheme_files(hetero.readout, result, min_detectable_field(result))
+    return {
+        **_scheme_files("dispersion", result.points_dispersion, result.dispersion),
+        **_scheme_files("amplitude", result.points_amplitude, result.amplitude),
+        "comparison.json": {
             "delta_sensitivity_db": result.delta_sensitivity_db,
             "delta_min_field_db": result.delta_min_field_db,
             "delta_min_field_db_power": result.delta_min_field_db_power,
-            "e_min_vpercm_dispersion": result.dispersion.e_min
-            / _V_PER_M_PER_V_PER_CM,
-            "e_min_vpercm_amplitude": result.amplitude.e_min
-            / _V_PER_M_PER_V_PER_CM,
+            "e_min_vpercm_dispersion": result.dispersion.e_min / _V_PER_M_PER_V_PER_CM,
+            "e_min_vpercm_amplitude": result.amplitude.e_min / _V_PER_M_PER_V_PER_CM,
         },
-    )
-    return written + [comparison_path]
+    }
 
 
-def _run_calibrate(config, models, out_dir, seed):
+def _run_calibrate(models, seed):
     block = models["calibrate"]
     result = _calibration_curve(block.powers_w, block.horn_factor, models["medium"],
                                 dipole_mw=block.dipole_mw, points=block.points)
@@ -603,65 +583,46 @@ def _run_calibrate(config, models, out_dir, seed):
         result.e_recovered,
         result.resolved,
     )
-    csv_path = os.path.join(out_dir, "calibration.csv")
-    write_csv(csv_path, header, columns)
-    json_path = os.path.join(out_dir, "calibration.json")
-    write_json(
-        json_path,
-        {
+    return {
+        "calibration.csv": (header, columns),
+        "calibration.json": {
             "slope": result.slope,
             "r_squared": result.r_squared,
             "horn_factor": block.horn_factor,
             "entries": [dict(zip(header, row)) for row in zip(*columns)],
         },
-    )
-    return [csv_path, json_path]
+    }
 
 
-def _run_limits(config, models, out_dir, seed):
-    json_path = os.path.join(out_dir, "limits.json")
-    write_json(json_path, limits_report(models["limits"]))
-    return [json_path]
+def _run_limits(models, seed):
+    return {"limits.json": limits_report(models["limits"])}
 
 
-# Each experiment's runner and config sections, in schema order.  A section
-# is a model dataclass, whose field defaults are its schema and which
-# load_config builds.
+# Each experiment's runner; its config sections in schema order, each a model
+# dataclass whose field defaults are its schema and which load_config builds;
+# the check across those sections, if any; and the modules beyond those of
+# import rydsag.cli that its run imports: numpy.random for the drift and
+# detector noise, numpy.fft for the Kramers-Kronig check and the Welch
+# spectrum, and the heterodyne sweep's thread pool.  No run loads scipy or
+# numpy.ma: the Doppler average reads its Gauss-Hermite rules with np.load.
 _EXPERIMENTS = {
-    "spectrum": (_run_spectrum, {"medium": LadderSystemParams, "grid": Grid}),
-    "pointer": (_run_pointer, {"pointer": PointerRun}),
-    "stabilize": (_run_stabilize, {"pid": PidParams, "drift": DriftModel, "loop": Loop}),
+    "spectrum": (_run_spectrum, {"medium": LadderSystemParams, "grid": Grid},
+                 _check_spectrum, ("numpy.fft",)),
+    "pointer": (_run_pointer, {"pointer": PointerRun}, None, ()),
+    "stabilize": (_run_stabilize, {"pid": PidParams, "drift": DriftModel, "loop": Loop},
+                  _check_stabilize, ("numpy.random",)),
     "heterodyne": (_run_heterodyne, {
         "medium": LadderSystemParams,
         "detector": DetectorParams,
         "pointer": Pointer,
-        "heterodyne": HeterodyneConfig,
-    }),
-    "calibrate": (_run_calibrate, {"medium": LadderSystemParams, "calibrate": Calibrate}),
-    "limits": (_run_limits, {"limits": LimitInputs}),
+        "heterodyne": HeterodyneRun,
+    }, None, ("numpy.random", "numpy.fft", "concurrent.futures.thread")),
+    "calibrate": (_run_calibrate, {"medium": LadderSystemParams, "calibrate": Calibrate},
+                  None, ()),
+    "limits": (_run_limits, {"limits": LimitInputs}, None, ()),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
-
-
-def _run_imports(config):
-    """The modules beyond those of import rydsag.cli that a run of this
-    config imports on first use, which load_config imports first, so that
-    their import time counts as set-up, not as run time: numpy.random for
-    the drift and detector noise of stabilize and heterodyne, numpy.fft for
-    the Kramers-Kronig check of spectrum and the Welch spectrum of
-    heterodyne, and concurrent.futures.thread for the heterodyne sweep's
-    thread pool.  No run loads scipy or numpy.ma: the Doppler average reads
-    its Gauss-Hermite rules from the package's gauss_hermite.npy, and
-    np.load needs nothing that import numpy has not loaded."""
-    modules = []
-    if config["experiment"] in ("stabilize", "heterodyne"):
-        modules.append("numpy.random")
-    if config["experiment"] in ("spectrum", "heterodyne"):
-        modules.append("numpy.fft")
-    if config["experiment"] == "heterodyne":
-        modules.append("concurrent.futures.thread")
-    return modules
 
 
 # ---------------------------------------------------------------------------
@@ -677,33 +638,48 @@ def _resolve_output_dir(config, cli_dir):
     return config.get("output_dir") or "."
 
 
+def _output(path, write, *args):
+    """write(path, *args); an OSError becomes an OutputError naming path."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise OutputError(f"cannot write output {path}: {exc}") from exc
+
+
 def run(config, models, out_dir, seed):
-    """Run one config with its models, as load_config returns them; returns
-    the manifest path."""
+    """Run one config with its models, as load_config returns them, and
+    write the runner's files into out_dir in its order, then the manifest;
+    returns the manifest path.  An earlier run's manifest is removed before
+    the runner starts, so a run that fails leaves none."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     experiment = config["experiment"]
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if os.path.lexists(manifest_path):
+        _output(manifest_path, os.remove)
     started = time.perf_counter()
-    written = _EXPERIMENTS[experiment][0](config, models, out_dir, seed)
+    files = _EXPERIMENTS[experiment][0](models, seed)
+    for name, payload in files.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
+            _output(path, write_csv, *payload)
+        else:
+            _output(path, write_json, payload)
     versions = {
         "rydsag": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    write_json(
-        manifest_path,
-        {
-            "experiment": experiment,
-            "config": config,
-            "seed": seed,
-            "versions": versions,
-            "wall_time_s": time.perf_counter() - started,
-            "outputs": [os.path.basename(p) for p in written],
-        },
-    )
+    _output(manifest_path, write_json, {
+        "experiment": experiment,
+        "config": config,
+        "seed": seed,
+        "versions": versions,
+        "wall_time_s": time.perf_counter() - started,
+        "outputs": list(files),
+    })
     return manifest_path
 
 
@@ -727,6 +703,20 @@ def main(argv=None):
     sch.add_argument("experiment")
 
     args = parser.parse_args(argv)
+    try:
+        status = _command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: as the signal module's docs advise, the
+        # rest of the output goes to devnull, so that the flush at exit
+        # raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _command(args):
+    """Run the parsed subcommand; returns its exit status."""
     try:
         if args.command == "schema":
             print(json.dumps(sanitize(_schema_for(args.experiment)), indent=2,

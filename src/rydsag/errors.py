@@ -67,6 +67,12 @@ class ConfigError(SimulationError):
     category = "config"
 
 
+class OutputError(SimulationError):
+    """An output file could not be written."""
+
+    category = "io"
+
+
 class RegimeWarning(UserWarning):
     """Inputs left a validated approximation regime; results may degrade."""
 

@@ -527,7 +527,8 @@ def quadrature_oracle(pre, post, coupling, beam):
     Integrates |Phi(x)|^2 adaptively (relative tolerance 1e-13 per
     sign-definite piece) for the total power, the left/right partition and
     the first moment.  Handles arbitrary delta_beta and analyzer angle;
-    this is the test oracle the closed forms are validated against.
+    this is the test oracle the closed forms are validated against.  It
+    needs scipy, which the package's ``test`` extra installs.
     """
     imbalance_sq, cross, dphi = map(
         float, _interference(pre.delta_phi, pre.delta_beta, post.angle)

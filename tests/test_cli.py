@@ -17,6 +17,7 @@ from rydsag.cli import EXPERIMENTS, MAX_GRID_POINTS, load_config, main
 from rydsag.errors import ConfigError
 
 DATA = pathlib.Path(__file__).parent / "data"
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 FAST_HETERODYNE = {
     "experiment": "heterodyne",
@@ -279,6 +280,59 @@ def test_uncreatable_output_dir_is_config_error(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert error["category"] == "config"
     assert str(blocker) in error["message"]
+
+
+def test_unwritable_output_is_io_error(tmp_path, capsys):
+    # a directory where an output file goes used to end in an
+    # IsADirectoryError traceback
+    cfg = write_config(tmp_path, {"experiment": "limits"})
+    out_dir = tmp_path / "o"
+    (out_dir / "limits.json").mkdir(parents=True)
+    code = main(["simulate", cfg, "--output-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out.count("\n") == 1 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["category"] == "io"
+    assert error["message"].startswith(f"cannot write output {out_dir / 'limits.json'}: ")
+
+
+def test_failed_run_leaves_no_manifest(tmp_path, capsys):
+    # an earlier run's manifest is removed before the runner starts
+    cfg = write_config(tmp_path, {"experiment": "limits"})
+    out_dir = tmp_path / "o"
+    (out_dir / "limits.json").mkdir(parents=True)
+    (out_dir / "manifest.json").write_text("{}", encoding="utf-8")
+    code, out = run_cli(capsys, "simulate", cfg, "--output-dir", str(out_dir))
+    assert code == 1 and json.loads(out)["error"]["category"] == "io"
+    assert not (out_dir / "manifest.json").exists()
+    # a manifest that cannot be removed fails the run before it starts
+    (out_dir / "limits.json").rmdir()
+    (out_dir / "manifest.json").mkdir()
+    code, out = run_cli(capsys, "simulate", cfg, "--output-dir", str(out_dir))
+    assert code == 1 and json.loads(out)["error"]["category"] == "io"
+    assert str(out_dir / "manifest.json") in json.loads(out)["error"]["message"]
+    assert not (out_dir / "limits.json").exists()
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_manifest_lists_the_files_in_the_order_written(config, tmp_path, capsys, monkeypatch):
+    # run writes the runner's files in its order, then the manifest, and
+    # the manifest lists exactly the other files of the directory
+    written = []
+
+    def recording(write):
+        def spy(path, *args):
+            written.append(os.path.basename(path))
+            return write(path, *args)
+        return spy
+
+    monkeypatch.setattr(cli, "write_csv", recording(cli.write_csv))
+    monkeypatch.setattr(cli, "write_json", recording(cli.write_json))
+    out_dir = tmp_path / "o"
+    assert run_cli(capsys, "simulate", str(config), "--output-dir", str(out_dir))[0] == 0
+    outputs = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+    assert written == outputs + ["manifest.json"]
+    assert sorted(os.listdir(out_dir)) == sorted(written)
 
 
 def test_output_dir_precedence(tmp_path, capsys, monkeypatch):
@@ -606,20 +660,46 @@ def test_burn_in_longer_than_the_cap_is_refused(tmp_path, capsys):
         "experiment": "stabilize", "drift": {"corner_hz": 0.05}}))[1]["drift"].corner_hz == 0.05
 
 
-def _python(code, *argv):
-    """stdout of a fresh interpreter running code on this package: the
-    oracle tests import scipy modules into this one."""
+def _package_env():
+    """The environment of a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(rydsag.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _python(code, *argv):
+    """stdout of a fresh interpreter running code on this package: the
+    oracle tests import scipy modules into this one."""
     result = subprocess.run(
         [sys.executable, "-c", code, *argv],
-        env=env,
+        env=_package_env(),
         capture_output=True,
         text=True,
         check=True,
     )
     return result.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["schema", "heterodyne"],
+    ["validate", "configs/heterodyne.json"],
+    ["simulate", "configs/pointer.json", "--output-dir", "{tmp}"],
+])
+def test_closed_stdout_exits_1_without_traceback(argv, tmp_path):
+    # a reader that closes stdout at once used to end the command in a
+    # BrokenPipeError traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "rydsag.cli", *(a.format(tmp=tmp_path) for a in argv)],
+            cwd=CONFIGS.parent, env=_package_env(), stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""
 
 
 # packages that only some runs load: scipy, and with it numpy.ma, for a
