@@ -1,17 +1,21 @@
 """Command-line runner: config loading, dispatch and result emission.
 
-Experiments are described by a single JSON config with strict unknown-key
-rejection.  Each experiment's runner computes its data files and returns
-them by name; `run` alone writes them, then a manifest (full config echo,
-seed, package versions, wall time) into one output directory.  The
-versions are those of rydsag, Python and numpy: no run loads scipy.
-Errors are serialized as machine-readable JSON on stdout with a nonzero
-exit status, an output that cannot be written as an `io` error; a reader
-that closes stdout early ends the command with exit status 1 and no
-traceback.  Validation builds every section's model, each of which
-checks its own ranges, so a config that `validate` accepts fails in
-`simulate` only on something the run computes (README.md names the known
-exceptions).
+Experiments are described by a single JSON config, which `load_config`
+reads in one walk: each key given is checked against its model field's
+default (an unknown key is refused by its dotted path), and each section
+is built as its model, which checks its own ranges; so a config that
+`validate` accepts fails in `simulate` only on something the run computes
+(README.md names the known exceptions).  The config echo is the models'
+fields, the config as the run read it: `validate` prints it, the manifest
+holds it, and `schema` prints the same over the model classes' defaults.
+Each experiment's runner computes its data files and returns them by
+name; `run` alone writes them, then a manifest (config echo, seed,
+package versions, wall time) into one output directory.  The versions
+are those of rydsag, Python and numpy: no run loads scipy.  Errors are
+serialized as machine-readable JSON on stdout with a nonzero exit status:
+2 for a command-line usage error, 1 for any other, an output that cannot
+be written as an `io` error; a reader that closes stdout early ends the
+command with exit status 1 and no traceback.
 
 Subcommands:
   simulate <config> [--output-dir D] [--seed N]
@@ -33,7 +37,6 @@ then the working directory.
 from __future__ import annotations
 
 import argparse
-import copy
 import importlib
 import json
 import math
@@ -103,100 +106,95 @@ OUTPUT_DIR_ENV = "RYDSAG_OUTPUT_DIR"
 _V_PER_M_PER_V_PER_CM = 100.0
 
 
+# the JSON name of each type that json.load returns
+_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
+
+# what a value must be to replace a scalar default of each type
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
 def _plain(value):
     """A model's fields, or a model class's defaults, as config data:
-    nested dataclasses become objects and tuples become lists."""
+    nested dataclasses become objects (tuples print as lists)."""
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
     return value
 
 
-def _schema_for(experiment):
-    if experiment not in _EXPERIMENTS:
+def _echo(experiment, sections, seed=0, output_dir=""):
+    """The config of experiment whose sections are the given models, or
+    model classes for their defaults: what `validate` prints and the
+    manifest holds, and over the classes what `schema` prints."""
+    return {"experiment": experiment, "seed": seed, "output_dir": output_dir,
+            **{name: _plain(section) for name, section in sections.items()}}
+
+
+def _experiment(name):
+    """The _EXPERIMENTS row of the named experiment."""
+    if name not in _EXPERIMENTS:
         raise ConfigError(
-            f"unknown experiment {experiment!r}; expected one of "
-            + ", ".join(EXPERIMENTS)
+            f"unknown experiment {name!r}; expected one of " + ", ".join(EXPERIMENTS)
         )
-    schema = {"experiment": experiment, "seed": 0, "output_dir": ""}
-    for name, section in _EXPERIMENTS[experiment][1].items():
-        schema[name] = _plain(section)
-    return schema
+    return _EXPERIMENTS[name]
 
 
-def _type_label(value):
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "list"
-    if isinstance(value, dict):
-        return "object"
-    return type(value).__name__
-
-
-def _merge(schema, supplied, path=""):
-    """Defaults overlaid with user values; unknown keys rejected by path."""
+def _read(defaults, supplied, path):
+    """The values of the config object supplied at path, each checked
+    against its key's entry in defaults; an unknown key is refused by its
+    dotted path."""
     if not isinstance(supplied, dict):
         raise ConfigError(
-            f"config section {path or '<root>'} must be an object, "
-            f"got {_type_label(supplied)}"
+            f"config section {path} must be an object, got {_JSON_TYPES[type(supplied)]}"
         )
-    merged = copy.deepcopy(schema)
+    values = {}
     for key, value in supplied.items():
         full = f"{path}.{key}" if path else key
-        if key not in schema:
+        if key not in defaults:
             raise ConfigError(f"unknown config key: {full}")
-        merged[key] = _checked(schema[key], value, full)
-    return merged
+        values[key] = _checked(defaults[key], value, full)
+    return values
 
 
 def _checked(default, value, path, nested=False):
-    """Return a user value after checking it against its default's type.
-
-    List elements follow the default's first element; a list inside a list
-    (a frequency/amplitude pair) must also keep the default's length.
-    """
-    if isinstance(default, dict):
-        return _merge(default, value, path)
-    if isinstance(default, list):
+    """A user value checked against its default's type, as its model takes
+    it.  An object is read into the default's dataclass (a model class, or
+    the default instance of a nested model) and built; a list becomes a
+    tuple whose elements follow the default's first element, and a list
+    inside a list (a frequency/amplitude pair) must also keep the default's
+    length."""
+    if is_dataclass(default):
+        cls = default if isinstance(default, type) else type(default)
+        given = _read({f.name: getattr(cls, f.name) for f in fields(cls)}, value, path)
+        return _built(path, cls, **given)
+    if isinstance(default, tuple):
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be a list")
         if nested and len(value) != len(default):
             raise ConfigError(f"{path} must have {len(default)} entries")
-        return [
+        return tuple(
             _checked(default[0], item, f"{path}[{index}]", nested=True)
             for index, item in enumerate(value)
-        ]
-    if isinstance(default, bool):
-        valid, kind = isinstance(value, bool), "a boolean"
-    elif isinstance(default, int):
-        valid, kind = type(value) is int, "an integer"
-    elif isinstance(default, float):
-        valid, kind = type(value) in (int, float), "a number"
+        )
+    kind = type(default)
+    if kind is float and type(value) is int:
         # an integer past the largest float overflows in the first float
         # operation on it
-        if type(value) is int and abs(value) > sys.float_info.max:
+        if abs(value) > sys.float_info.max:
             raise ConfigError(
                 f"{path} must lie within the float range, got an integer of "
                 f"{len(str(abs(value)))} digits"
             )
-    elif isinstance(default, str):
-        valid, kind = isinstance(value, str), "a string"
-    else:
-        raise ConfigError(f"{path} has an unsupported schema type")
-    if not valid:
-        raise ConfigError(f"{path} must be {kind}")
+    elif type(value) is not kind:
+        raise ConfigError(f"{path} must be {_KINDS[kind]}")
     return value
 
 
 def load_config(path):
-    """Parse and validate a config file and build its sections' models;
-    returns the fully populated echo and the models by section name."""
+    """Parse a config file and read it into its sections' models, each
+    checked and built once; returns the config as the run reads it (the
+    models' fields, as `validate` prints it) and the models by section
+    name."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -214,20 +212,18 @@ def load_config(path):
     experiment = raw.get("experiment")
     if not isinstance(experiment, str):
         raise ConfigError("config needs an 'experiment' string key")
-    config = _merge(_schema_for(experiment), raw)
-    _check_seed(config["seed"])
-    _, sections, check, imports = _EXPERIMENTS[experiment]
-    models = {
-        name: _model(section, config[name], name)
-        for name, section in sections.items()
-    }
+    _, sections, check, imports = _experiment(experiment)
+    given = _read({"experiment": experiment, "seed": 0, "output_dir": "", **sections}, raw, "")
+    seed = given.get("seed", 0)
+    _check_seed(seed)
+    models = {name: given[name] if name in given else cls() for name, cls in sections.items()}
     if check:
         check(models)
     # the modules the run imports on first use are imported here, so that
     # their import time counts as set-up, not as run time
     for module in imports:
         importlib.import_module(module)
-    return config, models
+    return _echo(experiment, models, seed, given.get("output_dir", "")), models
 
 
 def _check_seed(seed):
@@ -242,22 +238,6 @@ def _built(paths, build, *args, **kwargs):
         return build(*args, **kwargs)
     except SimulationError as exc:
         raise type(exc)(f"{paths}: {exc}") from exc
-
-
-def _tuples(value):
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
-
-
-def _model(cls, block, path):
-    """The dataclass cls built from its checked config section: lists
-    become tuples, and a nested object becomes its field's dataclass."""
-    kwargs = {}
-    for field in fields(cls):
-        value = block[field.name]
-        if is_dataclass(field.default):
-            value = _model(type(field.default), value, f"{path}.{field.name}")
-        kwargs[field.name] = _tuples(value)
-    return _built(path, cls, **kwargs)
 
 
 def _check_points(points, least):
@@ -683,8 +663,16 @@ def run(config, models, out_dir, seed):
     return manifest_path
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors, which the
+    command prints as error JSON with exit status 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rydsag",
         description="Deterministic experiment runner for the vapor-cell "
         "microwave receiver simulator.",
@@ -702,9 +690,8 @@ def main(argv=None):
     sch = sub.add_parser("schema", help="print an experiment's config schema")
     sch.add_argument("experiment")
 
-    args = parser.parse_args(argv)
     try:
-        status = _command(args)
+        status = _command(parser, argv)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: as the signal module's docs advise, the
@@ -715,15 +702,18 @@ def main(argv=None):
     return status
 
 
-def _command(args):
-    """Run the parsed subcommand; returns its exit status."""
+def _command(parser, argv):
+    """Parse argv and run its subcommand; returns the exit status, 2 for a
+    usage error and 1 for any other error."""
+    status = 2
     try:
+        args = parser.parse_args(argv)
+        status = 1
         if args.command == "schema":
-            print(json.dumps(sanitize(_schema_for(args.experiment)), indent=2,
-                             sort_keys=True))
-            return 0
-        config, models = load_config(args.config_path)
-        if args.command == "validate":
+            config = _echo(args.experiment, _experiment(args.experiment)[1])
+        else:
+            config, models = load_config(args.config_path)
+        if args.command != "simulate":
             print(json.dumps(sanitize(config), indent=2, sort_keys=True))
             return 0
         seed = config["seed"] if args.seed is None else args.seed
@@ -734,7 +724,7 @@ def _command(args):
         return 0
     except SimulationError as exc:
         print(json.dumps({"error": {"category": exc.category, "message": str(exc)}}))
-        return 1
+        return status
 
 
 if __name__ == "__main__":

@@ -78,6 +78,54 @@ def test_validate_echoes_merged_defaults(tmp_path, capsys):
     assert echoed["pointer"]["w"] == 1.0e-3
 
 
+def test_validate_echoes_the_config_as_the_run_reads_it(tmp_path, capsys):
+    # the echo is the models' fields: the heterodyne model reads integer
+    # amplitudes as floats, so they echo as floats
+    path = write_config(tmp_path, {
+        "experiment": "heterodyne", "heterodyne": {"e_signal": [1, 2, 3]}})
+    code, out = run_cli(capsys, "validate", path)
+    assert code == 0
+    assert [repr(e) for e in json.loads(out)["heterodyne"]["e_signal"]] == ["1.0", "2.0", "3.0"]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_validate_of_the_bare_experiment_prints_its_schema(experiment, tmp_path, capsys):
+    path = write_config(tmp_path, {"experiment": experiment})
+    assert run_cli(capsys, "validate", path) == run_cli(capsys, "schema", experiment)
+
+
+def test_section_of_the_wrong_type_names_its_json_type(tmp_path, capsys):
+    path = write_config(tmp_path, {"experiment": "spectrum", "medium": None})
+    code, out = run_cli(capsys, "validate", path)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "category": "config",
+        "message": "config section medium must be an object, got null",
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "configs/pointer.json", "--seed", "1.5"],
+    ["frobnicate"],
+    ["simulate"],
+    ["validate", "configs/pointer.json", "extra"],
+])
+def test_usage_error_prints_config_error_json_with_status_2(argv, capsys):
+    # these used to print argparse's usage text to stderr, with nothing on
+    # stdout
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "config" and error["message"].startswith("rydsag")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rydsag")
+
+
 def test_unknown_key_reports_dotted_path(tmp_path, capsys):
     path = write_config(
         tmp_path, {"experiment": "spectrum", "medium": {"gamma_9": 1.0}})
@@ -780,7 +828,7 @@ def probed_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("config", _PROBED)
-def test_scipy_loads_during_setup_and_special_only_where_evaluated(probed_run, config):
+def test_no_run_loads_scipy_and_setup_loads_every_run_module(probed_run, config):
     # no run loads a scipy module, the Doppler medium included: its
     # Gauss-Hermite rules come from the package's table.  No run imports a
     # numpy module either: set-up imports the numpy.random and numpy.fft
@@ -804,7 +852,7 @@ def test_only_heterodyne_loads_the_thread_pool_and_no_run_numpy_ma(probed_run, c
 
 
 @pytest.mark.parametrize("config", _PROBED)
-def test_manifest_names_scipy_only_where_the_run_loads_it(probed_run, config):
-    # which no run does, so no manifest names scipy
+def test_manifest_versions_are_rydsag_python_and_numpy(probed_run, config):
+    # no run loads scipy, so no manifest names its version
     _, manifest = probed_run(config)
     assert set(manifest["versions"]) == {"rydsag", "python", "numpy"}
