@@ -56,6 +56,8 @@ from .eit_medium import (
     detuning_grid,
     kk_residual,
     phase_and_absorption,
+    rabi_from_field,
+    splitting_span,
     susceptibility_spectrum,
 )
 from .emit import sanitize, write_csv, write_json
@@ -415,15 +417,36 @@ def _run_pointer(models, seed):
     }
 
 
-def _check_spectrum(models):
+def _check_edge(span_linewidths, medium, keys):
     """Refuse a grid whose edge detuning overflows when cubed: the general
     branch of the resolvent is cubic in detuning."""
-    half = 0.5 * models["grid"].span_linewidths * models["medium"].gamma_2
+    half = 0.5 * span_linewidths * medium.gamma_2
     if not math.isfinite(half * half * half):
         raise ConfigError(
-            "grid.span_linewidths x medium.gamma_2 must leave the cube of the "
-            f"grid's edge detuning finite, got an edge of {half} rad/s"
+            f"{keys} must leave the cube of the grid's edge detuning finite, "
+            f"got an edge of {half} rad/s"
         )
+
+
+def _check_spectrum(models):
+    _check_edge(models["grid"].span_linewidths, models["medium"],
+                "grid.span_linewidths x medium.gamma_2")
+
+
+def _check_calibrate(models):
+    """Refuse a strongest drive whose Rabi frequency overflows, and check
+    the edge of the widest splitting grid, that of the strongest drive."""
+    block, medium = models["calibrate"], models["medium"]
+    omega = rabi_from_field(block.horn_factor * math.sqrt(max(block.powers_w)),
+                            block.dipole_mw)
+    if not math.isfinite(omega):
+        raise ConfigError(
+            "calibrate.horn_factor x the root of the largest calibrate.powers_w x "
+            "calibrate.dipole_mw must leave the strongest drive's Rabi frequency "
+            f"finite, got {omega} rad/s"
+        )
+    _check_edge(splitting_span(medium, omega), medium,
+                "medium.gamma_2 and the strongest drive of calibrate.powers_w")
 
 
 def _check_stabilize(models):
@@ -598,7 +621,7 @@ _EXPERIMENTS = {
         "heterodyne": HeterodyneRun,
     }, None, ("numpy.random", "numpy.fft", "concurrent.futures.thread")),
     "calibrate": (_run_calibrate, {"medium": LadderSystemParams, "calibrate": Calibrate},
-                  None, ()),
+                  _check_calibrate, ()),
     "limits": (_run_limits, {"limits": LimitInputs}, None, ()),
 }
 

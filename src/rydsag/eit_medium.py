@@ -324,14 +324,33 @@ def _spectrum_arrays(spectrum):
     return spectrum.delta_p, spectrum.chi
 
 
+def _fft_length(least):
+    """The smallest 2**a * 3**b >= least, a length pocketfft transforms fast."""
+    lengths, power = [], 1
+    while power < 3 * least:
+        lengths.append(power << (-(-least // power) - 1).bit_length())
+        power *= 3
+    return min(lengths)
+
+
 def kk_residual(spectrum):
     """Dispersion-vs-absorption consistency of a sampled spectrum.
 
-    Reconstructs Re(chi) from Im(chi) with a real-input (``rfft``/``irfft``)
-    discrete Hilbert transform, zero-padded to four times the grid, and
-    returns the max-norm relative residual over the central half of the
+    Reconstructs Re(chi) from Im(chi) with the discrete Hilbert transform
+    of the absorption zero-padded to ``_KK_PAD_FACTOR`` = 4 times the grid,
+    and returns the max-norm relative residual over the central half of the
     grid.  Preconditions: uniform grid of at least 64 points with the
     absorption decayed below 1 percent of its peak at both edges.
+
+    The padded transform is a circular convolution of the absorption a
+    with h[m] = -(2/N) cot(pi m/N) for odd m and 0 for even m, N = 4n.
+    The central half reads only lags |m| < n, which do not wrap, and an
+    odd lag joins samples of opposite parity.  So the parity-split signal
+    z = a[0::2] + i a[1::2] is convolved once with the real kernel
+    k[d] = h[2d - 1], and the result w holds the reconstruction at 2r - 1
+    in Re w[r] and at 2r in Im w[r].  That convolution runs over the lags
+    the central half needs alone, as complex FFTs of a 2**a 3**b length
+    near 3n/4, in place of real ones of length 4n.
     """
     detunings, chi = _spectrum_arrays(spectrum)
     if detunings.size < 64:
@@ -352,16 +371,36 @@ def kk_residual(spectrum):
         )
     n = absorption.size
     padded = _KK_PAD_FACTOR * n
-    # -H[y] <-> i sgn(f) Y; DC and Nyquist (padded is even) carry no sign
-    transform = np.fft.rfft(absorption, padded)
-    transform[0] = 0.0
-    transform[-1] = 0.0
-    transform *= 1j
-    reconstructed = np.fft.irfft(transform, padded, out=np.empty(padded))[:n]
-    del transform
     lo, hi = n // 4, n - n // 4
     scale = float(np.max(np.abs(dispersion[lo:hi])))
-    worst = float(np.max(np.abs(dispersion[lo:hi] - reconstructed[lo:hi])))
+    # w[first + t], t < count, covers the central half and takes the lags
+    # s = t - q of z[q], count + ceil(n/2) - 1 of them; the kernel holds
+    # k[first + s] at s mod size for count - size <= s < count
+    first = (lo + 1) // 2
+    count = hi // 2 - first + 1
+    size = _fft_length(count + (n + 1) // 2 - 1)
+    kernel = np.arange(size, dtype=float)
+    kernel[count:] -= size
+    kernel += first - 0.5
+    kernel *= _TWO_PI / padded
+    np.tan(kernel, out=kernel)
+    np.divide(-2.0 / padded, kernel, out=kernel)
+    # a real kernel's transform past size // 2 mirrors its rfft half, conjugated
+    kernel = np.fft.rfft(kernel)
+    packed = np.zeros(size, dtype=complex)
+    packed.real[:(n + 1) // 2] = absorption[0::2]
+    packed.imag[:n // 2] = absorption[1::2]
+    np.fft.fft(packed, out=packed)
+    half = size // 2
+    packed[:half + 1] *= kernel
+    packed[half + 1:] *= np.conjugate(kernel, out=kernel)[size - half - 1:0:-1]
+    del kernel
+    np.fft.ifft(packed, out=packed)
+    # as floats, w[first:] is the reconstruction from sample 2 first - 1 on
+    start = lo - (2 * first - 1)
+    residual = packed[:count].view(float)[start:start + hi - lo]
+    residual -= dispersion[lo:hi]
+    worst = float(np.max(np.abs(residual, out=residual)))
     if scale == 0.0:
         return 0.0 if worst == 0.0 else math.inf
     return worst / scale
@@ -422,19 +461,25 @@ def field_from_at_splitting(f_at, dipole_mw):
     return constants.h * f_at / dipole_mw
 
 
+def splitting_span(params, omega_mw):
+    """Span in linewidths of the grid that reads the splitting at drive
+    omega_mw: 40, or 3 omega_mw / gamma_2 where that is wider, so a strong
+    drive's dips stay inside the grid."""
+    return max(40.0, 3.0 * omega_mw / params.gamma_2)
+
+
 def splitting_vs_drive(params, omega_mw_values, points=8192):
     """at_splitting swept over microwave drive amplitudes.
 
-    Each drive is read on a grid of ``points`` points over 40 linewidths,
-    or over 3 omega_mw where that is wider, so a strong drive's dips stay
-    inside the grid.  Returns an array of f_at in Hz, one per drive, NaN
+    Each drive is read on a grid of ``points`` points over its
+    ``splitting_span``.  Returns an array of f_at in Hz, one per drive, NaN
     where the transparency window did not resolve into two dips.
     """
     omegas = np.asarray(omega_mw_values, dtype=float)
     f_at = np.full(omegas.shape, math.nan)
     for index, omega in enumerate(omegas.tolist()):
         swept = replace(params, omega_mw=omega)
-        grid = detuning_grid(params, max(40.0, 3.0 * omega / params.gamma_2), points)
+        grid = detuning_grid(params, splitting_span(params, omega), points)
         try:
             f_at[index] = at_splitting(susceptibility_spectrum(swept, grid))
         except UnresolvedSplittingError:

@@ -59,7 +59,9 @@ class LimitInputs:
     derivation (the counts are order-of-magnitude lab quantities).  The
     counts must be finite and >= 0, the other numbers finite and > 0, and
     ``temperature`` within the 250 K to 400 K that the vapor-pressure
-    correlation covers (``DomainError`` outside it).
+    correlation covers (``DomainError`` outside it).  The beam must hold
+    atoms, and t_meas times the root of each atom number must not
+    underflow to 0.
     """
 
     t_meas: float = 1.0
@@ -77,6 +79,19 @@ class LimitInputs:
             positive=("t_meas", "probe_power", "probe_wavelength"),
         )
         _check_temperature(self.temperature)
+        geometry = self.geometry
+        n_beam = cs_number_density(self.temperature) * geometry.beam_volume()
+        if n_beam == 0.0:
+            raise InvalidParameterError(
+                f"geometry.beam_radius {geometry.beam_radius!r} and geometry.length "
+                f"{geometry.length!r} leave the beam no atoms: its atom number "
+                "underflows to 0")
+        # atomic_shot_noise divides by t_meas * sqrt(N), and the bore holds
+        # more atoms than the beam
+        for name, count in (("the beam's atom number", n_beam), ("n_atoms", self.n_atoms)):
+            if count > 0.0 and self.t_meas * math.sqrt(count) == 0.0:
+                raise InvalidParameterError(
+                    f"t_meas {self.t_meas!r} x the root of {name} underflows to 0")
 
 
 # ---------------------------------------------------------------------------

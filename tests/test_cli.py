@@ -157,9 +157,10 @@ def test_integer_beyond_the_float_range_is_config_error(tmp_path, capsys):
         error = json.loads(out)["error"]
         assert error["category"] == "config"
         assert error["message"].startswith(f"{section}.{key} must lie within the float range")
-    # the largest float itself is a number like any other
-    path = write_config(
-        tmp_path, {"experiment": "calibrate", "calibrate": {"horn_factor": 1.0e308}}, "d.json")
+    # the largest float itself is a number like any other; the dipole keeps
+    # the strongest drive's Rabi frequency finite, which validate requires
+    path = write_config(tmp_path, {"experiment": "calibrate", "calibrate": {
+        "horn_factor": 1.0e308, "dipole_mw": 1.0e-300}}, "d.json")
     assert run_cli(capsys, "validate", path)[0] == 0
 
 
@@ -658,6 +659,10 @@ def test_degenerate_phi_f_and_underflowing_squares_exit_with_error_json(
     # an edge detuning whose cube overflows used to run with overflow
     # warnings from the resolvent
     ("spectrum", "grid.span_linewidths", 1.0e300, "grid.span_linewidths x medium.gamma_2 "),
+    # a strongest drive whose Rabi frequency overflows, and a beam whose atom
+    # number underflows to 0, used to fail only in simulate
+    ("calibrate", "calibrate.dipole_mw", 1.0e300, "calibrate.horn_factor x the root of "),
+    ("limits", "limits.geometry.beam_radius", 1.0e-300, "limits: geometry.beam_radius 1e-300 "),
 ])
 @pytest.mark.filterwarnings("error")
 def test_validate_refuses_what_simulate_refuses(
@@ -673,6 +678,11 @@ def test_validate_refuses_what_simulate_refuses(
         block[section] = dict(block.get(section, {}))
         block = block[section]
     block[leaf] = value
+    assert _refusal(tmp_path, capsys, payload)["message"].startswith(prefix)
+
+
+def _refusal(tmp_path, capsys, payload):
+    """The one-line error that validate and simulate both print for payload."""
     cfg = write_config(tmp_path, payload)
     out_dir = tmp_path / "out"
     errors = []
@@ -683,8 +693,31 @@ def test_validate_refuses_what_simulate_refuses(
         assert captured.err == "" and captured.out.count("\n") == 1
         errors.append(json.loads(captured.out)["error"])
     assert errors[0] == errors[1]
-    assert errors[0]["message"].startswith(prefix)
     assert not out_dir.exists()
+    return errors[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_refuses_a_calibration_grid_edge_that_overflows(tmp_path, capsys):
+    # the strongest drive's splitting span, 3 omega_mw / gamma_2, is inf here,
+    # and simulate used to fail in np.linspace with RuntimeWarnings; omega_p
+    # 0 keeps the medium in the weak-probe regime
+    error = _refusal(tmp_path, capsys, {
+        "experiment": "calibrate", "medium": {"gamma_2": 1.0e-300, "omega_p": 0.0}})
+    assert error["message"].startswith("medium.gamma_2 and the strongest drive ")
+
+
+@pytest.mark.parametrize("limits, prefix", [
+    ({"t_meas": 1.0e-300, "geometry": {"beam_radius": 1.0e-150}},
+     "limits: t_meas 1e-300 x the root of the beam's atom number "),
+    ({"t_meas": 1.0e-300, "n_atoms": 5.0e-324}, "limits: t_meas 1e-300 x the root of n_atoms "),
+])
+@pytest.mark.filterwarnings("error")
+def test_validate_refuses_an_atom_noise_floor_that_divides_by_zero(
+        tmp_path, capsys, limits, prefix):
+    # each of these used to end simulate in a ZeroDivisionError traceback
+    error = _refusal(tmp_path, capsys, {"experiment": "limits", "limits": limits})
+    assert error["message"].startswith(prefix)
 
 
 def test_burn_in_longer_than_the_cap_is_refused(tmp_path, capsys):
