@@ -7,7 +7,9 @@ optional common-mode relative-intensity noise, an optional narrowband
 line, and a single-pole bandwidth limit.  Noise is injected in optical
 power units before the eta division, since the physical ratio circuit
 divides noisy photocurrents; this is what makes small post-selected
-powers expensive, as a real weak-value readout finds.
+powers expensive, as a real weak-value readout finds.  One noise draw
+may be read out through several readouts, as a scheme comparison reads
+the same technical noise through both of its schemes.
 """
 
 from __future__ import annotations
@@ -28,16 +30,22 @@ from .errors import InvalidParameterError, RegimeWarning, check_ranges
 # spectrum; a 60 s loop is 600 000 samples) and far below what exhausts
 # memory.
 MAX_GRID_POINTS = 2**21
-# The chain works through a record BLOCK samples at a time, and psd
-# transforms CHUNK segments at a time, so that no temporary is near the
+# The chain works through a record BLOCK samples at a time, and the Welch
+# sum transforms CHUNK segments at a time, so that no temporary is near the
 # size of a record: 128 KiB blocks and, at 2048-sample segments, 0.5 MiB
 # chunks.  A record then peaks at about one record length, or two where
 # the bandwidth filter low-passes a two-channel record.  The medium's
 # spectrum and the CSV writer work BLOCK points or rows at a time too.
 BLOCK = 16_384
 CHUNK = 32
+# The noise is drawn DRAW_BLOCK samples at a time: a comparison's draw
+# holds about nine block-sized arrays (each channel's tiled power and
+# noise deviation, the streamed readout's block and Welch buffer) beside
+# a transform, and half blocks keep its peak below that of drawing each
+# readout's record in turn
+DRAW_BLOCK = BLOCK // 2
 # numpy's pairwise summation adds at most this many values in one leaf,
-# and psd averages its segments in the same order
+# and the Welch sum averages its segments in the same order
 PAIRWISE_LEAF = 128
 
 
@@ -203,21 +211,21 @@ def _bandwidth_filter(x, det, fs):
     return one_pole(x, a, y0=y0)
 
 
-def _blocks(n, period):
-    """(start, stop) ranges of about BLOCK samples that cover n samples.
+def _blocks(n, period, size=BLOCK):
+    """(start, stop) ranges of about ``size`` samples that cover n samples.
 
-    A block holds whole periods when a period fits in BLOCK samples, and
-    a piece of one period otherwise, so that a period tiled
-    max(BLOCK // period, 1) times, read from start % period on, lines up
+    A block holds whole periods when a period fits in ``size`` samples,
+    and a piece of one period otherwise, so that a period tiled
+    max(size // period, 1) times, read from start % period on, lines up
     with every block.
     """
-    if period <= BLOCK:
-        step = BLOCK // period * period
+    if period <= size:
+        step = size // period * period
         return [(start, min(start + step, n)) for start in range(0, n, step)]
     return [
-        (start, min(start + BLOCK, row + period, n))
+        (start, min(start + size, row + period, n))
         for row in range(0, n, period)
-        for start in range(row, min(row + period, n), BLOCK)
+        for start in range(row, min(row + period, n), size)
     ]
 
 
@@ -270,28 +278,47 @@ def sample_timeseries(clean, det, fs, duration, seed):
     channel_readout.  Reproducible from the seed: the RIN factor is drawn
     first, then the line's phase, then each channel's noise in turn.
 
-    Each record is drawn once.  The left channel's record takes over the
-    RIN factor's buffer, and the right channel draws the factor again from
-    a copy of the generator.  Where the filter's pole rounds away (see
-    _pole), the right channel is never stored: each block is clamped and
-    read out into the left record as it is drawn.
+    This is the one-readout case of detected_spectra's draw, with the
+    record kept: the left channel's record takes over the RIN factor's
+    buffer, and the right channel draws the factor again from a copy of
+    the generator.  Where the filter's pole rounds away (see _pole), the
+    right channel is never stored: each block is clamped and read out
+    into the left record as it is drawn.
     """
-    n = _sample_count(fs, duration)
-    if fs > 2.0 * det.bandwidth:
-        warnings.warn(
-            "sample rate exceeds twice the detector bandwidth; the sampled "
-            "record is bandwidth-limited",
-            RegimeWarning,
-            stacklevel=2,
-        )
-    if not isinstance(clean, tuple) or len(clean) not in (1, 2):
-        raise InvalidParameterError(
-            "clean must be a tuple of 1 or 2 channel powers"
-        )
+    return _draw((clean,), det, fs, duration, seed)[0]
+
+
+def detected_spectra(readouts, det, fs, duration, seed, segment_length):
+    """Welch spectra of several readouts of one noise draw: for each
+    ``clean`` tuple in ``readouts``, psd(sample_timeseries(clean, det, fs,
+    duration, seed), segment_length), bit for bit.
+
+    Every readout draws the same normals in the same order, the RIN
+    factor, then the first channel's noise, then the second's, so the
+    draw is made once and each block of it is read out through every
+    readout.  The readouts' channels share one period.  Where the pole
+    rounds away, each spectrum is summed from its readout's blocks as
+    they become final: a one-channel readout's as they are drawn, so its
+    record is never stored, and a two-channel readout's as its right
+    channel is read out into its stored left record.  Otherwise every
+    channel record is stored whole and filtered, and psd sums the
+    readout.  The first stored left record takes over the RIN factor's
+    buffer.
+    """
+    return _draw(readouts, det, fs, duration, seed, segment_length)
+
+
+def _channel_powers(readouts, n):
+    """Each readout's channel powers as float arrays of one shared period."""
+    for clean in readouts:
+        if not isinstance(clean, tuple) or len(clean) not in (1, 2):
+            raise InvalidParameterError(
+                "clean must be a tuple of 1 or 2 channel powers"
+            )
     try:
-        powers = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(p, dtype=float)) for p in clean)
-        )
+        powers = np.broadcast_arrays(*(
+            np.atleast_1d(np.asarray(p, dtype=float)) for clean in readouts for p in clean
+        ))
     except ValueError as exc:
         raise InvalidParameterError("channel powers must share one length") from exc
     period = powers[0].size
@@ -300,9 +327,33 @@ def sample_timeseries(clean, det, fs, duration, seed):
             f"channel powers must be 1-D with 1 to {n} samples, "
             f"got shape {powers[0].shape}"
         )
+    channels = iter(powers)
+    return [tuple(next(channels) for _ in clean) for clean in readouts]
+
+
+def _draw(readouts, det, fs, duration, seed, segment_length=None):
+    """The records of readouts (segment_length None) or their Welch
+    spectra, from one draw; see detected_spectra."""
+    n = _sample_count(fs, duration)
+    if fs > 2.0 * det.bandwidth:
+        warnings.warn(
+            "sample rate exceeds twice the detector bandwidth; the sampled "
+            "record is bandwidth-limited",
+            RegimeWarning,
+            stacklevel=3,
+        )
+    powers = _channel_powers(readouts, n)
+    pole = _pole(det, fs)
+    pairs = [index for index, channels in enumerate(powers) if len(channels) == 2]
+    # where the pole rounds away, each readout's spectrum is summed from its
+    # blocks as they become final, and a one-channel record is never stored
+    welches = [
+        Welch(n, fs, segment_length) if segment_length is not None and pole == 0.0 else None
+        for _ in powers
+    ]
 
     rng = np.random.default_rng(seed)
-    replay = copy.deepcopy(rng) if det.rin > 0.0 and len(powers) == 2 else None
+    replay = copy.deepcopy(rng) if det.rin > 0.0 and pairs else None
     factor = None
     if det.rin > 0.0:
         factor = rng.standard_normal(n)
@@ -311,58 +362,121 @@ def sample_timeseries(clean, det, fs, duration, seed):
     phase = None
     if det.line_amp_w > 0.0 and det.line_freq_hz > 0.0:
         phase = rng.uniform(0.0, 2.0 * math.pi)
-    left = np.empty(n) if factor is None else factor
-    for _ in _channel_blocks(rng, powers[0], det, fs, n, factor, phase, len(powers), left):
-        pass
-    left = _bandwidth_filter(left, det, fs)
-    np.clip(left, 0.0, None, out=left)
-    if len(powers) == 2 and _pole(det, fs) > 0.0:
+
+    # each readout's left record, the first one in the factor's buffer
+    lefts = []
+    for channels, welch in zip(powers, welches):
+        if welch is not None and len(channels) == 1:
+            lefts.append(None)
+        elif factor is not None and not any(left is factor for left in lefts):
+            lefts.append(factor)
+        else:
+            lefts.append(np.empty(n))
+    # the record in the factor's buffer comes last, since it overwrites it;
+    # a left channel waiting for its right one is clamped, and a one-channel
+    # record is clamped and summed, a block at a time
+    order = sorted(
+        range(len(lefts)), key=lambda index: factor is not None and lefts[index] is factor)
+    _draw_channels(rng, factor, phase, det, fs, n, [
+        (powers[index][0], len(powers[index]), lefts[index],
+         None if pole > 0.0 else _reader(welch=welches[index] if index not in pairs else None))
+        for index in order
+    ])
+    if pole > 0.0:
+        for left in lefts:
+            left = _bandwidth_filter(left, det, fs)
+            np.clip(left, 0.0, None, out=left)
+    if pairs:
         # a real low-pass needs the whole right record
-        right = np.empty(n)
-        for _ in _channel_blocks(rng, powers[1], det, fs, n, replay, phase, 2, right):
-            pass
-        right = _bandwidth_filter(right, det, fs)
-        channel_readout((left, np.clip(right, 0.0, None, out=right)))
-    elif len(powers) == 2:
-        for start, stop, x in _channel_blocks(rng, powers[1], det, fs, n, replay, phase, 2):
-            channel_readout((left[start:stop], np.clip(x, 0.0, None, out=x)))
-    return TimeSeries(fs=fs, samples=left)
+        rights = [np.empty(n) if pole > 0.0 else None for _ in pairs]
+        _draw_channels(rng, replay, phase, det, fs, n, [
+            (powers[index][1], 2, right,
+             None if pole > 0.0 else _reader(lefts[index], welches[index]))
+            for index, right in zip(pairs, rights)
+        ])
+        if pole > 0.0:
+            for index, right in zip(pairs, rights):
+                right = _bandwidth_filter(right, det, fs)
+                channel_readout((lefts[index], np.clip(right, 0.0, None, out=right)))
+        del rights
+    if segment_length is None:
+        return [TimeSeries(fs=fs, samples=left) for left in lefts]
+    if pole == 0.0:
+        return [welch.result() for welch in welches]
+    return [psd(TimeSeries(fs=fs, samples=left), segment_length) for left in lefts]
 
 
-def _channel_blocks(rng, power, det, fs, n, factor, phase, channels, out=None):
-    """One channel's record, noise * sigma + (factor * power + line), as
-    (start, stop, samples) a block at a time.
+def _reader(left=None, welch=None):
+    """A reader of a channel's blocks where the pole rounds away: each block
+    is clamped, read out as the right channel into the ``left`` record's
+    block where that is given, and the readout's final block, checked
+    finite, summed into ``welch`` where that is given."""
 
-    The noise is drawn from rng a block at a time.  ``factor`` is the RIN
-    factor over the record, which the blocks overwrite, a generator that
-    draws it again a block at a time, or None.  The samples are written
-    into ``out`` where it is given, and into a new block otherwise.
+    def read(start, stop, block):
+        np.maximum(block, 0.0, out=block)
+        if left is not None:
+            block = channel_readout((left[start:stop], block))
+        if welch is not None:
+            if not np.isfinite(block).all():
+                raise InvalidParameterError("samples contain non-finite values")
+            welch.feed(block)
+
+    return read
+
+
+def _draw_channels(rng, factor, phase, det, fs, n, channels):
+    """Draw one channel's noise, n normals a block at a time, and read it
+    out as that channel of several readouts.
+
+    ``channels`` lists each readout's (clean power over one period, channel
+    count, record, reader).  The channel, noise * sigma + (factor * power
+    + line / count), is written into ``record`` where that is an n-sample
+    array, and into a scratch block otherwise, and each block is passed to
+    reader(start, stop, samples) where that is given, once the block's
+    noise is no longer held.  ``factor`` is the RIN factor over the
+    record, a generator that draws it again a block at a time, or None.
+    A ``record`` that is ``factor`` itself must come last: the others read
+    the factor's block before it is overwritten.
     """
-    period = power.size
-    sigma = _noise_sigma(power, det, fs)
-    reps = BLOCK // period
-    if reps > 1:
-        power, sigma = np.tile(power, reps), np.tile(sigma, reps)
-    for start, stop in _blocks(n, period):
+    period = channels[0][0].size
+    reps = DRAW_BLOCK // period
+    blocks = _blocks(n, period, DRAW_BLOCK)
+    longest = max(stop - start for start, stop in blocks)
+    tiled = []
+    for power, count, record, reader in channels:
+        sigma = _noise_sigma(power, det, fs)
+        if reps > 1:
+            power, sigma = np.tile(power, reps), np.tile(sigma, reps)
+        scratch = np.empty(longest) if record is None else None
+        tiled.append((power, sigma, count, record, reader, scratch))
+    for start, stop in blocks:
         at, size = start % period, stop - start
-        p = power[at : at + size]
+        common = None
         if isinstance(factor, np.random.Generator):
             common = factor.standard_normal(size)
             common *= det.rin * math.sqrt(0.5 * fs)
             common += 1.0
-            common *= p
         elif factor is not None:
-            common = np.multiply(factor[start:stop], p, out=factor[start:stop])
-        else:
-            common = p
+            common = factor[start:stop]
         noise = rng.standard_normal(size)
-        noise *= sigma[at : at + size]
-        if phase is not None:
-            common = common + _line(det, phase, fs, start, stop, channels)
-        block = np.add(noise, common, out=noise if out is None else out[start:stop])
-        # hold no more than the block while the caller reads it
-        del common, noise
-        yield start, stop, block
+        line = None if phase is None else _line(det, phase, fs, start, stop, 1)
+        done = []
+        for index, (power, sigma, count, record, reader, scratch) in enumerate(tiled):
+            p = power[at : at + size]
+            block = scratch[:size] if record is None else record[start:stop]
+            shared = p if common is None else np.multiply(common, p, out=block)
+            if line is not None:
+                shared = np.add(shared, line / count, out=block)
+            # the last channel scales the noise in place
+            last = index == len(tiled) - 1
+            np.add(shared, np.multiply(
+                noise, sigma[at : at + size], out=noise if last else None), out=block)
+            if reader is not None:
+                done.append((reader, block))
+        # hold no more than the blocks while the readers run
+        del common, noise, line
+        for reader, block in done:
+            reader(start, stop, block)
 
 
 # ---------------------------------------------------------------------------
@@ -376,61 +490,145 @@ def psd(ts, segment_length, overlap=None):
     Welch's estimate with mean-removed segments, the periodic Hann window
     and density scaling, as ``scipy.signal.welch`` computes it.  The
     Hann-windowed estimate satisfies Parseval to within a few percent:
-    integrating the density recovers the series variance.
+    integrating the density recovers the series variance.  It is the
+    Welch sum fed the whole record at once.
     """
-    samples = ts.samples
-    segment_length = int(segment_length)
-    if segment_length < 8:
-        raise InvalidParameterError("segment_length must be at least 8")
-    if segment_length > samples.size:
-        raise InvalidParameterError(
-            f"segment_length {segment_length} exceeds the {samples.size}-sample series"
-        )
-    if overlap is None:
-        overlap = segment_length // 2
-    overlap = int(overlap)
-    if not 0 <= overlap < segment_length:
-        raise InvalidParameterError("overlap must satisfy 0 <= overlap < segment_length")
-    fs = ts.fs
-    hop = segment_length - overlap
-    count = (samples.size - overlap) // hop
-    segments = sliding_window_view(samples, segment_length)[::hop][:count]
-    window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, segment_length + 1)[:-1])
-    # scaled in scipy's operation order, and averaged in the order in which
-    # scipy's mean adds a (frequency, segment) row, so the two agree bit
-    # for bit
-    scale = window * (1.0 / np.sqrt(sum(window**2) / (1.0 / fs)))
-    density = _power_sum(segments, scale, 0, count)
-    density /= count
-    return np.fft.rfftfreq(segment_length, 1.0 / fs), density
+    welch = Welch(ts.samples.size, ts.fs, segment_length, overlap)
+    welch.feed(ts.samples)
+    return welch.result()
 
 
-def _power_sum(segments, scale, start, stop):
-    """Sum of the one-sided power spectra of segments start:stop.
-
-    The segments are split as numpy's pairwise summation splits a row of
-    them, at half the count rounded down to a multiple of 8, down to
-    leaves of at most PAIRWISE_LEAF segments; each leaf's (frequency,
-    segment) tile is summed by np.add.reduce, and the leaf sums are added
-    in the tree's order, so the sum is bit-equal to the row sums of the
-    whole (frequency, segment) array.
-    """
+def _pairwise_plan(start, stop):
+    """Segments start:stop split as numpy's pairwise summation splits a
+    row of them, at half the count rounded down to a multiple of 8, down
+    to leaves of at most PAIRWISE_LEAF segments: the leaves' (start, stop)
+    in order, each subtree followed by None, where its two halves' sums
+    add."""
     count = stop - start
-    if count > PAIRWISE_LEAF:
-        half = count // 2
-        half -= half % 8
-        return _power_sum(segments, scale, start, start + half) + _power_sum(
-            segments, scale, start + half, stop)
-    segment_length = segments.shape[-1]
-    tile = np.empty((segment_length // 2 + 1, count))
-    for at in range(start, stop, CHUNK):
-        chunk = segments[at : min(at + CHUNK, stop)]
+    if count <= PAIRWISE_LEAF:
+        return [(start, stop)]
+    half = count // 2
+    half -= half % 8
+    return _pairwise_plan(start, start + half) + _pairwise_plan(start + half, stop) + [None]
+
+
+class Welch:
+    """Welch's density of an n-sample record fed to it a block at a time.
+
+    The segments are transformed CHUNK at a time, as soon as the samples
+    they span have arrived, from the fed block where it holds them all and
+    from a buffer of one chunk's span otherwise.  The power spectra are
+    summed as numpy's pairwise summation sums a (frequency, segment) row:
+    each leaf of the tree as its eight running sums over the whole groups
+    of eight segments, added pairwise, then the rest one at a time, and
+    the leaf sums in the tree's order.  So the density is bit-equal to the
+    row means of the whole (frequency, segment) array, however the record
+    is split into blocks, and no leaf's tile of spectra is held.
+    """
+
+    def __init__(self, n, fs, segment_length, overlap=None):
+        segment_length = int(segment_length)
+        if segment_length < 8:
+            raise InvalidParameterError("segment_length must be at least 8")
+        if segment_length > n:
+            raise InvalidParameterError(
+                f"segment_length {segment_length} exceeds the {n}-sample series"
+            )
+        if overlap is None:
+            overlap = segment_length // 2
+        overlap = int(overlap)
+        if not 0 <= overlap < segment_length:
+            raise InvalidParameterError("overlap must satisfy 0 <= overlap < segment_length")
+        self.fs = fs
+        self.length = segment_length
+        self.hop = segment_length - overlap
+        self.count = (n - overlap) // self.hop
+        window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, segment_length + 1)[:-1])
+        # scaled in scipy's operation order, and averaged in the order in
+        # which scipy's mean adds a (frequency, segment) row, so the two
+        # agree bit for bit
+        self.scale = window * (1.0 / np.sqrt(sum(window**2) / (1.0 / fs)))
+        self.plan = _pairwise_plan(0, self.count)
+        self.sums = []
+        self.at = 0  # the first segment not yet transformed
+        # the leaf's eight running sums, and its sum once its whole groups
+        # of eight are in
+        self.running = np.zeros((8, segment_length // 2 + 1))
+        self.total = None
+        self.buffer = None
+        self.fill = 0  # samples buffered from the first of segment at
+
+    def feed(self, block):
+        """Take the record's next samples; samples past the last segment
+        are dropped."""
+        while block.size and self.at < self.count:
+            span = (self._chunk() - 1) * self.hop + self.length
+            if self.fill == 0 and block.size >= span:
+                block = block[self._transform(block) :]
+                continue
+            if self.buffer is None:
+                self.buffer = np.empty((CHUNK - 1) * self.hop + self.length)
+            take = min(block.size, span - self.fill)
+            self.buffer[self.fill : self.fill + take] = block[:take]
+            self.fill += take
+            block = block[take:]
+            if self.fill == span:
+                drop = self._transform(self.buffer)
+                self.fill = span - drop
+                self.buffer[: self.fill] = self.buffer[drop:span]
+        if self.at == self.count:
+            self.buffer = None
+
+    def result(self):
+        """(frequencies in Hz, density) once every segment is fed."""
+        (total,) = self.sums
+        # doubling each one-sided bin's segment powers before the sum is
+        # doubling the sum, bit for bit: x2 is exact and commutes with
+        # every rounded addition
+        total[1 : -1 if self.length % 2 == 0 else None] *= 2.0
+        self.sums = None
+        return np.fft.rfftfreq(self.length, 1.0 / self.fs), total / self.count
+
+    def _chunk(self):
+        """Segments in the next transform: CHUNK, or the rest of the leaf."""
+        return min(CHUNK, self.plan[0][1] - self.at)
+
+    def _transform(self, samples):
+        """Transform the next chunk, whose segments start at samples[0],
+        and add its power spectra to the leaf; return the samples to the
+        next chunk."""
+        start, stop = self.plan[0]
+        size = self._chunk()
+        span = (size - 1) * self.hop + self.length
+        chunk = sliding_window_view(samples[:span], self.length)[:: self.hop]
         chunk = chunk - chunk.mean(axis=-1, keepdims=True)
-        chunk *= scale
+        chunk *= self.scale
         spectra = np.fft.rfft(chunk, axis=-1)
         del chunk  # free each chunk-sized intermediate before the next
-        power = np.square(spectra.real.T, out=tile[:, at - start : at - start + CHUNK])
-        power += np.square(spectra.imag.T)
-        del spectra
-    tile[1 : -1 if segment_length % 2 == 0 else None] *= 2.0
-    return np.add.reduce(tile, axis=-1)
+        # the real and imaginary parts squared in place, then added
+        parts = np.square(spectra.view(float), out=spectra.view(float))
+        power = np.add(parts[:, 0::2], parts[:, 1::2])
+        del spectra, parts
+        # chunks start at multiples of CHUNK, and so of 8, into the leaf
+        first, count = self.at - start, stop - start
+        whole = count - count % 8
+        groups = power[: max(whole - first, 0)]
+        for row in range(0, len(groups), 8):
+            self.running += groups[row : row + 8]
+        if first + size >= whole and self.total is None:
+            pairs = self.running[0::2] + self.running[1::2]
+            self.total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+        for rest in power[len(groups) :]:
+            self.total += rest
+        del power, groups
+        self.at += size
+        if self.at == stop:
+            self.sums.append(self.total)
+            self.running[:] = 0.0
+            self.total = None
+            self.plan.pop(0)
+            while self.plan and self.plan[0] is None:
+                right = self.sums.pop()
+                self.sums[-1] = self.sums[-1] + right
+                self.plan.pop(0)
+        return size * self.hop

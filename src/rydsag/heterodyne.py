@@ -21,6 +21,14 @@ The sampled drive repeats exactly after ``HeterodyneConfig.beat_period``
 samples, so the clean channel model is evaluated over one beat period
 only: the detector chain repeats those channels across the record, and
 the noiseless record repeats their readout.
+
+A scheme comparison draws each signal amplitude's detector noise once
+and reads it out through both readouts (``detected_spectra``), so both
+schemes see the same technical noise, and each sweep is the one that
+its scheme gives alone.  Where the detector's bandwidth pole rounds
+away, the amplitude record is never stored but summed into its Welch
+spectrum as it is drawn; where it does not, the channel records are
+stored whole, with one more record for the amplitude readout.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .detector_chain import (
     MAX_GRID_POINTS,
     TimeSeries,
     channel_readout,
+    detected_spectra,
     psd,
     sample_timeseries,
 )
@@ -341,6 +350,18 @@ def run_beat_experiment(
         e_signal = config.e_signal[0]
     _require_stationary(medium)
     _check_pointer(config, pointer)
+    if delta_p is None:
+        delta_p = operating_point(config, medium, pointer)
+    clean = _clean_channels(config, medium, pointer, e_signal, delta_p)
+    if detector is None:
+        n = int(round(config.fs * config.integration_time))
+        return TimeSeries(fs=config.fs, samples=np.resize(channel_readout(clean), n))
+    return sample_timeseries(clean, detector, config.fs, config.integration_time, seed)
+
+
+def _clean_channels(config, medium, pointer, e_signal, delta_p):
+    """Clean channel powers of ``config.readout`` over one beat period, in
+    watts: checked finite before any noise is drawn."""
     if e_signal < 0.0 or not math.isfinite(e_signal):
         raise InvalidParameterError(f"e_signal must be >= 0, got {e_signal!r}")
     omega_signal = rabi_from_field(e_signal, config.dipole_mw)
@@ -353,12 +374,9 @@ def run_beat_experiment(
             "signal tone is not small against the local tone; the beat "
             "stops being a linear amplitude modulation",
             RegimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     n = int(round(config.fs * config.integration_time))
-    if delta_p is None:
-        delta_p = operating_point(config, medium, pointer)
-
     t = np.arange(min(config.beat_period, n)) / config.fs
     drive = instantaneous_rabi(config, t, e_signal)
     chi = susceptibility(medium, delta_p, omega_mw=drive)
@@ -372,9 +390,13 @@ def run_beat_experiment(
         )
         detected = transmitted * p_post
         clean = (0.5 * detected * (1.0 + eta), 0.5 * detected * (1.0 - eta))
-    if detector is None:
-        return TimeSeries(fs=config.fs, samples=np.resize(channel_readout(clean), n))
-    return sample_timeseries(clean, detector, config.fs, config.integration_time, seed)
+    if not all(np.all(np.isfinite(power)) for power in clean):
+        raise InvalidParameterError(
+            f"the clean {config.readout} channel powers at e_signal {e_signal!r} V/m "
+            "are not finite: the medium, heterodyne.omega_local and "
+            "heterodyne.e_signal sections feed them"
+        )
+    return clean
 
 
 def median(values):
@@ -400,7 +422,11 @@ def beat_metrics(ts, delta_f):
     """
     if delta_f <= 0.0:
         raise InvalidParameterError("delta_f must be > 0")
-    freqs, density = psd(ts, SEGMENT_LENGTH)
+    return _spectrum_metrics(*psd(ts, SEGMENT_LENGTH))
+
+
+def _spectrum_metrics(freqs, density):
+    """beat_metrics of a record's Welch spectrum."""
     df = float(freqs[1] - freqs[0])
     searchable = freqs >= 2.5 * df
     if not np.any(searchable):
@@ -428,33 +454,57 @@ def beat_metrics(ts, delta_f):
 
 def sensitivity_sweep(config, medium, pointer, detector, seed, map_fn=map):
     """Beat detection swept over the configured signal amplitudes, as a
-    ``Sweep``.
+    ``Sweep`` of the ``config.readout`` scheme.
 
     Each amplitude gets an independent child seed, so the sweep is
     reproducible and order-independent under parallel evaluation;
-    ``map_fn`` may be an executor map for concurrent sweep points.
+    ``map_fn`` may be an executor map for concurrent sweep points.  Its
+    records are those of ``run_beat_experiment``; a one-channel
+    (amplitude) record is never stored where the detector's pole rounds
+    away, but summed into its spectrum as it is drawn.
     """
-    delta_p = operating_point(config, medium, pointer)
+    (sweep,) = _sweeps(config, (config.readout,), medium, pointer, detector, seed, map_fn)
+    return sweep
+
+
+def _sweeps(config, schemes, medium, pointer, detector, seed, map_fn):
+    """One ``Sweep`` per readout scheme, from one noise draw per amplitude.
+
+    Every scheme's operating point is found first; then each amplitude's
+    task draws its noise from its child seed once and reads it out
+    through every scheme (see detected_spectra).
+    """
+    configs = [replace(config, readout=scheme) for scheme in schemes]
+    detunings = [operating_point(scheme, medium, pointer) for scheme in configs]
     children = np.random.SeedSequence(seed).spawn(len(config.e_signal))
 
-    def one_point(job):
+    def one_field(job):
         e_signal, child = job
-        ts = run_beat_experiment(
-            config, medium, pointer, detector, child, e_signal, delta_p
+        readouts = tuple(
+            _clean_channels(scheme, medium, pointer, e_signal, delta_p)
+            for scheme, delta_p in zip(configs, detunings)
         )
-        metrics = beat_metrics(ts, config.delta_f)
-        beat_db = (
-            10.0 * math.log10(metrics.line_power)
-            if metrics.line_power > 0.0
-            else -math.inf
-        )
-        return (
-            e_signal, metrics.snr_db, beat_db, metrics.peak_freq_hz,
-            metrics.floor_density,
-        )
+        spectra = detected_spectra(
+            readouts, detector, config.fs, config.integration_time, child, SEGMENT_LENGTH)
+        rows = []
+        for spectrum in spectra:
+            metrics = _spectrum_metrics(*spectrum)
+            beat_db = (
+                10.0 * math.log10(metrics.line_power)
+                if metrics.line_power > 0.0
+                else -math.inf
+            )
+            rows.append((
+                e_signal, metrics.snr_db, beat_db, metrics.peak_freq_hz,
+                metrics.floor_density,
+            ))
+        return rows
 
-    rows = list(map_fn(one_point, zip(config.e_signal, children)))
-    return Sweep(*(np.array(column, dtype=float) for column in zip(*rows)))
+    fields = list(map_fn(one_field, zip(config.e_signal, children)))
+    return tuple(
+        Sweep(*(np.array(column, dtype=float) for column in zip(*rows)))
+        for rows in zip(*fields)
+    )
 
 
 def min_detectable_field(sweep):
@@ -598,16 +648,18 @@ def comparison_from_points(points_dispersion, points_amplitude):
 
 
 def scheme_comparison(config, medium, pointer, detector, seed, map_fn=map):
-    """Dispersion against amplitude readout under matched seed and medium.
+    """Dispersion against amplitude readout under matched noise and medium.
 
-    Runs the same sweep through both schemes, fits both sensitivities, and
-    reports the SNR advantage (mean over amplitudes detected by both) and
-    the minimum-field advantage in the two dB conventions.
+    Each signal amplitude's noise is drawn once, from the same child seed
+    as ``sensitivity_sweep`` gives it, and read out through both schemes:
+    the amplitude record takes the RIN factor and the first channel's
+    noise that the dispersion record's left channel takes, so each
+    scheme's sweep is the one ``sensitivity_sweep`` gives.  Where the
+    detector's pole does not round away, the channel records are stored
+    whole, the amplitude record too.  The comparison fits both
+    sensitivities and reports the SNR advantage (mean over amplitudes
+    detected by both) and the minimum-field advantage in the two dB
+    conventions.
     """
-    points_dispersion, points_amplitude = (
-        sensitivity_sweep(
-            replace(config, readout=scheme), medium, pointer, detector, seed, map_fn
-        )
-        for scheme in READOUT_SCHEMES
-    )
-    return comparison_from_points(points_dispersion, points_amplitude)
+    return comparison_from_points(
+        *_sweeps(config, READOUT_SCHEMES, medium, pointer, detector, seed, map_fn))

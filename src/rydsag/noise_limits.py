@@ -60,8 +60,8 @@ class LimitInputs:
     counts must be finite and >= 0, the other numbers finite and > 0, and
     ``temperature`` within the 250 K to 400 K that the vapor-pressure
     correlation covers (``DomainError`` outside it).  The beam must hold
-    atoms, and t_meas times the root of each atom number must not
-    underflow to 0.
+    atoms, and neither t_meas times the root of each atom number nor the
+    photon count, t_meas times the photon rate, may underflow to 0.
     """
 
     t_meas: float = 1.0
@@ -92,6 +92,15 @@ class LimitInputs:
             if count > 0.0 and self.t_meas * math.sqrt(count) == 0.0:
                 raise InvalidParameterError(
                     f"t_meas {self.t_meas!r} x the root of {name} underflows to 0")
+        # photon_shot_noise needs a photon count, rate x t_meas, above 0
+        if self.n_photons_rate > 0.0:
+            key, rate = "n_photons_rate", self.n_photons_rate
+        else:
+            key, rate = "probe_power", photon_rate(self.probe_power, self.probe_wavelength)
+        if rate * self.t_meas == 0.0:
+            raise InvalidParameterError(
+                f"t_meas {self.t_meas!r} x the photon rate of {key} "
+                f"{getattr(self, key)!r} underflows to 0 photons")
 
 
 # ---------------------------------------------------------------------------

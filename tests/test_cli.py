@@ -889,3 +889,40 @@ def test_manifest_versions_are_rydsag_python_and_numpy(probed_run, config):
     # no run loads scipy, so no manifest names its version
     _, manifest = probed_run(config)
     assert set(manifest["versions"]) == {"rydsag", "python", "numpy"}
+
+
+@pytest.mark.parametrize("limits, prefix", [
+    ({"t_meas": 1.0e-300, "probe_power": 1.0e-300},
+     "limits: t_meas 1e-300 x the photon rate of probe_power 1e-300 underflows to 0 photons"),
+    ({"t_meas": 1.0e-300, "n_photons_rate": 1.0e-300},
+     "limits: t_meas 1e-300 x the photon rate of n_photons_rate 1e-300 underflows to 0 photons"),
+])
+@pytest.mark.filterwarnings("error")
+def test_validate_refuses_a_photon_count_that_underflows(tmp_path, capsys, limits, prefix):
+    # each of these used to pass validate and then fail simulate with
+    # "n_photons must be > 0, got 0.0"
+    error = _refusal(tmp_path, capsys, {"experiment": "limits", "limits": limits})
+    assert error["message"].startswith(prefix)
+
+
+@pytest.mark.parametrize("medium", [{"omega_c": 1.9e154}, {"dipole_probe": 1.0e100}])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::rydsag.errors.RegimeWarning")
+def test_heterodyne_channel_powers_that_are_not_finite_fail_before_the_draw(
+        tmp_path, capsys, medium):
+    # each of these used to draw every record and then fail with "samples
+    # contain non-finite values", naming no key; the medium's resolvent
+    # still overflows on the way, with numpy's RuntimeWarnings, and the
+    # dipole_probe case leaves the thin-medium regime
+    cfg = write_config(tmp_path, {
+        "experiment": "heterodyne", "medium": medium,
+        "heterodyne": {"integration_time": 0.002}})
+    code = main(["simulate", cfg, "--output-dir", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.count("\n") == 1
+    error = json.loads(captured.out)["error"]
+    assert error["category"] == "invalid-argument"
+    assert error["message"].startswith("the clean dispersion channel powers ")
+    for section in ("medium", "heterodyne.omega_local", "heterodyne.e_signal"):
+        assert section in error["message"]

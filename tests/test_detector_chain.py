@@ -1,6 +1,9 @@
 """Balanced-detection chain: noise statistics, sampling, PSD estimation."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -19,10 +22,12 @@ from rydsag.detector_chain import (
     MAX_GRID_POINTS,
     DetectorParams,
     TimeSeries,
+    Welch,
     _bandwidth_filter,
     _noise_sigma,
     _sample_count,
     channel_readout,
+    detected_spectra,
     one_pole,
     psd,
     sample_timeseries,
@@ -194,6 +199,29 @@ def test_chunked_psd_is_bit_equal_to_whole_record_psd(n, segment_length, overlap
     series = TimeSeries(fs=3.3e6, samples=1.0 + 3.0 * rng.standard_normal(n))
     freqs, density = psd(series, segment_length, overlap)
     ref_freqs, ref_density = _reference_psd(series, segment_length, overlap)
+    assert_same_bits(freqs, ref_freqs)
+    assert_same_bits(density, ref_density)
+
+
+@pytest.mark.parametrize(
+    "segment_length, overlap",
+    [(256, None), (1001, 0), (64, 60)],
+    ids=["half-overlap", "odd-no-overlap", "short-hop"],
+)
+@pytest.mark.parametrize("block", ["1", "7", "hop-1", "hop", "BLOCK", "n"])
+def test_streamed_welch_sum_is_bit_equal_to_psd(segment_length, overlap, block):
+    # n is not a multiple of the hop, and the 299 to 2396 segments make a
+    # pairwise tree of several leaves, which the blocks split anywhere
+    hop = segment_length - (segment_length // 2 if overlap is None else overlap)
+    n = 300 * segment_length + hop // 2 + 1
+    series = TimeSeries(
+        fs=3.3e6, samples=1.0 + 3.0 * np.random.default_rng(n).standard_normal(n))
+    size = {"1": 1, "7": 7, "hop-1": hop - 1, "hop": hop, "BLOCK": BLOCK, "n": n}[block]
+    welch = Welch(n, series.fs, segment_length, overlap)
+    for start in range(0, n, size):
+        welch.feed(series.samples[start : start + size].copy())
+    freqs, density = welch.result()
+    ref_freqs, ref_density = psd(series, segment_length, overlap)
     assert_same_bits(freqs, ref_freqs)
     assert_same_bits(density, ref_density)
 
@@ -567,6 +595,82 @@ def test_heterodyne_records_equal_the_full_length_path(
     assert_same_bits(periodic, run())
 
 
+@pytest.mark.parametrize("two_channel_first", [True, False])
+@pytest.mark.parametrize(
+    "det",
+    [DetectorParams(), DetectorParams(rin=1e-6, line_freq_hz=50e3, line_amp_w=1e-9),
+     DetectorParams(rin=1e-6, bandwidth=ORACLE_FS / 10)],
+    ids=["quiet", "rin-line", "pole"],
+)
+def test_detected_spectra_equal_psd_of_each_readouts_own_record(two_channel_first, det):
+    # one draw read out through a one-channel and a two-channel readout, in
+    # either order, gives each readout's own record's spectrum; the
+    # one-channel readout is the right channel, whose power clamps
+    left, right = _periodic_channels(2, 20)
+    readouts = ((left, right), (right,))
+    if not two_channel_first:
+        readouts = readouts[::-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        spectra = detected_spectra(readouts, det, ORACLE_FS, LONG / ORACLE_FS, 3, 2048)
+        for clean, (freqs, density) in zip(readouts, spectra):
+            record = _reference_sample_timeseries(
+                lambda t: _repeated(clean, t.size), det, ORACLE_FS, LONG / ORACLE_FS, 3)
+            ref_freqs, ref_density = psd(record, 2048)
+            assert_same_bits(freqs, ref_freqs)
+            assert_same_bits(density, ref_density)
+
+
+SHARED_DRAW_DETECTORS = {
+    "quiet": DetectorParams(),
+    "rin": DetectorParams(rin=1e-7),
+    "line": DetectorParams(line_freq_hz=20e3, line_amp_w=1e-9),
+    "rin-line": DetectorParams(rin=1e-7, line_freq_hz=20e3, line_amp_w=1e-9),
+    # a pole that does not round away: every channel record is stored
+    "pole": DetectorParams(rin=1e-7, bandwidth=1.0e6),
+}
+
+
+@pytest.mark.parametrize("detector", SHARED_DRAW_DETECTORS)
+@pytest.mark.parametrize("sample_rate", [0.0, 3.1e6, 3.0e6 + 1.0])
+def test_comparison_rows_equal_the_metrics_of_each_readouts_own_record(
+    monkeypatch, detector, sample_rate
+):
+    # the comparison draws each field's noise once for both readouts; each
+    # readout's rows must equal beat_metrics of the record that the
+    # full-length reference chain draws for it alone from the same child
+    cfg = HeterodyneConfig(
+        integration_time=0.004, sample_rate=sample_rate, e_signal=(5e-4, 2e-3))
+    det = SHARED_DRAW_DETECTORS[detector]
+    seed = 11
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        with monkeypatch.context() as patched:
+            patched.setattr(heterodyne, "comparison_from_points", lambda *sweeps: sweeps)
+            sweeps = heterodyne.scheme_comparison(cfg, MEDIUM, POINTER, det, seed)
+        monkeypatch.setattr(
+            heterodyne,
+            "sample_timeseries",
+            lambda clean, *args: _reference_sample_timeseries(
+                lambda t: _repeated(clean, t.size), *args),
+        )
+        children = np.random.SeedSequence(seed).spawn(len(cfg.e_signal))
+        for scheme, sweep in zip(heterodyne.READOUT_SCHEMES, sweeps):
+            scheme_cfg = replace(cfg, readout=scheme)
+            delta_p = heterodyne.operating_point(scheme_cfg, MEDIUM, POINTER)
+            rows = []
+            for e_signal, child in zip(cfg.e_signal, children):
+                record = run_beat_experiment(
+                    scheme_cfg, MEDIUM, POINTER, det, child, e_signal, delta_p)
+                metrics = heterodyne.beat_metrics(record, cfg.delta_f)
+                rows.append((e_signal, metrics.snr_db, 10.0 * math.log10(metrics.line_power),
+                             metrics.peak_freq_hz, metrics.floor_density))
+            for name, column in zip(
+                    ("e_signal", "snr_db", "beat_db", "peak_freq_hz", "floor_density"),
+                    zip(*rows)):
+                assert_same_bits(getattr(sweep, name), np.array(column))
+
+
 @pytest.mark.parametrize("rin", [0.0, 1e-6])
 @pytest.mark.parametrize(
     "dark", [10, BLOCK, LONG - 1], ids=["first-block", "block-edge", "last-sample"])
@@ -638,6 +742,46 @@ def test_psd_memory_stays_near_its_input():
     series = TimeSeries(fs=3.0e6, samples=np.random.default_rng(0).standard_normal(300_000))
     _, peak = _peak_bytes(lambda: psd(series, 2048))
     assert peak <= 0.8 * series.samples.nbytes
+
+
+SHIPPED_HETERODYNE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "heterodyne.json")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_a_two_readout_field_raises_the_peak_resident_set_by_at_most_15_8_mb(tmp_path):
+    # one field of the shipped comparison at 1.5 M samples, on one thread:
+    # the dispersion record and both readouts' streamed Welch sums.
+    # tracemalloc does not see pocketfft's scratch or the allocator's
+    # slack, so this reads the peak resident set of a fresh process;
+    # drawing each readout's record in turn raised it by 15.8 MB
+    code = f"""
+import json, math
+from rydsag import cli, heterodyne
+from rydsag.weak_pointer import PointerSetup, PostSelection
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+raw = json.load(open({SHIPPED_HETERODYNE!r}))
+raw["heterodyne"].update(integration_time=0.5, e_signal=[1e-3])
+json.dump(raw, open("field.json", "w"))
+_, models = cli.load_config("field.json")
+section = models["pointer"]
+pointer = PointerSetup(
+    post=PostSelection(math.pi / 4), coupling=section.coupling, beam=section.beam)
+before = peak_kib()
+heterodyne._sweeps(models["heterodyne"], heterodyne.READOUT_SCHEMES, models["medium"],
+                   pointer, models["detector"], 0, map)
+print(peak_kib() - before)
+"""
+    src = os.path.dirname(os.path.dirname(heterodyne.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, cwd=tmp_path)
+    assert int(result.stdout) <= 15.8 * 1024
 
 
 def test_channels_of_unequal_or_excess_length_are_rejected():
