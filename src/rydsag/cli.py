@@ -309,8 +309,9 @@ class Pointer:
 @dataclass(frozen=True)
 class PointerRun(Pointer):
     """The pointer experiment: the heterodyne pointer, the prepared state
-    as its PreSelection ``pre`` and the analyzer angle as its PostSelection
-    ``post``."""
+    as its PreSelection ``pre``, the analyzer angle as its PostSelection
+    ``post``, and their closed-form (centroid, eta, p_post) as ``readout``,
+    which refuses an orthogonal post-selection."""
 
     delta_phi: float = 1.0e-3
     delta_beta: float = 0.0
@@ -320,6 +321,9 @@ class PointerRun(Pointer):
         object.__setattr__(self, "pre", PreSelection(self.delta_phi, self.delta_beta))
         object.__setattr__(self, "post", PostSelection(self.angle))
         super().__post_init__()
+        object.__setattr__(self, "readout", _built(
+            "delta_phi, delta_beta, angle, k, w", closed_readout,
+            self.delta_phi, self.delta_beta, self.angle, self.k, self.w))
 
 
 @dataclass(frozen=True)
@@ -398,9 +402,7 @@ def _run_spectrum(models, seed):
 
 def _run_pointer(models, seed):
     pointer = models["pointer"]
-    centroid, eta, p_post = closed_readout(
-        pointer.delta_phi, pointer.delta_beta, pointer.angle, pointer.k, pointer.w
-    )
+    centroid, eta, p_post = pointer.readout
     profile = np.abs(final_wavefunction(
         pointer.pre, pointer.post, pointer.coupling, pointer.beam)) ** 2
     return {
@@ -429,8 +431,19 @@ def _check_edge(span_linewidths, medium, keys):
 
 
 def _check_spectrum(models):
-    _check_edge(models["grid"].span_linewidths, models["medium"],
-                "grid.span_linewidths x medium.gamma_2")
+    """Refuse a grid whose edge detuning overflows when cubed, or whose step
+    is below the smallest normal float: a subnormal step's rounding, summed
+    over up to 2**21 points, can leave detuning_grid not strictly
+    increasing; a normal step's, one part in 2**53, cannot."""
+    grid, medium = models["grid"], models["medium"]
+    keys = "grid.span_linewidths x medium.gamma_2"
+    _check_edge(grid.span_linewidths, medium, keys)
+    step = grid.span_linewidths * medium.gamma_2 / (grid.points - 1)
+    if step < sys.float_info.min:
+        raise ConfigError(
+            f"{keys} over grid.points - 1 must leave a grid step of at least "
+            f"{sys.float_info.min}, got {step} rad/s"
+        )
 
 
 def _check_calibrate(models):

@@ -44,9 +44,6 @@ CHUNK = 32
 # a transform, and half blocks keep its peak below that of drawing each
 # readout's record in turn
 DRAW_BLOCK = BLOCK // 2
-# numpy's pairwise summation adds at most this many values in one leaf,
-# and the Welch sum averages its segments in the same order
-PAIRWISE_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -229,15 +226,14 @@ def _blocks(n, period, size=BLOCK):
     ]
 
 
-def _line(det, phase, fs, start, stop, channels):
-    """Each channel's share of the line over samples start:stop."""
+def _line(det, phase, fs, start, stop):
+    """The line over samples start:stop."""
     line = np.arange(start, stop, dtype=float)
     line /= fs
     line *= 2.0 * math.pi * det.line_freq_hz
     line += phase
     np.sin(line, out=line)
     line *= det.line_amp_w
-    line /= channels
     return line
 
 
@@ -459,7 +455,7 @@ def _draw_channels(rng, factor, phase, det, fs, n, channels):
         elif factor is not None:
             common = factor[start:stop]
         noise = rng.standard_normal(size)
-        line = None if phase is None else _line(det, phase, fs, start, stop, 1)
+        line = None if phase is None else _line(det, phase, fs, start, stop)
         done = []
         for index, (power, sigma, count, record, reader, scratch) in enumerate(tiled):
             p = power[at : at + size]
@@ -498,32 +494,15 @@ def psd(ts, segment_length, overlap=None):
     return welch.result()
 
 
-def _pairwise_plan(start, stop):
-    """Segments start:stop split as numpy's pairwise summation splits a
-    row of them, at half the count rounded down to a multiple of 8, down
-    to leaves of at most PAIRWISE_LEAF segments: the leaves' (start, stop)
-    in order, each subtree followed by None, where its two halves' sums
-    add."""
-    count = stop - start
-    if count <= PAIRWISE_LEAF:
-        return [(start, stop)]
-    half = count // 2
-    half -= half % 8
-    return _pairwise_plan(start, start + half) + _pairwise_plan(start + half, stop) + [None]
-
-
 class Welch:
     """Welch's density of an n-sample record fed to it a block at a time.
 
     The segments are transformed CHUNK at a time, as soon as the samples
     they span have arrived, from the fed block where it holds them all and
-    from a buffer of one chunk's span otherwise.  The power spectra are
-    summed as numpy's pairwise summation sums a (frequency, segment) row:
-    each leaf of the tree as its eight running sums over the whole groups
-    of eight segments, added pairwise, then the rest one at a time, and
-    the leaf sums in the tree's order.  So the density is bit-equal to the
-    row means of the whole (frequency, segment) array, however the record
-    is split into blocks, and no leaf's tile of spectra is held.
+    from a buffer of one chunk's span otherwise, and each chunk's power
+    spectra are added into one running sum.  The chunks start at fixed
+    segment indices, so the density has the same bits however the record
+    is split into blocks.
     """
 
     def __init__(self, n, fs, segment_length, overlap=None):
@@ -544,17 +523,10 @@ class Welch:
         self.hop = segment_length - overlap
         self.count = (n - overlap) // self.hop
         window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, segment_length + 1)[:-1])
-        # scaled in scipy's operation order, and averaged in the order in
-        # which scipy's mean adds a (frequency, segment) row, so the two
-        # agree bit for bit
+        # scaled in scipy's operation order
         self.scale = window * (1.0 / np.sqrt(sum(window**2) / (1.0 / fs)))
-        self.plan = _pairwise_plan(0, self.count)
-        self.sums = []
         self.at = 0  # the first segment not yet transformed
-        # the leaf's eight running sums, and its sum once its whole groups
-        # of eight are in
-        self.running = np.zeros((8, segment_length // 2 + 1))
-        self.total = None
+        self.total = np.zeros(segment_length // 2 + 1)
         self.buffer = None
         self.fill = 0  # samples buffered from the first of segment at
 
@@ -581,23 +553,22 @@ class Welch:
 
     def result(self):
         """(frequencies in Hz, density) once every segment is fed."""
-        (total,) = self.sums
+        total = self.total
         # doubling each one-sided bin's segment powers before the sum is
         # doubling the sum, bit for bit: x2 is exact and commutes with
         # every rounded addition
         total[1 : -1 if self.length % 2 == 0 else None] *= 2.0
-        self.sums = None
+        self.total = None
         return np.fft.rfftfreq(self.length, 1.0 / self.fs), total / self.count
 
     def _chunk(self):
-        """Segments in the next transform: CHUNK, or the rest of the leaf."""
-        return min(CHUNK, self.plan[0][1] - self.at)
+        """Segments in the next transform: CHUNK, or the rest."""
+        return min(CHUNK, self.count - self.at)
 
     def _transform(self, samples):
         """Transform the next chunk, whose segments start at samples[0],
-        and add its power spectra to the leaf; return the samples to the
+        and add its power spectra to the sum; return the samples to the
         next chunk."""
-        start, stop = self.plan[0]
         size = self._chunk()
         span = (size - 1) * self.hop + self.length
         chunk = sliding_window_view(samples[:span], self.length)[:: self.hop]
@@ -609,26 +580,6 @@ class Welch:
         parts = np.square(spectra.view(float), out=spectra.view(float))
         power = np.add(parts[:, 0::2], parts[:, 1::2])
         del spectra, parts
-        # chunks start at multiples of CHUNK, and so of 8, into the leaf
-        first, count = self.at - start, stop - start
-        whole = count - count % 8
-        groups = power[: max(whole - first, 0)]
-        for row in range(0, len(groups), 8):
-            self.running += groups[row : row + 8]
-        if first + size >= whole and self.total is None:
-            pairs = self.running[0::2] + self.running[1::2]
-            self.total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-        for rest in power[len(groups) :]:
-            self.total += rest
-        del power, groups
+        self.total += power.sum(axis=0)
         self.at += size
-        if self.at == stop:
-            self.sums.append(self.total)
-            self.running[:] = 0.0
-            self.total = None
-            self.plan.pop(0)
-            while self.plan and self.plan[0] is None:
-                right = self.sums.pop()
-                self.sums[-1] = self.sums[-1] + right
-                self.plan.pop(0)
         return size * self.hop

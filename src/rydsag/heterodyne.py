@@ -412,7 +412,7 @@ def median(values):
     return float(np.mean(part[kth[0]:half + 1]))
 
 
-def beat_metrics(ts, delta_f):
+def beat_metrics(ts):
     """Locate the beat line in a detected record and rate it against the floor.
 
     The line power integrates the density over the peak bin and its two
@@ -420,8 +420,6 @@ def beat_metrics(ts, delta_f):
     SNR compares the line power with the floor in a 1 Hz bandwidth.  The
     spectrum is Welch's, over segments of ``SEGMENT_LENGTH`` samples.
     """
-    if delta_f <= 0.0:
-        raise InvalidParameterError("delta_f must be > 0")
     return _spectrum_metrics(*psd(ts, SEGMENT_LENGTH))
 
 

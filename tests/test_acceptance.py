@@ -235,7 +235,7 @@ def test_criterion_10_beat_detection_and_sensitivity(synthetic_sweep):
         detector = DetectorParams(rin=7.0e-7)
 
         clean = run_beat_experiment(config, medium, pointer, None, seed=2)
-        metrics = beat_metrics(clean, config.delta_f)
+        metrics = beat_metrics(clean)
         assert abs(metrics.peak_freq_hz - config.delta_f) <= metrics.bin_width_hz
 
         points = sensitivity_sweep(config, medium, pointer, detector, seed=2)

@@ -9,11 +9,13 @@ import sys
 import warnings
 import weakref
 
+import numpy as np
 import pytest
 
 import rydsag
 from rydsag import cli, stabilization
 from rydsag.cli import EXPERIMENTS, MAX_GRID_POINTS, load_config, main
+from rydsag.eit_medium import LadderSystemParams, detuning_grid
 from rydsag.errors import ConfigError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -705,6 +707,35 @@ def test_validate_refuses_a_calibration_grid_edge_that_overflows(tmp_path, capsy
     error = _refusal(tmp_path, capsys, {
         "experiment": "calibrate", "medium": {"gamma_2": 1.0e-300, "omega_p": 0.0}})
     assert error["message"].startswith("medium.gamma_2 and the strongest drive ")
+
+
+@pytest.mark.parametrize("payload, category, prefix", [
+    # post-selected power below the orthogonality floor
+    ({"experiment": "pointer", "pointer": {"k": 1.0e-150, "delta_phi": 1.0e-300}},
+     "orthogonal-postselection", "pointer: delta_phi, delta_beta, angle, k, w: "),
+    # an edge detuning that underflows to 0, so every grid point is 0;
+    # omega_p 0 keeps the medium in the weak-probe regime
+    ({"experiment": "spectrum", "medium": {"gamma_2": 1.0e-300, "omega_p": 0.0},
+      "grid": {"span_linewidths": 1.0e-150}},
+     "config", "grid.span_linewidths x medium.gamma_2 over grid.points - 1 "),
+], ids=["orthogonal-postselection", "subnormal-grid-step"])
+@pytest.mark.filterwarnings("error")
+def test_validate_refuses_a_run_its_closed_form_or_grid_refuses(
+        tmp_path, capsys, payload, category, prefix):
+    # each of these used to pass validate and then fail simulate
+    error = _refusal(tmp_path, capsys, payload)
+    assert error["category"] == category
+    assert error["message"].startswith(prefix)
+
+
+@pytest.mark.parametrize("points", [16, 4097, 262_145])
+@pytest.mark.parametrize("factor", [1.0, 1.5, 3.0])
+def test_a_grid_step_of_a_normal_float_is_strictly_increasing(points, factor):
+    # the bound that _check_spectrum refuses below
+    medium = LadderSystemParams(gamma_2=1.0, omega_p=0.0)
+    span = factor * sys.float_info.min * (points - 1)
+    grid = detuning_grid(medium, span, points)
+    assert grid.size == points and np.all(np.diff(grid) > 0.0)
 
 
 @pytest.mark.parametrize("limits, prefix", [

@@ -152,7 +152,7 @@ def test_dispersion_runs_at_a_tilted_analyzer():
 def test_clean_record_beats_at_150khz():
     cfg = config()
     ts = run_beat_experiment(cfg, MEDIUM, POINTER, None, seed=0)
-    metrics = beat_metrics(ts, cfg.delta_f)
+    metrics = beat_metrics(ts)
     assert abs(metrics.peak_freq_hz - cfg.delta_f) <= metrics.bin_width_hz
     assert metrics.snr_db > 100.0
 
@@ -302,7 +302,7 @@ def test_beat_metrics_synthetic_tone():
     tone = 1e-3 * np.sin(2 * math.pi * 150e3 * t)
     rng = np.random.default_rng(0)
     ts = TimeSeries(fs=fs, samples=tone + 1e-6 * rng.standard_normal(n))
-    m = beat_metrics(ts, 150e3)
+    m = beat_metrics(ts)
     assert abs(m.peak_freq_hz - 150e3) <= m.bin_width_hz
     assert m.snr_db > 40.0
     assert m.bin_width_hz == pytest.approx(fs / 2048.0, rel=1e-12)
