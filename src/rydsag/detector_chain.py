@@ -33,8 +33,7 @@ MAX_GRID_POINTS = 2**21
 # The chain works through a record BLOCK samples at a time, and the Welch
 # sum transforms CHUNK segments at a time, so that no temporary is near the
 # size of a record: 128 KiB blocks and, at 2048-sample segments, 0.5 MiB
-# chunks.  A record then peaks at about one record length, or two where
-# the bandwidth filter low-passes a two-channel record.  The medium's
+# chunks.  A record then peaks at about one record length.  The medium's
 # spectrum and the CSV writer work BLOCK points or rows at a time too.
 BLOCK = 16_384
 CHUNK = 32
@@ -42,7 +41,9 @@ CHUNK = 32
 # holds about nine block-sized arrays (each channel's tiled power and
 # noise deviation, the streamed readout's block and Welch buffer) beside
 # a transform, and half blocks keep its peak below that of drawing each
-# readout's record in turn
+# readout's record in turn.  It is also the bandwidth filter's tile:
+# one_pole's rounding depends on the tile, so changing it moves the
+# digits of a record whose pole does not round away, and nothing else
 DRAW_BLOCK = BLOCK // 2
 
 
@@ -194,36 +195,33 @@ def _pole(det, fs):
     return 0.0 if 1.0 - a == 1.0 else a
 
 
+def _low_pass(a):
+    """In-place one-pole low-pass at pole ``a`` of a record's successive
+    blocks: each block starts from the last output of the block before,
+    the first from its own first sample.  A pole that rounds away (see
+    _pole) leaves every block as it is."""
+    last = None
+
+    def step(block):
+        nonlocal last
+        if a == 0.0:
+            return
+        y0 = block[0] if last is None else last
+        block *= 1.0 - a
+        one_pole(block, a, y0=y0)
+        last = block[-1]
+
+    return step
+
+
 def _bandwidth_filter(x, det, fs):
-    """Single-pole low-pass at the detector bandwidth, settled at x[0].
-
-    x is filtered in place, or returned as it is where the pole rounds
-    away.
-    """
-    a = _pole(det, fs)
-    if a == 0.0:
-        return x
-    y0 = x[0]
-    x *= 1.0 - a
-    return one_pole(x, a, y0=y0)
-
-
-def _blocks(n, period, size=BLOCK):
-    """(start, stop) ranges of about ``size`` samples that cover n samples.
-
-    A block holds whole periods when a period fits in ``size`` samples,
-    and a piece of one period otherwise, so that a period tiled
-    max(size // period, 1) times, read from start % period on, lines up
-    with every block.
-    """
-    if period <= size:
-        step = size // period * period
-        return [(start, min(start + step, n)) for start in range(0, n, step)]
-    return [
-        (start, min(start + size, row + period, n))
-        for row in range(0, n, period)
-        for start in range(row, min(row + period, n), size)
-    ]
+    """Single-pole low-pass at the detector bandwidth, settled at x[0]: x is
+    filtered in place, DRAW_BLOCK samples at a time as the chain draws it,
+    and returned."""
+    low_pass = _low_pass(_pole(det, fs))
+    for start in range(0, x.size, DRAW_BLOCK):
+        low_pass(x[start : start + DRAW_BLOCK])
+    return x
 
 
 def _line(det, phase, fs, start, stop):
@@ -249,8 +247,8 @@ def channel_readout(channels):
     if len(channels) == 1:
         return channels[0]
     left, right = channels
-    for start, stop in _blocks(left.size, 1):
-        eta, other = left[start:stop], right[start:stop]
+    for start in range(0, left.size, BLOCK):
+        eta, other = left[start : start + BLOCK], right[start : start + BLOCK]
         total = eta + other
         np.subtract(eta, other, out=eta)
         np.divide(eta, total, out=eta, where=total > 0.0)
@@ -270,16 +268,16 @@ def sample_timeseries(clean, det, fs, duration, seed):
     2 h nu P fs/2), NEP noise (variance nep^2 fs/2) and dark-current
     noise, applies any common-mode intensity noise and line (split evenly
     across the channels), low-passes each channel at the detector
-    bandwidth, clamps negative powers, and reads out through
-    channel_readout.  Reproducible from the seed: the RIN factor is drawn
-    first, then the line's phase, then each channel's noise in turn.
+    bandwidth (see _bandwidth_filter), clamps negative powers, and reads
+    out through channel_readout.  Reproducible from the seed: the RIN
+    factor is drawn first, then the line's phase, then each channel's
+    noise in turn.
 
     This is the one-readout case of detected_spectra's draw, with the
     record kept: the left channel's record takes over the RIN factor's
-    buffer, and the right channel draws the factor again from a copy of
-    the generator.  Where the filter's pole rounds away (see _pole), the
-    right channel is never stored: each block is clamped and read out
-    into the left record as it is drawn.
+    buffer, and the right channel, which draws the factor again from a
+    copy of the generator, is never stored: each block is filtered,
+    clamped and read out into the left record as it is drawn.
     """
     return _draw((clean,), det, fs, duration, seed)[0]
 
@@ -292,14 +290,12 @@ def detected_spectra(readouts, det, fs, duration, seed, segment_length):
     Every readout draws the same normals in the same order, the RIN
     factor, then the first channel's noise, then the second's, so the
     draw is made once and each block of it is read out through every
-    readout.  The readouts' channels share one period.  Where the pole
-    rounds away, each spectrum is summed from its readout's blocks as
-    they become final: a one-channel readout's as they are drawn, so its
-    record is never stored, and a two-channel readout's as its right
-    channel is read out into its stored left record.  Otherwise every
-    channel record is stored whole and filtered, and psd sums the
-    readout.  The first stored left record takes over the RIN factor's
-    buffer.
+    readout.  The readouts' channels share one period.  Each spectrum is
+    summed from its readout's blocks as they become final: a one-channel
+    readout's as they are drawn, so its record is never stored, and a
+    two-channel readout's as its right channel is read out into its
+    stored left record, which takes over the RIN factor's buffer where
+    it is the first.
     """
     return _draw(readouts, det, fs, duration, seed, segment_length)
 
@@ -341,11 +337,8 @@ def _draw(readouts, det, fs, duration, seed, segment_length=None):
     powers = _channel_powers(readouts, n)
     pole = _pole(det, fs)
     pairs = [index for index, channels in enumerate(powers) if len(channels) == 2]
-    # where the pole rounds away, each readout's spectrum is summed from its
-    # blocks as they become final, and a one-channel record is never stored
     welches = [
-        Welch(n, fs, segment_length) if segment_length is not None and pole == 0.0 else None
-        for _ in powers
+        None if segment_length is None else Welch(n, fs, segment_length) for _ in powers
     ]
 
     rng = np.random.default_rng(seed)
@@ -359,7 +352,8 @@ def _draw(readouts, det, fs, duration, seed, segment_length=None):
     if det.line_amp_w > 0.0 and det.line_freq_hz > 0.0:
         phase = rng.uniform(0.0, 2.0 * math.pi)
 
-    # each readout's left record, the first one in the factor's buffer
+    # each readout's left record, the first one in the factor's buffer; a
+    # one-channel readout's spectrum is summed from its blocks unstored
     lefts = []
     for channels, welch in zip(powers, welches):
         if welch is not None and len(channels) == 1:
@@ -369,46 +363,35 @@ def _draw(readouts, det, fs, duration, seed, segment_length=None):
         else:
             lefts.append(np.empty(n))
     # the record in the factor's buffer comes last, since it overwrites it;
-    # a left channel waiting for its right one is clamped, and a one-channel
-    # record is clamped and summed, a block at a time
+    # a left channel waiting for its right one is filtered and clamped, and
+    # a one-channel readout is summed too, a block at a time
     order = sorted(
         range(len(lefts)), key=lambda index: factor is not None and lefts[index] is factor)
     _draw_channels(rng, factor, phase, det, fs, n, [
         (powers[index][0], len(powers[index]), lefts[index],
-         None if pole > 0.0 else _reader(welch=welches[index] if index not in pairs else None))
+         _reader(pole, welch=None if index in pairs else welches[index]))
         for index in order
     ])
-    if pole > 0.0:
-        for left in lefts:
-            left = _bandwidth_filter(left, det, fs)
-            np.clip(left, 0.0, None, out=left)
     if pairs:
-        # a real low-pass needs the whole right record
-        rights = [np.empty(n) if pole > 0.0 else None for _ in pairs]
         _draw_channels(rng, replay, phase, det, fs, n, [
-            (powers[index][1], 2, right,
-             None if pole > 0.0 else _reader(lefts[index], welches[index]))
-            for index, right in zip(pairs, rights)
+            (powers[index][1], 2, None, _reader(pole, lefts[index], welches[index]))
+            for index in pairs
         ])
-        if pole > 0.0:
-            for index, right in zip(pairs, rights):
-                right = _bandwidth_filter(right, det, fs)
-                channel_readout((lefts[index], np.clip(right, 0.0, None, out=right)))
-        del rights
     if segment_length is None:
         return [TimeSeries(fs=fs, samples=left) for left in lefts]
-    if pole == 0.0:
-        return [welch.result() for welch in welches]
-    return [psd(TimeSeries(fs=fs, samples=left), segment_length) for left in lefts]
+    return [welch.result() for welch in welches]
 
 
-def _reader(left=None, welch=None):
-    """A reader of a channel's blocks where the pole rounds away: each block
-    is clamped, read out as the right channel into the ``left`` record's
-    block where that is given, and the readout's final block, checked
-    finite, summed into ``welch`` where that is given."""
+def _reader(pole, left=None, welch=None):
+    """A reader of a channel's successive blocks: each block is low-passed
+    in place at ``pole`` (see _low_pass), clamped, read out as the right
+    channel into the ``left`` record's block where that is given, and the
+    readout's final block, checked finite, summed into ``welch`` where
+    that is given."""
+    low_pass = _low_pass(pole)
 
     def read(start, stop, block):
+        low_pass(block)
         np.maximum(block, 0.0, out=block)
         if left is not None:
             block = channel_readout((left[start:stop], block))
@@ -425,27 +408,28 @@ def _draw_channels(rng, factor, phase, det, fs, n, channels):
     out as that channel of several readouts.
 
     ``channels`` lists each readout's (clean power over one period, channel
-    count, record, reader).  The channel, noise * sigma + (factor * power
-    + line / count), is written into ``record`` where that is an n-sample
-    array, and into a scratch block otherwise, and each block is passed to
-    reader(start, stop, samples) where that is given, once the block's
-    noise is no longer held.  ``factor`` is the RIN factor over the
-    record, a generator that draws it again a block at a time, or None.
-    A ``record`` that is ``factor`` itself must come last: the others read
+    count, record, reader).  The blocks are DRAW_BLOCK samples from the
+    record's start on, whatever the period, which is repeated out to the
+    stretch that a block reads of it.  The channel, noise * sigma +
+    (factor * power + line / count), is written into ``record`` where that
+    is an n-sample array, and into a scratch block otherwise, and each
+    block is passed to reader(start, stop, samples) once the block's noise
+    is no longer held.  ``factor`` is the RIN factor over the record, a
+    generator that draws it again a block at a time, or None.  A
+    ``record`` that is ``factor`` itself must come last: the others read
     the factor's block before it is overwritten.
     """
     period = channels[0][0].size
-    reps = DRAW_BLOCK // period
-    blocks = _blocks(n, period, DRAW_BLOCK)
-    longest = max(stop - start for start, stop in blocks)
+    # a block reads up to DRAW_BLOCK samples from start % period on
+    tile = min(n, period - 1 + DRAW_BLOCK)
     tiled = []
     for power, count, record, reader in channels:
-        sigma = _noise_sigma(power, det, fs)
-        if reps > 1:
-            power, sigma = np.tile(power, reps), np.tile(sigma, reps)
-        scratch = np.empty(longest) if record is None else None
-        tiled.append((power, sigma, count, record, reader, scratch))
-    for start, stop in blocks:
+        if tile > period:
+            power = np.resize(power, tile)
+        scratch = np.empty(min(n, DRAW_BLOCK)) if record is None else None
+        tiled.append((power, _noise_sigma(power, det, fs), count, record, reader, scratch))
+    for start in range(0, n, DRAW_BLOCK):
+        stop = min(start + DRAW_BLOCK, n)
         at, size = start % period, stop - start
         common = None
         if isinstance(factor, np.random.Generator):
@@ -467,8 +451,7 @@ def _draw_channels(rng, factor, phase, det, fs, n, channels):
             last = index == len(tiled) - 1
             np.add(shared, np.multiply(
                 noise, sigma[at : at + size], out=noise if last else None), out=block)
-            if reader is not None:
-                done.append((reader, block))
+            done.append((reader, block))
         # hold no more than the blocks while the readers run
         del common, noise, line
         for reader, block in done:

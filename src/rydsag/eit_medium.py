@@ -106,7 +106,7 @@ class LadderSystemParams:
                 "probe Rabi frequency is not small against gamma_2; the "
                 "weak-probe steady state degrades",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -25,10 +25,9 @@ the noiseless record repeats their readout.
 A scheme comparison draws each signal amplitude's detector noise once
 and reads it out through both readouts (``detected_spectra``), so both
 schemes see the same technical noise, and each sweep is the one that
-its scheme gives alone.  Where the detector's bandwidth pole rounds
-away, the amplitude record is never stored but summed into its Welch
-spectrum as it is drawn; where it does not, the channel records are
-stored whole, with one more record for the amplitude readout.
+its scheme gives alone.  The amplitude record is never stored but
+summed into its Welch spectrum as it is drawn, at any detector
+bandwidth.
 """
 
 from __future__ import annotations
@@ -458,8 +457,8 @@ def sensitivity_sweep(config, medium, pointer, detector, seed, map_fn=map):
     reproducible and order-independent under parallel evaluation;
     ``map_fn`` may be an executor map for concurrent sweep points.  Its
     records are those of ``run_beat_experiment``; a one-channel
-    (amplitude) record is never stored where the detector's pole rounds
-    away, but summed into its spectrum as it is drawn.
+    (amplitude) record is never stored, but summed into its spectrum as
+    it is drawn.
     """
     (sweep,) = _sweeps(config, (config.readout,), medium, pointer, detector, seed, map_fn)
     return sweep
@@ -652,9 +651,8 @@ def scheme_comparison(config, medium, pointer, detector, seed, map_fn=map):
     as ``sensitivity_sweep`` gives it, and read out through both schemes:
     the amplitude record takes the RIN factor and the first channel's
     noise that the dispersion record's left channel takes, so each
-    scheme's sweep is the one ``sensitivity_sweep`` gives.  Where the
-    detector's pole does not round away, the channel records are stored
-    whole, the amplitude record too.  The comparison fits both
+    scheme's sweep is the one ``sensitivity_sweep`` gives.  Only the
+    dispersion record is stored.  The comparison fits both
     sensitivities and reports the SNR advantage (mean over amplitudes
     detected by both) and the minimum-field advantage in the two dB
     conventions.

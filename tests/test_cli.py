@@ -16,7 +16,7 @@ import rydsag
 from rydsag import cli, stabilization
 from rydsag.cli import EXPERIMENTS, MAX_GRID_POINTS, load_config, main
 from rydsag.eit_medium import LadderSystemParams, detuning_grid
-from rydsag.errors import ConfigError
+from rydsag.errors import ConfigError, RegimeWarning
 
 DATA = pathlib.Path(__file__).parent / "data"
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -726,6 +726,18 @@ def test_validate_refuses_a_run_its_closed_form_or_grid_refuses(
     error = _refusal(tmp_path, capsys, payload)
     assert error["category"] == category
     assert error["message"].startswith(prefix)
+
+
+def test_a_regime_warning_of_validate_names_a_source_file(tmp_path, capsys):
+    # the weak-probe warning names the frame that built the medium, not the
+    # __init__ that dataclass compiles from a string ("<string>")
+    cfg = write_config(tmp_path, {"experiment": "spectrum", "medium": {"gamma_2": 1.0e-300}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    assert [w.category for w in caught] == [RegimeWarning]
+    assert caught[0].filename.endswith(".py")
 
 
 @pytest.mark.parametrize("points", [16, 4097, 262_145])

@@ -19,6 +19,7 @@ from rydsag import heterodyne
 from rydsag.detector_chain import (
     BLOCK,
     CHUNK,
+    DRAW_BLOCK,
     MAX_GRID_POINTS,
     DetectorParams,
     TimeSeries,
@@ -337,12 +338,30 @@ def test_bandwidth_filter_skips_a_pole_that_rounds_away():
     assert_same_bits(filtered, one_pole((1.0 - a) * x, a, y0=x[0]))
     assert np.all(filtered[holes] > 0.0)
 
-    # a bandwidth of fs/10 is a real low-pass
+    # a bandwidth of fs/10 is a real low-pass, run a DRAW_BLOCK tile at a
+    # time, each tile from the last output of the one before
     slow = DetectorParams(bandwidth=fs / 10)
     b = math.exp(-2.0 * math.pi * slow.bandwidth / fs)
     filtered = _bandwidth_filter(x.copy(), slow, fs)
     assert not np.array_equal(filtered, x)
-    assert np.array_equal(filtered, one_pole((1.0 - b) * x, b, y0=x[0]))
+    tiles, y0 = [], x[0]
+    for start in range(0, x.size, DRAW_BLOCK):
+        tiles.append(one_pole((1.0 - b) * x[start : start + DRAW_BLOCK], b, y0=y0))
+        y0 = tiles[-1][-1]
+    assert np.array_equal(filtered, np.concatenate(tiles))
+
+
+@pytest.mark.parametrize("n", [2 * DRAW_BLOCK + 7, DRAW_BLOCK - 1_000])
+@pytest.mark.parametrize("a", [0.5, 0.939, 0.99997])
+def test_bandwidth_filter_matches_lfilter_across_its_tiles(n, a):
+    # the reference sampler below filters through _bandwidth_filter, so
+    # this is the oracle of the state carried from tile to tile
+    fs = 1.0e6
+    det = DetectorParams(bandwidth=-math.log(a) * fs / (2.0 * math.pi))
+    pole = math.exp(-2.0 * math.pi * det.bandwidth / fs)
+    x = 1.0 + np.random.default_rng(n).standard_normal(n)
+    reference, _ = signal.lfilter([1.0 - pole], [1.0, -pole], x, zi=[pole * x[0]])
+    assert_matches_oracle(_bandwidth_filter(x.copy(), det, fs), reference)
 
 
 def test_sample_count_guard():
@@ -530,8 +549,9 @@ LONG = 2 * BLOCK + 7_000
         (20, 6000),
         (7, 6000),
         (6000, 6000),
-        # 20 and 7 do not divide the block size, and a period longer than
-        # a block is split into pieces of one period
+        # 20 and 7 do not divide the block size, so the blocks start at
+        # different places in the period, and a period longer than a
+        # block is read a piece at a time
         (None, LONG),
         (20, LONG),
         (7, LONG),
@@ -627,7 +647,7 @@ SHARED_DRAW_DETECTORS = {
     "rin": DetectorParams(rin=1e-7),
     "line": DetectorParams(line_freq_hz=20e3, line_amp_w=1e-9),
     "rin-line": DetectorParams(rin=1e-7, line_freq_hz=20e3, line_amp_w=1e-9),
-    # a pole that does not round away: every channel record is stored
+    # a pole that does not round away: each block is filtered as it is drawn
     "pole": DetectorParams(rin=1e-7, bandwidth=1.0e6),
 }
 
@@ -724,8 +744,10 @@ def test_periodic_chain_memory_stays_near_the_record_size():
 
 def test_full_length_chain_memory_stays_near_its_records():
     # full-length clean powers, filtered at fs/10: the noise deviation is
-    # computed in place and the powers are read where they lie, so the two
-    # stored channels and a channel's deviation make about three records
+    # computed in place and the powers are read where they lie, and the
+    # right channel is filtered and read out into the left record a block
+    # at a time, so the record and a channel's deviation make about two
+    # records (2.09 traced)
     fs = 1.0e6
     n = 200_000
     phase = 2.0 * math.pi * 1e3 * np.arange(n) / fs
@@ -733,7 +755,7 @@ def test_full_length_chain_memory_stays_near_its_records():
     det = DetectorParams(bandwidth=fs / 10)
     with pytest.warns(RegimeWarning, match="bandwidth"):
         ts, peak = _peak_bytes(lambda: sample_timeseries(clean, det, fs, n / fs, seed=0))
-    assert peak <= 3.5 * ts.samples.nbytes
+    assert peak <= 2.5 * ts.samples.nbytes
 
 
 def test_psd_memory_stays_near_its_input():
@@ -750,13 +772,15 @@ SHIPPED_HETERODYNE = os.path.join(
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_a_two_readout_field_raises_the_peak_resident_set_by_at_most_15_8_mb(tmp_path):
-    # one field of the shipped comparison at 1.5 M samples, on one thread:
-    # the dispersion record and both readouts' streamed Welch sums.
-    # tracemalloc does not see pocketfft's scratch or the allocator's
-    # slack, so this reads the peak resident set of a fresh process;
-    # drawing each readout's record in turn raised it by 15.8 MB
+    # one field of the shipped comparison at 1.5 M samples, on one thread,
+    # with the shipped detector and with one whose bandwidth pole does not
+    # round away: the dispersion record and both readouts' streamed Welch
+    # sums, each block filtered as it is drawn.  tracemalloc does not see
+    # pocketfft's scratch or the allocator's slack, so this reads the peak
+    # resident set of a fresh process; drawing each readout's record in
+    # turn raised it by 15.8 MB
     code = f"""
-import json, math
+import json, math, sys
 from rydsag import cli, heterodyne
 from rydsag.weak_pointer import PointerSetup, PostSelection
 
@@ -766,6 +790,7 @@ def peak_kib():
 
 raw = json.load(open({SHIPPED_HETERODYNE!r}))
 raw["heterodyne"].update(integration_time=0.5, e_signal=[1e-3])
+raw["detector"].update(json.loads(sys.argv[1]))
 json.dump(raw, open("field.json", "w"))
 _, models = cli.load_config("field.json")
 section = models["pointer"]
@@ -779,9 +804,10 @@ print(peak_kib() - before)
     src = os.path.dirname(os.path.dirname(heterodyne.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, cwd=tmp_path)
-    assert int(result.stdout) <= 15.8 * 1024
+    for detector in ("{}", '{"bandwidth": 1.0e6}'):
+        result = subprocess.run([sys.executable, "-c", code, detector], env=env,
+                                capture_output=True, text=True, check=True, cwd=tmp_path)
+        assert int(result.stdout) <= 15.8 * 1024, detector
 
 
 def test_channels_of_unequal_or_excess_length_are_rejected():
